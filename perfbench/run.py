@@ -67,7 +67,7 @@ TREE_MEMBERS = ("rf", "gbt-l", "gbt-x")
 SCREEN_COMMANDS = ("toxpredict", "physchem", "encode", "cluster", "latent_screen")
 # Per-command wall times of the screen workload.  They are per-layer
 # metrics, not end-to-end ones: every workload must report every
-# end-to-end metric, and across ten seeds on a 2-core sandbox their
+# end-to-end metric, and across ten seeds on a 2-core Xeon VM their
 # spread reached 0.20-0.26, at the largest bound allowed.
 COMMAND_METRICS = ("cluster_s", "toxpredict_s", "physchem_s", "latent_screen_s")
 

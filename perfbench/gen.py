@@ -95,13 +95,16 @@ def _peptide(rng, profile, lo: int, hi: int) -> str:
 
 
 def labelled_corpus(rng, toxic: bool, n: int, lo: int = 6, hi: int = 24) -> list[str]:
-    """n distinct peptides of one class; a CROSS_SHARE of them take the other
-    class's composition, which bounds the achievable accuracy."""
+    """n distinct peptides of one class; exactly a CROSS_SHARE of them, at
+    random positions, take the other class's composition, which bounds the
+    achievable accuracy.  The share is fixed rather than drawn per peptide
+    so that it does not vary between corpora."""
+    cross = set(rng.choice(n, size=round(CROSS_SHARE * n), replace=False).tolist())
     seen: set[str] = set()
     out: list[str] = []
     while len(out) < n:
-        cross = rng.random() < CROSS_SHARE
-        s = _peptide(rng, TOXIC_PROFILE if toxic != cross else BENIGN_PROFILE, lo, hi)
+        profile = TOXIC_PROFILE if toxic != (len(out) in cross) else BENIGN_PROFILE
+        s = _peptide(rng, profile, lo, hi)
         if s not in seen:
             seen.add(s)
             out.append(s)

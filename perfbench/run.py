@@ -1,6 +1,6 @@
 """The peptaste benchmark: one workload per run, end to end or traced.
 
-    python3 perfbench/run.py --workload toxtrain --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload toxtrain --seed 1 --seconds 36 --trace 0
 
 Run from the root of a source checkout; the package is imported from
 src/.  Inputs are generated from --seed (cached under .perfbench/cache);
@@ -393,11 +393,12 @@ def main(argv=None) -> int:
     job_times: list[float] = []
     overheads: list[float] = []
     tracer = spans.Tracer()
-    if args.trace:
-        # the first job of a process pays a warm-up that would otherwise
-        # land on the untraced side of the first overhead pair
-        job(0, untimed)()
     deadline = time.perf_counter() + args.seconds
+    # The first job of a process pays one-off costs (lazy imports, caches
+    # filling) that a user's later jobs do not; it runs inside the run's
+    # time but untimed, so it lands neither in job_s nor on the untraced
+    # side of the first overhead pair.
+    job(0, untimed)()
     j = 0
     while True:
         t = time.perf_counter()
@@ -460,7 +461,14 @@ def main(argv=None) -> int:
                 run.failed += 1
                 run.errors.append(f"no samples for {m['name']}")
                 continue
-            metrics[m["name"]] = {"value": _median(values), "unit": m["unit"]}
+            # job_s is the mean over the timed jobs, the loop's wall time
+            # per job: on a shared host the machine's speed switches between
+            # levels some 30% apart for tens of seconds at a time.  The
+            # median job then jumps to whichever level held most of a run,
+            # while the mean weighs each level by the time it held (see
+            # README.md for the spreads).  Other metrics take the median.
+            value = statistics.fmean(values) if m["name"] == "job_s" else _median(values)
+            metrics[m["name"]] = {"value": value, "unit": m["unit"]}
             counts[m["name"]] = len(values) if m["name"] != "setup_s" else SETUP_REPEATS
 
     ctx = context.run_context(os.getcwd())
@@ -488,6 +496,8 @@ def main(argv=None) -> int:
     print(f"perfbench {args.workload} seed={args.seed} seconds={args.seconds:g} trace={args.trace}")
     for name, m in metrics.items():
         print(f"  {name:<44} {m['value']:>14.6g} {m['unit']:<6} n={counts[name]}")
+    if not args.trace:
+        print(f"  job_s is the mean of the timed jobs; their median is {_median(job_times):.6g} s")
     if args.workload == "screen" and not args.trace:
         print("screen commands (per-layer metrics, reported here too):")
         for name in COMMAND_METRICS:

@@ -72,8 +72,9 @@ def _sha256(path) -> str:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        # repr of a numpy scalar reads np.float64(...) under numpy 2
+        return repr(float(value))
     return str(value)
 
 

@@ -89,105 +89,142 @@ class _Tree:
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def add_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
+    def __init__(self, feature, threshold, left, right, value):
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=float)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.value = np.asarray(value, dtype=float)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        feature = np.array(self.feature)
-        threshold = np.array(self.threshold)
-        left = np.array(self.left)
-        right = np.array(self.right)
-        value = np.array(self.value)
         node = np.zeros(X.shape[0], dtype=np.int64)
-        active = feature[node] >= 0
+        active = self.feature[node] >= 0
         while active.any():
             idx = np.nonzero(active)[0]
-            f = feature[node[idx]]
-            t = threshold[node[idx]]
-            goes_left = X[idx, f] <= t
-            node[idx] = np.where(goes_left, left[node[idx]], right[node[idx]])
-            active = feature[node] >= 0
-        return value[node]
+            at = node[idx]
+            goes_left = X[idx, self.feature[at]] <= self.threshold[at]
+            node[idx] = np.where(goes_left, self.left[at], self.right[at])
+            active = self.feature[node] >= 0
+        return self.value[node]
 
     def to_state(self) -> dict:
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "value": self.value,
-        }
+        return {name: getattr(self, name).tolist() for name in self.__slots__}
 
     @classmethod
     def from_state(cls, state: dict) -> "_Tree":
-        tree = cls()
-        tree.feature = [int(v) for v in state["feature"]]
-        tree.threshold = [float(v) for v in state["threshold"]]
-        tree.left = [int(v) for v in state["left"]]
-        tree.right = [int(v) for v in state["right"]]
-        tree.value = [float(v) for v in state["value"]]
-        return tree
+        return cls(*(state[name] for name in cls.__slots__))
 
 
-def _best_split_gini(X, y, w, feat_ids, rng=None):
-    """Best (feature, threshold) by weighted Gini; None when no split helps.
+def _grow_tree(X, max_depth, visit) -> _Tree:
+    """Depth-first growth shared by every tree learner.
 
-    With rng set (extremely randomized mode) one uniform threshold per
-    feature is tried instead of every boundary between sorted values.
+    visit(idx, may_split) gives a node's value and, when may_split is true,
+    its best (cost, feature, threshold) or None.  Rows with
+    X[:, feature] <= threshold go left.
     """
-    best = None  # (impurity, feature, threshold)
-    total_w = w.sum()
-    for f in feat_ids:
-        xs = X[:, f]
-        if rng is not None:
-            lo, hi = xs.min(), xs.max()
-            if lo == hi:
-                continue
-            thr_list = [lo + (hi - lo) * rng.random()]
-            for thr in thr_list:
-                mask = xs <= thr
-                wl = w[mask].sum()
-                wr = total_w - wl
-                if wl == 0 or wr == 0:
-                    continue
-                pl = (w[mask] * y[mask]).sum() / wl
-                pr = (w[~mask] * y[~mask]).sum() / wr
-                imp = wl * pl * (1 - pl) + wr * pr * (1 - pr)
-                if best is None or imp < best[0] - 1e-15:
-                    best = (imp, f, thr)
-            continue
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        w_sorted = w[order]
-        wy_sorted = w_sorted * y[order]
-        cw = np.cumsum(w_sorted)
-        cwy = np.cumsum(wy_sorted)
-        # candidate boundaries between distinct consecutive values
-        distinct = np.nonzero(xs_sorted[:-1] < xs_sorted[1:])[0]
-        if distinct.size == 0:
-            continue
-        wl = cw[distinct]
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(idx, depth) -> int:
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        v, split = visit(idx, depth < max_depth and len(idx) >= 2)
+        value.append(float(v))
+        if split is None:
+            return node
+        _, f, thr = split
+        mask = X[idx, f] <= thr
+        if np.count_nonzero(mask) in (0, len(idx)):
+            return node
+        feature[node] = int(f)
+        threshold[node] = float(thr)
+        left[node] = grow(idx[mask], depth + 1)
+        right[node] = grow(idx[~mask], depth + 1)
+        return node
+
+    grow(np.arange(X.shape[0]), 0)
+    return _Tree(feature, threshold, left, right, value)
+
+
+def _best_split(Xn, feat_ids, stats, cost, rng=None):
+    """Best (cost, feature, threshold) of one node; None when no column splits.
+
+    Xn holds the node's rows of the candidate columns feat_ids and stats
+    the same rows' per-row statistics (rows x s).  cost maps the sums of
+    those statistics left and right of every candidate split (candidates x
+    columns x s) to the quantity to minimize.  Every boundary between
+    distinct sorted values is a candidate; with rng set (extremely
+    randomized mode) each non-constant column instead gets one uniform
+    threshold, drawn in column order.  A later column wins only when lower
+    by more than 1e-15.
+    """
+    m, k = Xn.shape
+    if rng is None:
+        # a stable sort per column and numpy's sequential cumsum give the
+        # same bits as sorting and summing one column at a time
+        order = np.argsort(Xn, axis=0, kind="stable")
+        xs = Xn[order, np.arange(k)]
+        sums = np.cumsum(stats[order], axis=0)
+        left, right = sums[:-1], sums[-1] - sums[:-1]
+        valid = xs[:-1] < xs[1:]
+    else:
+        lo, hi = Xn.min(axis=0), Xn.max(axis=0)
+        cols = np.nonzero(lo != hi)[0]
+        if cols.size == 0:
+            return None
+        thr = lo[cols] + (hi[cols] - lo[cols]) * rng.random(cols.size)
+        goes_left = (Xn[:, cols] <= thr).T
+        # summed one row set and statistic at a time: numpy's pairwise
+        # summation order depends on which rows are summed, so masking with
+        # zeros or reducing a 2-d block would not give the same bits
+        sums = [
+            np.add.reduce(c[g])
+            for side in (goes_left, ~goes_left)
+            for g in side
+            for c in stats.T
+        ]
+        left, right = np.reshape(sums, (2, 1, cols.size, stats.shape[1]))
+        n_left = goes_left.sum(axis=1)
+        valid = ((n_left > 0) & (n_left < m))[None]
+        feat_ids = feat_ids[cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(valid, cost(left, right), np.inf)
+    rows = scores.argmin(axis=0)
+    col_best = scores[rows, np.arange(scores.shape[1])].tolist()
+    best = None
+    for c in np.flatnonzero(valid.any(axis=0)).tolist():
+        if best is None or col_best[c] < col_best[best] - 1e-15:
+            best = c
+    if best is None:
+        return None
+    j = rows[best]
+    if rng is None:
+        t = 0.5 * (xs[j, best] + xs[j + 1, best])
+    else:
+        t = thr[best]
+    return col_best[best], int(feat_ids[best]), float(t)
+
+
+def _gini_cost(total_w):
+    """Weighted Gini impurity of a split from sums of (w, w * y)."""
+
+    def cost(left, right):
+        wl = left[..., 0]
         wr = total_w - wl
-        pl = cwy[distinct] / wl
-        pr = (cwy[-1] - cwy[distinct]) / wr
-        imp = wl * pl * (1 - pl) + wr * pr * (1 - pr)
-        j = int(np.argmin(imp))
-        thr = 0.5 * (xs_sorted[distinct[j]] + xs_sorted[distinct[j] + 1])
-        if best is None or imp[j] < best[0] - 1e-15:
-            best = (float(imp[j]), f, float(thr))
-    return best
+        pl = left[..., 1] / wl
+        pr = right[..., 1] / wr
+        return wl * pl * (1 - pl) + wr * pr * (1 - pr)
+
+    return cost
+
+
+def _newton_cost(left, right):
+    """Negated Newton gain sl^2 / nl + sr^2 / nr from sums of (r, 1)."""
+    sl, nl = left[..., 0], left[..., 1]
+    sr, nr = right[..., 0], right[..., 1]
+    return -(sl**2 / nl + sr**2 / nr)
 
 
 class DecisionTree:
@@ -204,7 +241,7 @@ class DecisionTree:
         self.max_features = max_features
         self.random_thresholds = random_thresholds
         self.seed_seq = seed_seq or np.random.SeedSequence(0)
-        self.tree = _Tree()
+        self.tree: _Tree | None = None
 
     def fit(self, X, y, sample_weight=None):
         X, y = _check_xy(X, y)
@@ -213,43 +250,32 @@ class DecisionTree:
             if sample_weight is None
             else np.asarray(sample_weight, dtype=float)
         )
+        wy = w * y
+        stats = np.column_stack((w, wy))
         rng = np.random.default_rng(self.seed_seq)
-        self.tree = _Tree()
-        self._grow(X, y, w, np.arange(len(y)), 0, rng)
-        return self
-
-    def _n_features(self, d: int) -> int:
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(d)))
-        return d
-
-    def _grow(self, X, y, w, idx, depth, rng) -> int:
-        node = self.tree.add_node()
-        wsum = w[idx].sum()
-        pos = (w[idx] * y[idx]).sum() / wsum if wsum > 0 else 0.0
-        self.tree.value[node] = float(pos)
-        if depth >= self.max_depth or len(idx) < 2 or pos in (0.0, 1.0):
-            return node
+        threshold_rng = rng if self.random_thresholds else None
         d = X.shape[1]
-        n_feat = self._n_features(d)
-        if n_feat < d:
-            feat_ids = np.sort(rng.choice(d, size=n_feat, replace=False))
-        else:
-            feat_ids = np.arange(d)
-        split = _best_split_gini(
-            X[idx], y[idx], w[idx], feat_ids, rng if self.random_thresholds else None
-        )
-        if split is None:
-            return node
-        _, f, thr = split
-        mask = X[idx, f] <= thr
-        if not mask.any() or mask.all():
-            return node
-        self.tree.feature[node] = int(f)
-        self.tree.threshold[node] = float(thr)
-        self.tree.left[node] = self._grow(X, y, w, idx[mask], depth + 1, rng)
-        self.tree.right[node] = self._grow(X, y, w, idx[~mask], depth + 1, rng)
-        return node
+        n_feat = max(1, int(np.sqrt(d))) if self.max_features == "sqrt" else d
+
+        def visit(idx, may_split):
+            wsum = w[idx].sum()
+            pos = wy[idx].sum() / wsum if wsum > 0 else 0.0
+            if not may_split or pos in (0.0, 1.0):
+                return pos, None
+            if n_feat < d:
+                feat_ids = np.sort(rng.choice(d, size=n_feat, replace=False))
+            else:
+                feat_ids = np.arange(d)
+            return pos, _best_split(
+                X[idx[:, None], feat_ids],
+                feat_ids,
+                stats[idx],
+                _gini_cost(wsum),
+                threshold_rng,
+            )
+
+        self.tree = _grow_tree(X, self.max_depth, visit)
+        return self
 
     def predict_proba(self, X) -> np.ndarray:
         return self.tree.predict(np.asarray(X, dtype=float))
@@ -324,57 +350,19 @@ class ExtraTrees(_Forest):
     random_thresholds = True
 
 
-class _RegressionTree:
-    """Squared-error regression tree used as the boosting weak learner."""
+def _regression_tree(X, r, h, max_depth) -> _Tree:
+    """Squared-error regression tree, the boosting weak learner; each leaf
+    holds the Newton step for the logistic loss."""
+    features = np.arange(X.shape[1])
+    stats = np.column_stack((r, np.ones(len(r))))
 
-    def __init__(self, max_depth: int = 3):
-        self.max_depth = max_depth
-        self.tree = _Tree()
+    def visit(idx, may_split):
+        step = r[idx].sum() / max(h[idx].sum(), 1e-12)
+        if not may_split:
+            return step, None
+        return step, _best_split(X[idx], features, stats[idx], _newton_cost)
 
-    def fit(self, X, residual, hessian):
-        self.tree = _Tree()
-        self._grow(X, residual, hessian, np.arange(len(residual)), 0)
-        return self
-
-    def _grow(self, X, r, h, idx, depth) -> int:
-        node = self.tree.add_node()
-        # Newton step for logistic loss
-        self.tree.value[node] = float(r[idx].sum() / max(h[idx].sum(), 1e-12))
-        if depth >= self.max_depth or len(idx) < 2:
-            return node
-        best = None
-        for f in range(X.shape[1]):
-            xs = X[idx, f]
-            order = np.argsort(xs, kind="stable")
-            xs_sorted = xs[order]
-            rs = np.cumsum(r[idx][order])
-            ns = np.arange(1, len(idx) + 1)
-            distinct = np.nonzero(xs_sorted[:-1] < xs_sorted[1:])[0]
-            if distinct.size == 0:
-                continue
-            nl = ns[distinct]
-            nr = len(idx) - nl
-            sl = rs[distinct]
-            sr = rs[-1] - sl
-            gain = sl**2 / nl + sr**2 / nr
-            j = int(np.argmax(gain))
-            thr = 0.5 * (xs_sorted[distinct[j]] + xs_sorted[distinct[j] + 1])
-            if best is None or gain[j] > best[0] + 1e-15:
-                best = (float(gain[j]), f, float(thr))
-        if best is None:
-            return node
-        _, f, thr = best
-        mask = X[idx, f] <= thr
-        if not mask.any() or mask.all():
-            return node
-        self.tree.feature[node] = int(f)
-        self.tree.threshold[node] = float(thr)
-        self.tree.left[node] = self._grow(X, r, h, idx[mask], depth + 1)
-        self.tree.right[node] = self._grow(X, r, h, idx[~mask], depth + 1)
-        return node
-
-    def predict(self, X) -> np.ndarray:
-        return self.tree.predict(X)
+    return _grow_tree(X, max_depth, visit)
 
 
 def _sigmoid(z):
@@ -389,7 +377,7 @@ class GradientBoosting:
         self.max_depth = max_depth
         self.learning_rate = learning_rate
         self.f0 = 0.0
-        self.stages: list[_RegressionTree] = []
+        self.stages: list[_Tree] = []
 
     def fit(self, X, y, sample_weight=None):
         X, y = _check_xy(X, y)
@@ -401,7 +389,7 @@ class GradientBoosting:
             p = _sigmoid(f)
             residual = y - p
             hessian = p * (1 - p)
-            tree = _RegressionTree(self.max_depth).fit(X, residual, hessian)
+            tree = _regression_tree(X, residual, hessian, self.max_depth)
             f = f + self.learning_rate * tree.predict(X)
             self.stages.append(tree)
         return self
@@ -414,15 +402,11 @@ class GradientBoosting:
         return _sigmoid(f)
 
     def to_state(self) -> dict:
-        return {"f0": self.f0, "stages": [t.tree.to_state() for t in self.stages]}
+        return {"f0": self.f0, "stages": [t.to_state() for t in self.stages]}
 
     def from_state(self, state: dict):
         self.f0 = float(state["f0"])
-        self.stages = []
-        for s in state["stages"]:
-            tree = _RegressionTree(self.max_depth)
-            tree.tree = _Tree.from_state(s)
-            self.stages.append(tree)
+        self.stages = [_Tree.from_state(s) for s in state["stages"]]
         return self
 
 

@@ -109,6 +109,12 @@ class TestDesignPipeline:
         ):
             assert (out / name).exists()
 
+    def test_outputs_hold_plain_numbers(self, design_out):
+        # numpy scalars are written as numbers, not as np.float64(...)
+        _, _, out = design_out
+        for path in sorted(out.glob("*.tsv")):
+            assert "np." not in path.read_text(), path.name
+
     def test_counts_monotone(self, design_out):
         _, report, _ = design_out
         c = report.counts

@@ -8,6 +8,8 @@ import hashlib
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peptaste import pipeline
 from peptaste.toxicity import classifiers as clf
@@ -106,3 +108,185 @@ GOLDEN_STATES = {
     "adb": "022558f46a73398c202e76331d7a545f55d616bf81e4f7e79c146f8159d4ec2b",
     "dt": "65051669610269f7e326e3b96cf84a9d5c06c03cd6004fc04733e0637a66d6b1",
 }
+
+
+# --- oracle: the per-feature split searches the shared scorer replaced -------
+
+
+def reference_gini_split(X, y, w, feat_ids, rng=None):
+    best = None  # (impurity, feature, threshold)
+    total_w = w.sum()
+    for f in feat_ids:
+        xs = X[:, f]
+        if rng is not None:
+            lo, hi = xs.min(), xs.max()
+            if lo == hi:
+                continue
+            thr = lo + (hi - lo) * rng.random()
+            mask = xs <= thr
+            wl = w[mask].sum()
+            wr = total_w - wl
+            if wl == 0 or wr == 0:
+                continue
+            pl = (w[mask] * y[mask]).sum() / wl
+            pr = (w[~mask] * y[~mask]).sum() / wr
+            imp = wl * pl * (1 - pl) + wr * pr * (1 - pr)
+            if best is None or imp < best[0] - 1e-15:
+                best = (imp, f, thr)
+            continue
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        w_sorted = w[order]
+        wy_sorted = w_sorted * y[order]
+        cw = np.cumsum(w_sorted)
+        cwy = np.cumsum(wy_sorted)
+        distinct = np.nonzero(xs_sorted[:-1] < xs_sorted[1:])[0]
+        if distinct.size == 0:
+            continue
+        wl = cw[distinct]
+        wr = total_w - wl
+        pl = cwy[distinct] / wl
+        pr = (cwy[-1] - cwy[distinct]) / wr
+        imp = wl * pl * (1 - pl) + wr * pr * (1 - pr)
+        j = int(np.argmin(imp))
+        thr = 0.5 * (xs_sorted[distinct[j]] + xs_sorted[distinct[j] + 1])
+        if best is None or imp[j] < best[0] - 1e-15:
+            best = (float(imp[j]), f, float(thr))
+    return best
+
+
+def reference_newton_split(X, r):
+    best = None  # (gain, feature, threshold)
+    n = len(r)
+    for f in range(X.shape[1]):
+        xs = X[:, f]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        rs = np.cumsum(r[order])
+        ns = np.arange(1, n + 1)
+        distinct = np.nonzero(xs_sorted[:-1] < xs_sorted[1:])[0]
+        if distinct.size == 0:
+            continue
+        nl = ns[distinct]
+        nr = n - nl
+        sl = rs[distinct]
+        sr = rs[-1] - sl
+        gain = sl**2 / nl + sr**2 / nr
+        j = int(np.argmax(gain))
+        thr = 0.5 * (xs_sorted[distinct[j]] + xs_sorted[distinct[j] + 1])
+        if best is None or gain[j] > best[0] + 1e-15:
+            best = (float(gain[j]), f, float(thr))
+    return best
+
+
+def bits(split):
+    """A split with its floats as exact hex strings."""
+    if split is None:
+        return None
+    score, f, thr = split
+    return float(score).hex(), int(f), float(thr).hex()
+
+
+def gini_split(X, y, w, feat_ids, rng=None):
+    feat_ids = np.asarray(feat_ids)
+    stats = np.column_stack((w, w * y))
+    return clf._best_split(
+        X[:, feat_ids], feat_ids, stats, clf._gini_cost(w.sum()), rng
+    )
+
+
+@st.composite
+def nodes(draw):
+    """A node's rows: few distinct values (ties), sometimes constant or
+    bootstrap-duplicated columns, labels, and uniform or AdaBoost-like
+    weights."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    levels = draw(st.integers(1, 12))
+    X = rng.integers(0, levels, size=(n, d)) / levels
+    if draw(st.booleans()):
+        X[:, rng.integers(0, d)] = 0.25  # constant column
+    if draw(st.booleans()):
+        X += rng.normal(scale=1e-3, size=(n, d))  # distinct values too
+    y = rng.integers(0, 2, size=n)
+    if draw(st.booleans()):
+        boot = rng.integers(0, n, size=n)  # bootstrap duplicates
+        X, y = X[boot], y[boot]
+    weighting = draw(st.sampled_from(["uniform", "adaboost"]))
+    if weighting == "uniform":
+        w = np.full(n, 1.0 / n)
+    else:
+        w = np.exp(rng.normal(scale=2.0, size=n))
+        w /= w.sum()
+    if draw(st.booleans()):
+        k = max(1, int(np.sqrt(d)))  # RF's sqrt feature subset
+        feat_ids = np.sort(rng.choice(d, size=k, replace=False))
+    else:
+        feat_ids = np.arange(d)
+    return X, y, w, feat_ids, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes())
+def test_gini_scorer_matches_per_feature_loop(node):
+    X, y, w, feat_ids, _ = node
+    assert bits(gini_split(X, y, w, feat_ids)) == bits(
+        reference_gini_split(X, y, w, feat_ids)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes())
+def test_random_threshold_scorer_matches_per_feature_loop(node):
+    X, y, w, feat_ids, seed = node
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert bits(gini_split(X, y, w, feat_ids, ours)) == bits(
+        reference_gini_split(X, y, w, feat_ids, theirs)
+    )
+    # the same draws, in the same order, were taken
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes())
+def test_newton_scorer_matches_per_feature_loop(node):
+    X, y, w, _, seed = node
+    r = np.random.default_rng(seed).normal(size=len(y)) * w
+    stats = np.column_stack((r, np.ones(len(r))))
+    features = np.arange(X.shape[1])
+    split = clf._best_split(X, features, stats, clf._newton_cost)
+    negated = None if split is None else (-split[0], split[1], split[2])
+    assert bits(negated) == bits(reference_newton_split(X, r))
+
+
+def test_constant_node_has_no_split():
+    X = np.full((6, 3), 2.0)
+    y = np.array([0, 1, 0, 1, 0, 1])
+    w = np.full(6, 1 / 6)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert gini_split(X, y, w, np.arange(3)) is None
+    assert gini_split(X, y, w, np.arange(3), rng) is None
+    assert rng.bit_generator.state == state  # constant columns draw nothing
+
+
+def test_ties_keep_the_first_feature():
+    # columns 0 and 2 give the same partition; the earlier one wins
+    X = np.array([[0.0, 5.0, 1.0], [0.0, 5.0, 1.0], [1.0, 5.0, 3.0], [1.0, 5.0, 3.0]])
+    y = np.array([0, 0, 1, 1])
+    w = np.full(4, 0.25)
+    assert gini_split(X, y, w, np.arange(3)) == (0.0, 0, 0.5)
+    assert gini_split(X, y, w, np.array([1, 2])) == (0.0, 2, 2.0)
+
+
+def test_tree_state_round_trip():
+    X, y = noisy_matrix(np.random.default_rng(4))
+    model = clf.DecisionTree(max_depth=4).fit(X, y)
+    state = model.to_state()
+    assert all(type(v) is list for v in state["tree"].values())
+    again = clf.DecisionTree().from_state(json.loads(json.dumps(state)))
+    assert isinstance(again.tree.feature, np.ndarray)
+    assert json.dumps(again.to_state()) == json.dumps(state)
+    assert np.array_equal(again.predict_proba(X), model.predict_proba(X))

@@ -148,11 +148,16 @@ def _grow_tree(X, max_depth, visit) -> _Tree:
     return _Tree(feature, threshold, left, right, value)
 
 
-def _best_split(Xn, feat_ids, stats, cost, rng=None):
+# cells (rows x columns) scored at once: bounds the scorer's temporaries
+# to a few MB however many rows and features a node has
+_SPLIT_BLOCK = 1 << 16
+
+
+def _best_split(X, idx, feat_ids, stats, cost, rng=None):
     """Best (cost, feature, threshold) of one node; None when no column splits.
 
-    Xn holds the node's rows of the candidate columns feat_ids and stats
-    the same rows' per-row statistics (rows x s).  cost maps the sums of
+    The node holds rows idx of X; its candidate columns are feat_ids and
+    stats holds its per-row statistics (rows x s).  cost maps the sums of
     those statistics left and right of every candidate split (candidates x
     columns x s) to the quantity to minimize.  Every boundary between
     distinct sorted values is a candidate; with rng set (extremely
@@ -160,51 +165,58 @@ def _best_split(Xn, feat_ids, stats, cost, rng=None):
     threshold, drawn in column order.  A later column wins only when lower
     by more than 1e-15.
     """
-    m, k = Xn.shape
-    if rng is None:
-        # a stable sort per column and numpy's sequential cumsum give the
-        # same bits as sorting and summing one column at a time
-        order = np.argsort(Xn, axis=0, kind="stable")
-        xs = Xn[order, np.arange(k)]
-        sums = np.cumsum(stats[order], axis=0)
-        left, right = sums[:-1], sums[-1] - sums[:-1]
-        valid = xs[:-1] < xs[1:]
-    else:
-        lo, hi = Xn.min(axis=0), Xn.max(axis=0)
-        cols = np.nonzero(lo != hi)[0]
-        if cols.size == 0:
-            return None
-        thr = lo[cols] + (hi[cols] - lo[cols]) * rng.random(cols.size)
-        goes_left = (Xn[:, cols] <= thr).T
-        # summed one row set and statistic at a time: numpy's pairwise
-        # summation order depends on which rows are summed, so masking with
-        # zeros or reducing a 2-d block would not give the same bits
-        sums = [
-            np.add.reduce(c[g])
-            for side in (goes_left, ~goes_left)
-            for g in side
-            for c in stats.T
-        ]
-        left, right = np.reshape(sums, (2, 1, cols.size, stats.shape[1]))
-        n_left = goes_left.sum(axis=1)
-        valid = ((n_left > 0) & (n_left < m))[None]
-        feat_ids = feat_ids[cols]
+    m = len(idx)
+    best = None
+    width = max(1, _SPLIT_BLOCK // m)
+    for start in range(0, len(feat_ids), width):
+        ids = feat_ids[start : start + width]
+        block = X[idx[:, None], ids]
+        if rng is None:
+            # a stable sort per column and numpy's sequential cumsum give
+            # the same bits as sorting and summing one column at a time
+            order = np.argsort(block, axis=0, kind="stable")
+            xs = block[order, np.arange(len(ids))]
+            sums = np.cumsum(stats[order], axis=0)
+            cols, rows, scores = _column_winners(
+                cost, sums[:-1], sums[-1] - sums[:-1], xs[:-1] < xs[1:]
+            )
+            thresholds = 0.5 * (xs[rows, cols] + xs[rows + 1, cols])
+        else:
+            lo, hi = block.min(axis=0), block.max(axis=0)
+            varying = np.flatnonzero(lo != hi)
+            thr = lo[varying] + (hi[varying] - lo[varying]) * rng.random(varying.size)
+            goes_left = (block[:, varying] <= thr).T
+            # summed one row set and statistic at a time: numpy's pairwise
+            # summation order depends on which rows are summed, so masking
+            # with zeros or reducing a 2-d block would not give the same bits
+            sums = [
+                np.add.reduce(c[g])
+                for side in (goes_left, ~goes_left)
+                for g in side
+                for c in stats.T
+            ]
+            left, right = np.reshape(sums, (2, 1, varying.size, stats.shape[1]))
+            n_left = goes_left.sum(axis=1)
+            cols, _, scores = _column_winners(
+                cost, left, right, ((n_left > 0) & (n_left < m))[None]
+            )
+            thresholds = thr[cols]
+            cols = varying[cols]
+        winners = zip(ids[cols].tolist(), scores.tolist(), thresholds.tolist())
+        for f, score, t in winners:
+            if best is None or score < best[0] - 1e-15:
+                best = (score, f, t)
+    return best
+
+
+def _column_winners(cost, left, right, valid):
+    """For each column with a valid candidate: (column, row, cost) of its
+    first lowest-cost candidate."""
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(valid, cost(left, right), np.inf)
-    rows = scores.argmin(axis=0)
-    col_best = scores[rows, np.arange(scores.shape[1])].tolist()
-    best = None
-    for c in np.flatnonzero(valid.any(axis=0)).tolist():
-        if best is None or col_best[c] < col_best[best] - 1e-15:
-            best = c
-    if best is None:
-        return None
-    j = rows[best]
-    if rng is None:
-        t = 0.5 * (xs[j, best] + xs[j + 1, best])
-    else:
-        t = thr[best]
-    return col_best[best], int(feat_ids[best]), float(t)
+    cols = np.flatnonzero(valid.any(axis=0))
+    rows = scores.argmin(axis=0)[cols]
+    return cols, rows, scores[rows, cols]
 
 
 def _gini_cost(total_w):
@@ -267,11 +279,7 @@ class DecisionTree:
             else:
                 feat_ids = np.arange(d)
             return pos, _best_split(
-                X[idx[:, None], feat_ids],
-                feat_ids,
-                stats[idx],
-                _gini_cost(wsum),
-                threshold_rng,
+                X, idx, feat_ids, stats[idx], _gini_cost(wsum), threshold_rng
             )
 
         self.tree = _grow_tree(X, self.max_depth, visit)
@@ -360,7 +368,7 @@ def _regression_tree(X, r, h, max_depth) -> _Tree:
         step = r[idx].sum() / max(h[idx].sum(), 1e-12)
         if not may_split:
             return step, None
-        return step, _best_split(X[idx], features, stats[idx], _newton_cost)
+        return step, _best_split(X, idx, features, stats[idx], _newton_cost)
 
     return _grow_tree(X, max_depth, visit)
 

@@ -6,6 +6,7 @@ every tree learner's fitted state byte for byte.
 
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -188,11 +189,9 @@ def bits(split):
 
 
 def gini_split(X, y, w, feat_ids, rng=None):
-    feat_ids = np.asarray(feat_ids)
     stats = np.column_stack((w, w * y))
-    return clf._best_split(
-        X[:, feat_ids], feat_ids, stats, clf._gini_cost(w.sum()), rng
-    )
+    rows = np.arange(len(y))
+    return clf._best_split(X, rows, feat_ids, stats, clf._gini_cost(w.sum()), rng)
 
 
 @st.composite
@@ -228,25 +227,33 @@ def nodes(draw):
     return X, y, w, feat_ids, seed
 
 
+# the default block scores every column at once; a one-column block walks
+# the columns block by block
+BLOCKS = (clf._SPLIT_BLOCK, 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(nodes())
 def test_gini_scorer_matches_per_feature_loop(node):
     X, y, w, feat_ids, _ = node
-    assert bits(gini_split(X, y, w, feat_ids)) == bits(
-        reference_gini_split(X, y, w, feat_ids)
-    )
+    expected = bits(reference_gini_split(X, y, w, feat_ids))
+    for block in BLOCKS:
+        with mock.patch.object(clf, "_SPLIT_BLOCK", block):
+            assert bits(gini_split(X, y, w, feat_ids)) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(nodes())
 def test_random_threshold_scorer_matches_per_feature_loop(node):
     X, y, w, feat_ids, seed = node
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert bits(gini_split(X, y, w, feat_ids, ours)) == bits(
-        reference_gini_split(X, y, w, feat_ids, theirs)
-    )
-    # the same draws, in the same order, were taken
-    assert ours.bit_generator.state == theirs.bit_generator.state
+    theirs = np.random.default_rng(seed)
+    expected = bits(reference_gini_split(X, y, w, feat_ids, theirs))
+    for block in BLOCKS:
+        ours = np.random.default_rng(seed)
+        with mock.patch.object(clf, "_SPLIT_BLOCK", block):
+            assert bits(gini_split(X, y, w, feat_ids, ours)) == expected
+        # the same draws, in the same order, were taken
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @settings(max_examples=300, deadline=None)
@@ -255,10 +262,13 @@ def test_newton_scorer_matches_per_feature_loop(node):
     X, y, w, _, seed = node
     r = np.random.default_rng(seed).normal(size=len(y)) * w
     stats = np.column_stack((r, np.ones(len(r))))
-    features = np.arange(X.shape[1])
-    split = clf._best_split(X, features, stats, clf._newton_cost)
-    negated = None if split is None else (-split[0], split[1], split[2])
-    assert bits(negated) == bits(reference_newton_split(X, r))
+    rows, features = np.arange(len(r)), np.arange(X.shape[1])
+    expected = bits(reference_newton_split(X, r))
+    for block in BLOCKS:
+        with mock.patch.object(clf, "_SPLIT_BLOCK", block):
+            split = clf._best_split(X, rows, features, stats, clf._newton_cost)
+        negated = None if split is None else (-split[0], split[1], split[2])
+        assert bits(negated) == expected
 
 
 def test_constant_node_has_no_split():

@@ -123,9 +123,14 @@ def _grow_tree(X, max_depth, visit) -> _Tree:
     X[:, feature] <= threshold go left.
     """
     feature, threshold, left, right, value = [], [], [], [], []
-
-    def grow(idx, depth) -> int:
+    # (rows, depth, parent's child list, parent); popping the left child
+    # first numbers the nodes, and makes the visits, in depth-first order
+    stack = [(np.arange(X.shape[0]), 0, None, -1)]
+    while stack:
+        idx, depth, children, parent = stack.pop()
         node = len(feature)
+        if children is not None:
+            children[parent] = node
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
@@ -133,18 +138,15 @@ def _grow_tree(X, max_depth, visit) -> _Tree:
         v, split = visit(idx, depth < max_depth and len(idx) >= 2)
         value.append(float(v))
         if split is None:
-            return node
+            continue
         _, f, thr = split
         mask = X[idx, f] <= thr
         if np.count_nonzero(mask) in (0, len(idx)):
-            return node
+            continue
         feature[node] = int(f)
         threshold[node] = float(thr)
-        left[node] = grow(idx[mask], depth + 1)
-        right[node] = grow(idx[~mask], depth + 1)
-        return node
-
-    grow(np.arange(X.shape[0]), 0)
+        stack.append((idx[~mask], depth + 1, right, node))
+        stack.append((idx[mask], depth + 1, left, node))
     return _Tree(feature, threshold, left, right, value)
 
 
@@ -174,16 +176,16 @@ def _best_split(X, idx, feat_ids, stats, cost, rng=None):
         if rng is None:
             # a stable sort per column and numpy's sequential cumsum give
             # the same bits as sorting and summing one column at a time
-            order = np.argsort(block, axis=0, kind="stable")
+            order = block.argsort(axis=0, kind="stable")
             xs = block[order, np.arange(len(ids))]
-            sums = np.cumsum(stats[order], axis=0)
+            sums = stats[order].cumsum(axis=0)
             cols, rows, scores = _column_winners(
                 cost, sums[:-1], sums[-1] - sums[:-1], xs[:-1] < xs[1:]
             )
             thresholds = 0.5 * (xs[rows, cols] + xs[rows + 1, cols])
         else:
             lo, hi = block.min(axis=0), block.max(axis=0)
-            varying = np.flatnonzero(lo != hi)
+            varying = (lo != hi).nonzero()[0]
             thr = lo[varying] + (hi[varying] - lo[varying]) * rng.random(varying.size)
             goes_left = (block[:, varying] <= thr).T
             # summed one row set and statistic at a time: numpy's pairwise
@@ -214,7 +216,7 @@ def _column_winners(cost, left, right, valid):
     first lowest-cost candidate."""
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(valid, cost(left, right), np.inf)
-    cols = np.flatnonzero(valid.any(axis=0))
+    cols = valid.any(axis=0).nonzero()[0]
     rows = scores.argmin(axis=0)[cols]
     return cols, rows, scores[rows, cols]
 

@@ -196,9 +196,9 @@ def gini_split(X, y, w, feat_ids, rng=None):
 
 @st.composite
 def nodes(draw):
-    """A node's rows: few distinct values (ties), sometimes constant or
-    bootstrap-duplicated columns, labels, and uniform or AdaBoost-like
-    weights."""
+    """A node's rows: few distinct values (ties), sometimes a constant
+    column or bootstrap-duplicated rows, labels, and uniform or
+    AdaBoost-like weights."""
     n = draw(st.integers(2, 40))
     d = draw(st.integers(1, 7))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -206,9 +206,9 @@ def nodes(draw):
     levels = draw(st.integers(1, 12))
     X = rng.integers(0, levels, size=(n, d)) / levels
     if draw(st.booleans()):
-        X[:, rng.integers(0, d)] = 0.25  # constant column
-    if draw(st.booleans()):
         X += rng.normal(scale=1e-3, size=(n, d))  # distinct values too
+    if draw(st.booleans()):
+        X[:, rng.integers(0, d)] = 0.25  # constant column
     y = rng.integers(0, 2, size=n)
     if draw(st.booleans()):
         boot = rng.integers(0, n, size=n)  # bootstrap duplicates

@@ -1,29 +1,29 @@
-"""The 20 sequence-descriptor encoders and z-score feature assembly.
+"""The 20 sequence-descriptor encoders and z-score feature scaling.
 
 Composition descriptors are frequency-normalized; positional descriptors
 (Binary, BLOSUM62, Zscale, EAAC, EGAAC) lay the sequence into a fixed
 pad_len frame and zero-fill beyond the sequence end.  All residue scales,
-group partitions, and matrices load from the bundled data tables.
+group partitions, and matrices load from the bundled data tables, once,
+on first use.
+
+Each descriptor is declared once, in _REGISTRY: its encoder, its column
+names and its length bounds.  Encoders take the sequence as residue
+indices into AMINO_ACIDS; every count is an exact integer.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import _tables
 from .errors import ValidationError
-from .sequences import AMINO_ACIDS, Peptide
-
-DESCRIPTOR_IDS = (
-    "AAC", "DPC", "TPC", "GAAC", "GDPC", "GTPC",
-    "CTDC", "CTDT", "CTDD", "CTriad", "EAAC", "EGAAC",
-    "CKSAAP", "CKSAAGP", "Binary", "BLOSUM62", "DDE",
-    "PAAC", "APAAC", "Zscale",
-)
+from .sequences import AA_TO_INDEX, AMINO_ACIDS, MIN_LENGTH, Peptide
 
 GROUP_NAMES = ("aliphatic", "aromatic", "positive", "negative", "uncharged")
 
@@ -40,436 +40,369 @@ class DescriptorConfig:
 DEFAULT_CONFIG = DescriptorConfig()
 
 
-def _seq(p) -> str:
-    return p.sequence if isinstance(p, Peptide) else Peptide(str(p)).sequence
+_RESIDUE_INDEX = bytes.maketrans(
+    AMINO_ACIDS.encode(), bytes(range(len(AMINO_ACIDS)))
+)
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ValidationError(msg)
+def _codes(p) -> np.ndarray:
+    """The peptide's residues as indices into AMINO_ACIDS."""
+    seq = p.sequence if isinstance(p, Peptide) else Peptide(str(p)).sequence
+    indices = seq.encode().translate(_RESIDUE_INDEX)
+    return np.frombuffer(indices, np.uint8).astype(np.intp)
 
 
-def _group_of() -> dict[str, int]:
-    groups = _tables.group_table("aa_groups.tsv")
-    mapping = {}
-    for gi, name in enumerate(GROUP_NAMES):
-        for aa in groups[name]:
-            mapping[aa] = gi
-    return mapping
-
-
-def _aac(seq, cfg):
-    counts = np.array([seq.count(aa) for aa in AMINO_ACIDS], dtype=float)
-    return counts / len(seq)
-
-
-def _kmer_counts(seq, k, alphabet_index, size):
-    counts = np.zeros(size)
-    base = len(alphabet_index)
-    for i in range(len(seq) - k + 1):
-        idx = 0
-        for ch in seq[i : i + k]:
-            idx = idx * base + alphabet_index[ch]
-        counts[idx] += 1
-    return counts
-
-
-_AA_INDEX = {aa: i for i, aa in enumerate(AMINO_ACIDS)}
-
-
-def _dpc(seq, cfg):
-    counts = _kmer_counts(seq, 2, _AA_INDEX, 400)
-    return counts / (len(seq) - 1)
-
-
-def _tpc(seq, cfg):
-    _require(len(seq) >= 3, f"TPC requires length >= 3, got {len(seq)}")
-    counts = _kmer_counts(seq, 3, _AA_INDEX, 8000)
-    return counts / (len(seq) - 2)
-
-
-def _gaac(seq, cfg):
-    gmap = _group_of()
-    counts = np.zeros(5)
-    for aa in seq:
-        counts[gmap[aa]] += 1
-    return counts / len(seq)
-
-
-def _gdpc(seq, cfg):
-    gmap = _group_of()
-    counts = np.zeros(25)
-    for a, b in zip(seq, seq[1:]):
-        counts[gmap[a] * 5 + gmap[b]] += 1
-    return counts / (len(seq) - 1)
-
-
-def _gtpc(seq, cfg):
-    _require(len(seq) >= 3, f"GTPC requires length >= 3, got {len(seq)}")
-    gmap = _group_of()
-    counts = np.zeros(125)
-    for a, b, c in zip(seq, seq[1:], seq[2:]):
-        counts[(gmap[a] * 5 + gmap[b]) * 5 + gmap[c]] += 1
-    return counts / (len(seq) - 2)
-
-
-def _ctd_class_string(seq, groups):
-    """Map a sequence to its 0/1/2 class indices for one CTD property."""
-    lookup = {}
+def _classes(groups) -> np.ndarray:
+    """Class index of each residue (indexed like AMINO_ACIDS), given one
+    string of residues per class."""
+    out = np.zeros(len(AMINO_ACIDS), dtype=np.intp)
     for ci, residues in enumerate(groups):
         for aa in residues:
-            lookup[aa] = ci
-    return [lookup[aa] for aa in seq]
+            out[AA_TO_INDEX[aa]] = ci
+    return out
 
 
-def _ctdc(seq, cfg):
-    out = []
-    n = len(seq)
-    for _, groups in _tables.ctd_groups():
-        classes = _ctd_class_string(seq, groups)
-        for ci in range(3):
-            out.append(classes.count(ci) / n)
-    return np.array(out)
+@dataclass(frozen=True)
+class _Alphabet:
+    """The residue classes that the composition descriptors count."""
+
+    classes: np.ndarray  # class of each residue, indexed like AMINO_ACIDS
+    labels: tuple[str, ...]
+    sep: str  # joins labels in k-mer names
+
+    def kmers(self, k: int) -> list[str]:
+        return [self.sep.join(p) for p in itertools.product(self.labels, repeat=k)]
 
 
-def _ctdt(seq, cfg):
-    out = []
-    n = len(seq)
-    for _, groups in _tables.ctd_groups():
-        classes = _ctd_class_string(seq, groups)
-        pairs = list(zip(classes, classes[1:]))
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            trans = sum(1 for x, y in pairs if (x, y) in ((a, b), (b, a)))
-            out.append(trans / (n - 1))
-    return np.array(out)
+@functools.cache
+def _residues() -> _Alphabet:
+    return _Alphabet(np.arange(len(AMINO_ACIDS)), tuple(AMINO_ACIDS), "")
 
 
-def _ctdd(seq, cfg):
-    out = []
-    n = len(seq)
-    for _, groups in _tables.ctd_groups():
-        classes = _ctd_class_string(seq, groups)
-        for ci in range(3):
-            positions = [i + 1 for i, c in enumerate(classes) if c == ci]
-            if not positions:
-                out.extend([0.0] * 5)
-                continue
-            total = len(positions)
-            for q in (0.0, 0.25, 0.50, 0.75, 1.0):
-                rank = max(1, math.floor(q * total))
-                out.append(positions[rank - 1] / n * 100.0)
-    return np.array(out)
+def _grouping(table: str, labels) -> _Alphabet:
+    groups = _tables.group_table(table)
+    return _Alphabet(_classes(groups[g] for g in labels), tuple(labels), ".")
 
 
-def _ctriad(seq, cfg):
-    _require(len(seq) >= 3, f"CTriad requires length >= 3, got {len(seq)}")
-    groups = _tables.group_table("ctriad_groups.tsv")
-    lookup = {}
-    for gi, name in enumerate(sorted(groups)):
-        for aa in groups[name]:
-            lookup[aa] = gi
-    counts = np.zeros(343)
-    for a, b, c in zip(seq, seq[1:], seq[2:]):
-        counts[(lookup[a] * 7 + lookup[b]) * 7 + lookup[c]] += 1
+@functools.cache
+def _groups() -> _Alphabet:
+    return _grouping("aa_groups.tsv", GROUP_NAMES)
+
+
+@functools.cache
+def _triad_groups() -> _Alphabet:
+    table = "ctriad_groups.tsv"
+    return _grouping(table, sorted(_tables.group_table(table)))
+
+
+def _kmer_counts(classes: np.ndarray, k: int, base: int) -> np.ndarray:
+    """Counts of all base**k class k-mers, in lexicographic order."""
+    m = len(classes) - k + 1
+    idx = classes[:m]
+    for j in range(1, k):
+        idx = idx * base + classes[j : j + m]
+    return np.bincount(idx, minlength=base**k)
+
+
+@dataclass(frozen=True)
+class _Descriptor:
+    encode: Callable[[np.ndarray, DescriptorConfig], np.ndarray]
+    names: Callable[[DescriptorConfig], list[str]]  # without the "<ID>_" prefix
+    min_len: Callable[[DescriptorConfig], int] = lambda cfg: MIN_LENGTH
+    max_len: Callable[[DescriptorConfig], float] = lambda cfg: math.inf
+
+
+def _composition(alphabet: Callable[[], _Alphabet], k: int) -> _Descriptor:
+    """Frequencies of the k-mers of residue classes (AAC ... GTPC)."""
+
+    def encode(codes, cfg):
+        a = alphabet()
+        counts = _kmer_counts(a.classes[codes], k, len(a.labels))
+        return counts / (len(codes) - k + 1)
+
+    return _Descriptor(encode, lambda cfg: alphabet().kmers(k), lambda cfg: k)
+
+
+def _gapped(alphabet: Callable[[], _Alphabet]) -> _Descriptor:
+    """Frequencies of class pairs (i, i + g + 1), one block per gap g <= k_max;
+    a block with no pairs stays zero."""
+
+    def encode(codes, cfg):
+        a = alphabet()
+        classes, base = a.classes[codes], len(a.labels)
+        blocks = []
+        for g in range(cfg.k_max + 1):
+            m = max(len(codes) - g - 1, 0)
+            pairs = classes[:m] * base + classes[g + 1 : g + 1 + m]
+            blocks.append(np.bincount(pairs, minlength=base * base) / max(m, 1))
+        return np.concatenate(blocks)
+
+    def names(cfg):
+        pairs = alphabet().kmers(2)
+        return [f"{p}.gap{g}" for g in range(cfg.k_max + 1) for p in pairs]
+
+    return _Descriptor(encode, names)
+
+
+def _windowed(alphabet: Callable[[], _Alphabet]) -> _Descriptor:
+    """Class counts over each window of the pad_len frame, divided by the
+    window length (EAAC, EGAAC)."""
+
+    def encode(codes, cfg):
+        a = alphabet()
+        classes, base = a.classes[codes], len(a.labels)
+        counts = [
+            np.bincount(classes[w : w + cfg.window], minlength=base)
+            for w in range(cfg.pad_len - cfg.window + 1)
+        ]
+        return np.concatenate(counts) / cfg.window
+
+    def names(cfg):
+        nw = cfg.pad_len - cfg.window + 1
+        return [f"w{w + 1}.{c}" for w in range(nw) for c in alphabet().labels]
+
+    return _Descriptor(encode, names, max_len=lambda cfg: cfg.pad_len)
+
+
+def _positional(
+    table: Callable[[], tuple[np.ndarray, tuple[str, ...]]],
+) -> _Descriptor:
+    """One table row per position, zero rows past the sequence end
+    (Binary, BLOSUM62, Zscale)."""
+
+    def encode(codes, cfg):
+        values = table()[0]
+        out = np.zeros((cfg.pad_len, values.shape[1]))
+        out[: len(codes)] = values[codes]
+        return out.ravel()
+
+    def names(cfg):
+        return [f"p{i + 1}.{c}" for i in range(cfg.pad_len) for c in table()[1]]
+
+    return _Descriptor(encode, names, max_len=lambda cfg: cfg.pad_len)
+
+
+@functools.cache
+def _one_hot():
+    return np.eye(len(AMINO_ACIDS)), tuple(AMINO_ACIDS)
+
+
+@functools.cache
+def _blosum62():
+    table = _tables.matrix_table("blosum62.tsv")
+    cols = tuple(next(iter(table.values())))
+    return np.array([[table[aa][c] for c in cols] for aa in AMINO_ACIDS]), cols
+
+
+@functools.cache
+def _zscale():
+    table = _tables.vector_table("zscale.tsv")
+    return np.array([table[aa] for aa in AMINO_ACIDS]), ("z1", "z2", "z3", "z4", "z5")
+
+
+@functools.cache
+def _ctd() -> tuple[np.ndarray, tuple[str, ...]]:
+    """Class (0, 1, 2) of each residue under each CTD property, and the
+    property names."""
+    rows = _tables.ctd_groups()
+    classes = np.stack([_classes(groups) for _, groups in rows])
+    return classes, tuple(prop for prop, _ in rows)
+
+
+def _ctd_members(codes) -> np.ndarray:
+    """(property, class, position) membership of each residue."""
+    classes = _ctd()[0][:, codes]
+    return classes[:, None, :] == np.arange(3)[:, None]
+
+
+def _ctd_names(suffixes) -> Callable[[DescriptorConfig], list[str]]:
+    return lambda cfg: [f"{prop}.{s}" for prop in _ctd()[1] for s in suffixes]
+
+
+def _ctdc(codes, cfg):
+    return (_ctd_members(codes).sum(axis=2) / len(codes)).ravel()
+
+
+_TRANSITIONS = ((0, 1), (0, 2), (1, 2))
+
+
+def _ctdt(codes, cfg):
+    classes = _ctd()[0][:, codes]
+    x, y = classes[:, :-1], classes[:, 1:]
+    trans = [
+        ((x == a) & (y == b) | (x == b) & (y == a)).sum(axis=1)
+        for a, b in _TRANSITIONS
+    ]
+    return (np.stack(trans, axis=1) / (len(codes) - 1)).ravel()
+
+
+_QUANTILES = np.array([0.0, 0.25, 0.50, 0.75, 1.0])
+
+
+def _ctdd(codes, cfg):
+    """Per property and class: the 1-based position of the first, 25%, 50%,
+    75% and last member, as a percentage of the length; 0 for no member."""
+    members = _ctd_members(codes)
+    total = members.sum(axis=2)[..., None]
+    rank = np.maximum(1, np.floor(_QUANTILES * total))
+    # the running member count first reaches rank at the rank-th member
+    seen = members.cumsum(axis=2)[..., None, :]
+    position = (seen < rank[..., None]).sum(axis=3) + 1
+    return np.where(total > 0, position / len(codes) * 100.0, 0.0).ravel()
+
+
+def _ctriad(codes, cfg):
+    a = _triad_groups()
+    counts = _kmer_counts(a.classes[codes], 3, len(a.labels))
     return (counts - counts.min()) / counts.max()
 
 
-def _windows(cfg):
-    return cfg.pad_len - cfg.window + 1
-
-
-def _eaac(seq, cfg):
-    _require(
-        len(seq) <= cfg.pad_len,
-        f"EAAC requires length <= {cfg.pad_len}, got {len(seq)}",
-    )
-    nw = _windows(cfg)
-    out = np.zeros((nw, 20))
-    for w in range(nw):
-        chunk = seq[w : w + cfg.window]
-        for aa in chunk:
-            out[w, _AA_INDEX[aa]] += 1
-    return out.ravel() / cfg.window
-
-
-def _egaac(seq, cfg):
-    _require(
-        len(seq) <= cfg.pad_len,
-        f"EGAAC requires length <= {cfg.pad_len}, got {len(seq)}",
-    )
-    gmap = _group_of()
-    nw = _windows(cfg)
-    out = np.zeros((nw, 5))
-    for w in range(nw):
-        for aa in seq[w : w + cfg.window]:
-            out[w, gmap[aa]] += 1
-    return out.ravel() / cfg.window
-
-
-def _cksaap(seq, cfg):
-    blocks = []
-    n = len(seq)
-    for g in range(cfg.k_max + 1):
-        counts = np.zeros(400)
-        n_pairs = n - g - 1
-        if n_pairs > 0:
-            for i in range(n_pairs):
-                counts[_AA_INDEX[seq[i]] * 20 + _AA_INDEX[seq[i + g + 1]]] += 1
-            counts /= n_pairs
-        blocks.append(counts)
-    return np.concatenate(blocks)
-
-
-def _cksaagp(seq, cfg):
-    gmap = _group_of()
-    blocks = []
-    n = len(seq)
-    for g in range(cfg.k_max + 1):
-        counts = np.zeros(25)
-        n_pairs = n - g - 1
-        if n_pairs > 0:
-            for i in range(n_pairs):
-                counts[gmap[seq[i]] * 5 + gmap[seq[i + g + 1]]] += 1
-            counts /= n_pairs
-        blocks.append(counts)
-    return np.concatenate(blocks)
-
-
-def _binary(seq, cfg):
-    _require(
-        len(seq) <= cfg.pad_len,
-        f"Binary requires length <= {cfg.pad_len}, got {len(seq)}",
-    )
-    out = np.zeros((cfg.pad_len, 20))
-    for i, aa in enumerate(seq):
-        out[i, _AA_INDEX[aa]] = 1.0
-    return out.ravel()
-
-
-def _blosum62(seq, cfg):
-    _require(
-        len(seq) <= cfg.pad_len,
-        f"BLOSUM62 requires length <= {cfg.pad_len}, got {len(seq)}",
-    )
-    table = _tables.matrix_table("blosum62.tsv")
-    cols = list(next(iter(table.values())))
-    out = np.zeros((cfg.pad_len, 20))
-    for i, aa in enumerate(seq):
-        out[i] = [table[aa][c] for c in cols]
-    return out.ravel()
-
-
-def _dde(seq, cfg):
+@functools.cache
+def _dde_expected() -> np.ndarray:
+    """Theoretical dipeptide frequency from codon counts, per DPC column."""
     codons = _tables.scalar_table("codon_counts.tsv")
-    dc = _kmer_counts(seq, 2, _AA_INDEX, 400) / (len(seq) - 1)
-    tm = np.array(
+    return np.array(
         [
             (codons[a] / 61.0) * (codons[b] / 61.0)
             for a in AMINO_ACIDS
             for b in AMINO_ACIDS
         ]
     )
-    tv = tm * (1 - tm) / (len(seq) - 1)
+
+
+def _dde(codes, cfg):
+    dc = _kmer_counts(codes, 2, len(AMINO_ACIDS)) / (len(codes) - 1)
+    tm = _dde_expected()
+    tv = tm * (1 - tm) / (len(codes) - 1)
     return (dc - tm) / np.sqrt(tv)
 
 
-def _paac_properties(names):
+_PAAC_SCALES = ("hydrophobicity", "hydrophilicity", "sidechainmass")
+
+
+@functools.cache
+def _paac_properties() -> np.ndarray:
+    """The PAAC scales, each standardized over the 20 residues."""
     table = _tables.matrix_table("paac_scales.tsv")
     rows = []
-    for name in names:
+    for name in _PAAC_SCALES:
         vals = np.array([table[name][aa] for aa in AMINO_ACIDS])
         rows.append((vals - vals.mean()) / np.sqrt(((vals - vals.mean()) ** 2).mean()))
     return np.stack(rows)
 
 
-def _paac(seq, cfg):
-    _require(
-        len(seq) > cfg.lam,
-        f"PAAC requires length > lambda ({cfg.lam}), got {len(seq)}",
-    )
-    props = _paac_properties(["hydrophobicity", "hydrophilicity", "sidechainmass"])
-    idx = np.array([_AA_INDEX[aa] for aa in seq])
+def _pseudo(codes, factors, cfg):
+    """Residue counts and the sequence-order factors, each divided by
+    1 + weight * sum(factors)."""
+    denom = 1.0 + cfg.weight * sum(factors)
+    counts = np.bincount(codes, minlength=len(AMINO_ACIDS))
+    return np.concatenate([counts / denom, cfg.weight * np.array(factors) / denom])
+
+
+def _paac(codes, cfg):
+    props = _paac_properties()
     thetas = []
     for n in range(1, cfg.lam + 1):
-        diffs = props[:, idx[:-n]] - props[:, idx[n:]]
+        diffs = props[:, codes[:-n]] - props[:, codes[n:]]
         thetas.append(float((diffs ** 2).mean(axis=0).mean()))
-    counts = np.array([seq.count(aa) for aa in AMINO_ACIDS], dtype=float)
-    denom = 1.0 + cfg.weight * sum(thetas)
-    return np.concatenate([counts / denom, cfg.weight * np.array(thetas) / denom])
+    return _pseudo(codes, thetas, cfg)
 
 
-def _apaac(seq, cfg):
-    _require(
-        len(seq) > cfg.lam,
-        f"APAAC requires length > lambda ({cfg.lam}), got {len(seq)}",
-    )
-    props = _paac_properties(["hydrophobicity", "hydrophilicity"])
-    idx = np.array([_AA_INDEX[aa] for aa in seq])
+def _apaac(codes, cfg):
+    props = _paac_properties()[:2]
     taus = []
     for n in range(1, cfg.lam + 1):
         for p in range(props.shape[0]):
-            taus.append(float((props[p, idx[:-n]] * props[p, idx[n:]]).mean()))
-    counts = np.array([seq.count(aa) for aa in AMINO_ACIDS], dtype=float)
-    denom = 1.0 + cfg.weight * sum(taus)
-    return np.concatenate([counts / denom, cfg.weight * np.array(taus) / denom])
+            taus.append(float((props[p, codes[:-n]] * props[p, codes[n:]]).mean()))
+    return _pseudo(codes, taus, cfg)
 
 
-def _zscale(seq, cfg):
-    _require(
-        len(seq) <= cfg.pad_len,
-        f"Zscale requires length <= {cfg.pad_len}, got {len(seq)}",
-    )
-    table = _tables.vector_table("zscale.tsv")
-    out = np.zeros((cfg.pad_len, 5))
-    for i, aa in enumerate(seq):
-        out[i] = table[aa]
-    return out.ravel()
+def _pseudo_min_len(cfg) -> int:
+    # the lam-th sequence-order factor needs a pair lam residues apart
+    return cfg.lam + 1
 
 
-_ENCODERS = {
-    "AAC": _aac,
-    "DPC": _dpc,
-    "TPC": _tpc,
-    "GAAC": _gaac,
-    "GDPC": _gdpc,
-    "GTPC": _gtpc,
-    "CTDC": _ctdc,
-    "CTDT": _ctdt,
-    "CTDD": _ctdd,
-    "CTriad": _ctriad,
-    "EAAC": _eaac,
-    "EGAAC": _egaac,
-    "CKSAAP": _cksaap,
-    "CKSAAGP": _cksaagp,
-    "Binary": _binary,
-    "BLOSUM62": _blosum62,
-    "DDE": _dde,
-    "PAAC": _paac,
-    "APAAC": _apaac,
-    "Zscale": _zscale,
+_REGISTRY: dict[str, _Descriptor] = {
+    "AAC": _composition(_residues, 1),
+    "DPC": _composition(_residues, 2),
+    "TPC": _composition(_residues, 3),
+    "GAAC": _composition(_groups, 1),
+    "GDPC": _composition(_groups, 2),
+    "GTPC": _composition(_groups, 3),
+    "CTDC": _Descriptor(_ctdc, _ctd_names(["G1", "G2", "G3"])),
+    "CTDT": _Descriptor(
+        _ctdt, _ctd_names([f"T{a + 1}{b + 1}" for a, b in _TRANSITIONS])
+    ),
+    "CTDD": _Descriptor(
+        _ctdd,
+        _ctd_names([f"G{c}.p{q}" for c in (1, 2, 3) for q in (0, 25, 50, 75, 100)]),
+    ),
+    "CTriad": _Descriptor(
+        _ctriad, lambda cfg: _triad_groups().kmers(3), lambda cfg: 3
+    ),
+    "EAAC": _windowed(_residues),
+    "EGAAC": _windowed(_groups),
+    "CKSAAP": _gapped(_residues),
+    "CKSAAGP": _gapped(_groups),
+    "Binary": _positional(_one_hot),
+    "BLOSUM62": _positional(_blosum62),
+    "DDE": _Descriptor(_dde, lambda cfg: _residues().kmers(2)),
+    "PAAC": _Descriptor(
+        _paac,
+        lambda cfg: [*AMINO_ACIDS, *(f"lambda{n}" for n in range(1, cfg.lam + 1))],
+        _pseudo_min_len,
+    ),
+    "APAAC": _Descriptor(
+        _apaac,
+        lambda cfg: [
+            *AMINO_ACIDS,
+            *(f"{p}.{n}" for n in range(1, cfg.lam + 1) for p in _PAAC_SCALES[:2]),
+        ],
+        _pseudo_min_len,
+    ),
+    "Zscale": _positional(_zscale),
 }
+
+DESCRIPTOR_IDS = tuple(_REGISTRY)
+
+
+def _entry(descriptor_id: str) -> _Descriptor:
+    if descriptor_id not in _REGISTRY:
+        raise ValidationError(f"unknown descriptor {descriptor_id!r}")
+    return _REGISTRY[descriptor_id]
+
+
+def _encode_codes(descriptor_id: str, codes: np.ndarray, config: DescriptorConfig):
+    entry = _entry(descriptor_id)
+    n, lo, hi = len(codes), entry.min_len(config), entry.max_len(config)
+    if n < lo:
+        raise ValidationError(f"{descriptor_id} requires length >= {lo}, got {n}")
+    if n > hi:
+        raise ValidationError(f"{descriptor_id} requires length <= {hi}, got {n}")
+    return entry.encode(codes, config)
 
 
 def encode(descriptor_id: str, peptide, config: DescriptorConfig = DEFAULT_CONFIG):
     """Encode one peptide with one descriptor; returns a fixed-length vector."""
-    if descriptor_id not in _ENCODERS:
-        raise ValidationError(f"unknown descriptor {descriptor_id!r}")
-    return _ENCODERS[descriptor_id](_seq(peptide), config)
+    return _encode_codes(descriptor_id, _codes(peptide), config)
+
+
+def min_length(
+    ids, config: DescriptorConfig = DEFAULT_CONFIG
+) -> tuple[str | None, int]:
+    """The first descriptor in ids with the largest minimum peptide length,
+    and that length; (None, MIN_LENGTH) for no ids."""
+    bounds = ((did, _entry(did).min_len(config)) for did in ids)
+    return max(bounds, key=lambda b: b[1], default=(None, MIN_LENGTH))
 
 
 def descriptor_dims(config: DescriptorConfig = DEFAULT_CONFIG) -> dict[str, int]:
-    nw = _windows(config)
-    return {
-        "AAC": 20,
-        "DPC": 400,
-        "TPC": 8000,
-        "GAAC": 5,
-        "GDPC": 25,
-        "GTPC": 125,
-        "CTDC": 39,
-        "CTDT": 39,
-        "CTDD": 195,
-        "CTriad": 343,
-        "EAAC": nw * 20,
-        "EGAAC": nw * 5,
-        "CKSAAP": (config.k_max + 1) * 400,
-        "CKSAAGP": (config.k_max + 1) * 25,
-        "Binary": config.pad_len * 20,
-        "BLOSUM62": config.pad_len * 20,
-        "DDE": 400,
-        "PAAC": 20 + config.lam,
-        "APAAC": 20 + 2 * config.lam,
-        "Zscale": config.pad_len * 5,
-    }
+    return {did: len(entry.names(config)) for did, entry in _REGISTRY.items()}
 
 
 def column_names(ids, config: DescriptorConfig = DEFAULT_CONFIG) -> list[str]:
     """One informative name per output column, in encoding order."""
-    names: list[str] = []
-    aa2 = ["".join(p) for p in itertools.product(AMINO_ACIDS, repeat=2)]
-    aa3 = ["".join(p) for p in itertools.product(AMINO_ACIDS, repeat=3)]
-    g2 = [f"{a}.{b}" for a in GROUP_NAMES for b in GROUP_NAMES]
-    nw = _windows(config)
-    for did in ids:
-        if did == "AAC":
-            names += [f"AAC_{a}" for a in AMINO_ACIDS]
-        elif did == "DPC":
-            names += [f"DPC_{p}" for p in aa2]
-        elif did == "TPC":
-            names += [f"TPC_{p}" for p in aa3]
-        elif did == "GAAC":
-            names += [f"GAAC_{g}" for g in GROUP_NAMES]
-        elif did == "GDPC":
-            names += [f"GDPC_{p}" for p in g2]
-        elif did == "GTPC":
-            names += [f"GTPC_{a}.{b}" for a in g2 for b in GROUP_NAMES]
-        elif did == "CTDC":
-            names += [
-                f"CTDC_{prop}.G{c}"
-                for prop, _ in _tables.ctd_groups()
-                for c in (1, 2, 3)
-            ]
-        elif did == "CTDT":
-            names += [
-                f"CTDT_{prop}.T{a}{b}"
-                for prop, _ in _tables.ctd_groups()
-                for a, b in ((1, 2), (1, 3), (2, 3))
-            ]
-        elif did == "CTDD":
-            names += [
-                f"CTDD_{prop}.G{c}.p{q}"
-                for prop, _ in _tables.ctd_groups()
-                for c in (1, 2, 3)
-                for q in (0, 25, 50, 75, 100)
-            ]
-        elif did == "CTriad":
-            gs = sorted(_tables.group_table("ctriad_groups.tsv"))
-            names += [f"CTriad_{a}.{b}.{c}" for a in gs for b in gs for c in gs]
-        elif did == "EAAC":
-            names += [f"EAAC_w{w + 1}.{a}" for w in range(nw) for a in AMINO_ACIDS]
-        elif did == "EGAAC":
-            names += [f"EGAAC_w{w + 1}.{g}" for w in range(nw) for g in GROUP_NAMES]
-        elif did == "CKSAAP":
-            names += [
-                f"CKSAAP_{p}.gap{g}" for g in range(config.k_max + 1) for p in aa2
-            ]
-        elif did == "CKSAAGP":
-            names += [
-                f"CKSAAGP_{p}.gap{g}" for g in range(config.k_max + 1) for p in g2
-            ]
-        elif did == "Binary":
-            names += [
-                f"Binary_p{i + 1}.{a}"
-                for i in range(config.pad_len)
-                for a in AMINO_ACIDS
-            ]
-        elif did == "BLOSUM62":
-            table = _tables.matrix_table("blosum62.tsv")
-            cols = list(next(iter(table.values())))
-            names += [
-                f"BLOSUM62_p{i + 1}.{c}" for i in range(config.pad_len) for c in cols
-            ]
-        elif did == "DDE":
-            names += [f"DDE_{p}" for p in aa2]
-        elif did == "PAAC":
-            names += [f"PAAC_{a}" for a in AMINO_ACIDS]
-            names += [f"PAAC_lambda{n}" for n in range(1, config.lam + 1)]
-        elif did == "APAAC":
-            names += [f"APAAC_{a}" for a in AMINO_ACIDS]
-            names += [
-                f"APAAC_{prop}.{n}"
-                for n in range(1, config.lam + 1)
-                for prop in ("hydrophobicity", "hydrophilicity")
-            ]
-        elif did == "Zscale":
-            names += [
-                f"Zscale_p{i + 1}.z{z + 1}"
-                for i in range(config.pad_len)
-                for z in range(5)
-            ]
-        else:
-            raise ValidationError(f"unknown descriptor {did!r}")
-    return names
+    return [f"{did}_{name}" for did in ids for name in _entry(did).names(config)]
 
 
 def encode_matrix(ids, peptides, config: DescriptorConfig = DEFAULT_CONFIG):
@@ -478,10 +411,12 @@ def encode_matrix(ids, peptides, config: DescriptorConfig = DEFAULT_CONFIG):
         raise ValidationError("descriptor list must be non-empty")
     if len(set(ids)) != len(ids):
         raise ValidationError("descriptor list contains duplicates")
-    rows = [
-        np.concatenate([encode(did, p, config) for did in ids]) for p in peptides
-    ]
-    return np.stack(rows) if rows else np.zeros((0, sum(descriptor_dims(config)[d] for d in ids)))
+    rows = []
+    for p in peptides:
+        codes = _codes(p)
+        row = [_encode_codes(did, codes, config) for did in ids]
+        rows.append(np.concatenate(row))
+    return np.stack(rows) if rows else np.zeros((0, len(column_names(ids, config))))
 
 
 @dataclass
@@ -503,34 +438,3 @@ class FeatureScaler:
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
         return (rows - self.mean) / self.scale
-
-
-@dataclass
-class FeatureMatrix:
-    ids: tuple[str, ...]
-    config: DescriptorConfig
-    values: np.ndarray
-    scaler: FeatureScaler
-
-    def transform_peptides(self, peptides) -> np.ndarray:
-        raw = encode_matrix(self.ids, peptides, self.config)
-        return self.scaler.transform(raw)
-
-
-def encode_set(
-    ids,
-    peptides,
-    fit_rows=None,
-    config: DescriptorConfig = DEFAULT_CONFIG,
-) -> FeatureMatrix:
-    """Concatenate descriptors in the given order and z-score the columns.
-
-    Statistics are fitted on fit_rows (row indices; defaults to all rows)
-    and applied to every row, so held-out rows never leak into the scaler.
-    """
-    raw = encode_matrix(ids, peptides, config)
-    fit = raw if fit_rows is None else raw[np.asarray(fit_rows)]
-    if fit.shape[0] == 0:
-        raise ValidationError("fit_rows selects no rows")
-    scaler = FeatureScaler.fit(fit)
-    return FeatureMatrix(tuple(ids), config, scaler.transform(raw), scaler)

@@ -10,7 +10,7 @@ from peptaste.descriptors import (
     descriptor_dims,
     encode,
     encode_matrix,
-    encode_set,
+    min_length,
 )
 from peptaste.errors import ValidationError
 from peptaste.sequences import AMINO_ACIDS, Peptide
@@ -149,6 +149,20 @@ class TestPreconditions:
             with pytest.raises(ValidationError, match=did):
                 encode(did, long)
 
+    def test_pseudo_composition_needs_lambda_plus_one(self):
+        cfg = DescriptorConfig(lam=3)
+        for did in ("PAAC", "APAAC"):
+            with pytest.raises(ValidationError, match=f"{did} requires length >= 4"):
+                encode(did, "ACD", cfg)
+            assert encode(did, "ACDE", cfg).shape == (descriptor_dims(cfg)[did],)
+
+    def test_min_length_names_the_largest_minimum(self):
+        assert min_length(("AAC", "TPC", "CTriad")) == ("TPC", 3)
+        assert min_length(("AAC", "PAAC"), DescriptorConfig(lam=4)) == ("PAAC", 5)
+        assert min_length(("AAC", "GAAC"))[1] <= 2
+        with pytest.raises(ValidationError, match="unknown"):
+            min_length(("AAC", "NOPE"))
+
     def test_unknown_descriptor(self):
         with pytest.raises(ValidationError, match="unknown"):
             encode("NOPE", "ACD")
@@ -194,8 +208,8 @@ class TestFeatureAssembly:
 
     def test_zscore_on_fit_rows(self):
         peps = [Peptide(random_seq(4, 10)) for _ in range(30)]
-        fm = encode_set(("AAC", "GAAC"), peps, fit_rows=range(20))
-        fit_block = fm.values[:20]
+        raw = encode_matrix(("AAC", "GAAC"), peps)
+        fit_block = FeatureScaler.fit(raw[:20]).transform(raw)[:20]
         live = fit_block.std(axis=0) > 0
         assert np.allclose(fit_block.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(fit_block[:, live].std(axis=0), 1.0, atol=1e-9)
@@ -208,9 +222,10 @@ class TestFeatureAssembly:
 
     def test_transform_peptides_matches_training_rows(self):
         peps = [Peptide(random_seq(4, 10)) for _ in range(10)]
-        fm = encode_set(("AAC", "CTDC"), peps)
-        again = fm.transform_peptides(peps)
-        assert np.allclose(fm.values, again)
+        raw = encode_matrix(("AAC", "CTDC"), peps)
+        scaler = FeatureScaler.fit(raw)
+        again = scaler.transform(encode_matrix(("AAC", "CTDC"), peps))
+        assert np.allclose(scaler.transform(raw), again)
 
     def test_window_dims_follow_config(self):
         cfg = DescriptorConfig(pad_len=20, window=4)

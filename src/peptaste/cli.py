@@ -235,7 +235,7 @@ def _cmd_encode(args) -> int:
     names = descriptors.column_names(ids)
     lines = ["sequence\t" + "\t".join(names)]
     for pep, row in zip(peptides, matrix):
-        lines.append(str(pep) + "\t" + "\t".join(repr(v) for v in row))
+        lines.append(str(pep) + "\t" + "\t".join(repr(v) for v in row.tolist()))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import descriptors, latent, physchem, similarity, vae
-from .errors import ConfigError, DataError, PeptasteError, TrainingDiverged
+from .errors import ConfigError, DataError, PeptasteError, TrainingDiverged, ValidationError
 from .sequences import (
     Assignment,
     PatternMode,
@@ -558,13 +558,26 @@ class ToxTrainResult:
 
 def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> ToxTrainResult:
     """Full training pipeline: filter -> dedup -> balance/split ->
-    descriptor selection -> weight search -> final fit -> held-out report."""
-    pos_raw = corpus_mod.ingest_unlabeled(
-        [Peptide(s) for s in read_sequences(pos_path)], source=str(pos_path)
-    )
-    neg_raw = corpus_mod.ingest_unlabeled(
-        [Peptide(s) for s in read_sequences(neg_path)], source=str(neg_path)
-    )
+    descriptor selection -> weight search -> final fit -> held-out report.
+
+    Every read sequence must be long enough for every descriptor in the
+    universe; a shorter one fails the run before training, naming the
+    file, the sequence and the descriptor."""
+    cfg = options.descriptor_config
+    need_id, need_len = descriptors.min_length(options.universe, cfg)
+
+    def read_peptides(path) -> list[Peptide]:
+        peptides = [Peptide(s) for s in read_sequences(path)]
+        for pep in peptides:
+            if len(pep) < need_len:
+                raise ValidationError(
+                    f"{path}: sequence {pep.sequence!r} has length {len(pep)}, "
+                    f"but descriptor {need_id} requires length >= {need_len}"
+                )
+        return peptides
+
+    pos_raw = corpus_mod.ingest_unlabeled(read_peptides(pos_path), source=str(pos_path))
+    neg_raw = corpus_mod.ingest_unlabeled(read_peptides(neg_path), source=str(neg_path))
     pos_c, _ = corpus_mod.length_filter(pos_raw, options.max_len)
     neg_c, _ = corpus_mod.length_filter(neg_raw, options.max_len)
     pos_c = corpus_mod.dedup_greedy(pos_c, options.dedup_threshold)
@@ -587,7 +600,6 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
         [1] * len(split.test_pos) + [0] * len(split.test_neg), dtype=np.int64
     )
 
-    cfg = options.descriptor_config
     raw_cache: dict[str, np.ndarray] = {}
 
     def raw_block(did: str) -> np.ndarray:

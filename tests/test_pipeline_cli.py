@@ -5,6 +5,7 @@ import pytest
 
 from peptaste import pipeline
 from peptaste.cli import main
+from peptaste.descriptors import encode_matrix
 from peptaste.errors import DataError
 from peptaste.pipeline import (
     CANDIDATE_COLUMNS,
@@ -343,6 +344,30 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert len(out[0].split("\t")) == 1 + 25
         assert out[0].split("\t")[1] == "AAC_A"
+
+    def test_encode_cells_are_plain_floats(self, tmp_path, capsys):
+        src = tmp_path / "seqs.txt"
+        src.write_text("ACDE\nKR\n")
+        assert main(["encode", "--input", str(src), "--descriptors", "AAC,CTDD"]) == 0
+        out = capsys.readouterr().out
+        assert "np." not in out
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        expected = encode_matrix(["AAC", "CTDD"], ["ACDE", "KR"])
+        assert [[float(v) for v in row[1:]] for row in rows] == expected.tolist()
+
+    def test_toxtrain_rejects_peptide_too_short_for_universe(
+        self, tox_corpus_files, tmp_path, capsys
+    ):
+        tox, neg = tox_corpus_files
+        pos = tmp_path / "toxic.txt"
+        pos.write_text(open(tox).read() + "KR\n")
+        args = ["toxtrain", "--pos", str(pos), "--neg", neg, "--folds", "2",
+                "--selector", "knn", "--model-out", str(tmp_path / "m.json"),
+                "--descriptors", "AAC,TPC"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert str(pos) in err and "'KR'" in err and "TPC" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_cluster_output(self, tmp_path, capsys):
         src = tmp_path / "seqs.txt"

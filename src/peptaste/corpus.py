@@ -13,17 +13,6 @@ from . import similarity
 from .errors import ConfigError, DataError
 from .sequences import TASTES, AMINO_ACIDS, Peptide, TasteLabel
 
-# Reference corpus sizes for the toxicity setting: 2821 toxic and 4880
-# non-toxic unique short peptides, balancing and a 9:1 split giving
-# 2538 train and 283 test records per class.
-REFERENCE_TOX_SIZES = {
-    "toxic": 2821,
-    "nontoxic": 4880,
-    "train_per_class": 2538,
-    "test_per_class": 283,
-}
-
-
 @dataclass(frozen=True)
 class CorpusRecord:
     peptide: Peptide
@@ -146,7 +135,6 @@ def dedup_greedy(
 class SplitSpec:
     train_fraction: float = 0.9
     seed: int = 0
-    balanced: bool = True
 
     def __post_init__(self):
         if not 0 < self.train_fraction < 1:
@@ -171,15 +159,14 @@ def balance_and_split(pos: Corpus, neg: Corpus, spec: SplitSpec) -> Split:
     """
     if len(pos) == 0 or len(neg) == 0:
         raise DataError("both corpora must be non-empty")
-    if spec.balanced and len(neg) < len(pos):
+    if len(neg) < len(pos):
         raise DataError(
             f"cannot downsample {len(neg)} negatives to match {len(pos)} positives"
         )
     rng = np.random.default_rng(spec.seed)
     neg_records = list(neg.records)
-    if spec.balanced:
-        chosen = rng.choice(len(neg_records), size=len(pos), replace=False)
-        neg_records = [neg_records[i] for i in sorted(chosen)]
+    chosen = rng.choice(len(neg_records), size=len(pos), replace=False)
+    neg_records = [neg_records[i] for i in sorted(chosen)]
 
     def split_class(records):
         n = len(records)

@@ -276,20 +276,6 @@ class Adam:
             v_hat = v / (1 - cfg.beta2**t)
             p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
-    def state(self):
-        return {
-            "step": self.step_count,
-            "m": [a.copy() for a in self.m],
-            "v": [a.copy() for a in self.v],
-        }
-
-    def load_state(self, state):
-        self.step_count = int(state["step"])
-        for dst, src in zip(self.m, state["m"]):
-            dst[...] = src
-        for dst, src in zip(self.v, state["v"]):
-            dst[...] = src
-
 
 @dataclass
 class GradCheckReport:

@@ -5,7 +5,6 @@ from .classifiers import (
     ALGORITHMS,
     DEFAULT_MEMBERS,
     PRESETS,
-    REFERENCE_WEIGHTS,
     ClassifierSpec,
     make_classifier,
     preset_spec,
@@ -35,7 +34,6 @@ __all__ = [
     "ALGORITHMS",
     "DEFAULT_MEMBERS",
     "PRESETS",
-    "REFERENCE_WEIGHTS",
     "ClassifierSpec",
     "EnsembleModel",
     "MetricReport",

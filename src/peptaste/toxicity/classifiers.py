@@ -64,10 +64,6 @@ PRESETS = {
 
 DEFAULT_MEMBERS = ("rf", "gbt-l", "gbt-x", "knn", "lr")
 
-# the reference weighting reported for the five-member ensemble
-REFERENCE_WEIGHTS = {"rf": 0.3, "gbt-l": 0.1, "gbt-x": 0.2, "knn": 0.2, "lr": 0.2}
-
-
 def _check_xy(X, y):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)

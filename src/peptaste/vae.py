@@ -291,18 +291,6 @@ class SequenceVae:
         self.optimizer.step([grads[name] for name in grads])
         return record
 
-    def eval_losses(self, x: np.ndarray, rng) -> LossRecord:
-        """Losses without updating weights (dropout off, sampling seeded)."""
-        h = self.trunk.forward(x, train=False)
-        mu = self.head_mean.forward(h)
-        logvar = self.head_logvar.forward(h)
-        z = mu + np.exp(0.5 * logvar) * rng.standard_normal(mu.shape)
-        out = self.decoder.forward(z, train=False)
-        rec, _ = nn.bce_loss(out, x)
-        kl, _, _ = nn.kl_loss(mu, logvar)
-        l1 = self.l1_penalty()
-        return LossRecord(rec + kl + l1, rec, kl, l1)
-
     # --- generation --------------------------------------------------------
 
     def generate(
@@ -354,10 +342,6 @@ class SequenceVae:
                 except ValidationError:
                     continue
         return out
-
-
-def build(config: VaeConfig) -> SequenceVae:
-    return SequenceVae(config)
 
 
 def train_la(

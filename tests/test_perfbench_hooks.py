@@ -1,0 +1,44 @@
+"""The traced benchmark wraps public functions and methods by name; renaming
+or deleting one of them must fail here, not only in a traced benchmark run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from peptaste import descriptors, similarity, vae
+from peptaste.toxicity import classifiers
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_wraps_and_restore_puts_back(monkeypatch):
+    spans = load_spans(monkeypatch)
+    originals = (
+        descriptors.encode_matrix,
+        vars(descriptors.FeatureScaler)["fit"],
+        similarity.nw_score_block,
+        vae.SequenceVae.train_step,
+        classifiers.RandomForest.fit,
+    )
+    restore = spans.install(spans.Tracer())
+    try:
+        assert descriptors.encode_matrix is not originals[0]
+        assert vae.SequenceVae.train_step is not originals[3]
+    finally:
+        restore()
+    assert (
+        descriptors.encode_matrix,
+        vars(descriptors.FeatureScaler)["fit"],
+        similarity.nw_score_block,
+        vae.SequenceVae.train_step,
+        classifiers.RandomForest.fit,
+    ) == originals

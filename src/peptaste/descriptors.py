@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ def _classes(groups) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _Alphabet:
+class _Alphabet(NamedTuple):
     """The residue classes that the composition descriptors count."""
 
     classes: np.ndarray  # class of each residue, indexed like AMINO_ACIDS
@@ -104,8 +103,7 @@ def _kmer_counts(classes: np.ndarray, k: int, base: int) -> np.ndarray:
     return np.bincount(idx, minlength=base**k)
 
 
-@dataclass(frozen=True)
-class _Descriptor:
+class _Descriptor(NamedTuple):
     encode: Callable[[np.ndarray, DescriptorConfig], np.ndarray]
     names: Callable[[DescriptorConfig], list[str]]  # without the "<ID>_" prefix
     min_len: Callable[[DescriptorConfig], int] = lambda cfg: MIN_LENGTH

@@ -20,7 +20,13 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import descriptors, latent, physchem, similarity, vae
-from .errors import ConfigError, DataError, PeptasteError, TrainingDiverged, ValidationError
+from .errors import (
+    ConfigError,
+    DataError,
+    PeptasteError,
+    TrainingDiverged,
+    ValidationError,
+)
 from .sequences import (
     Assignment,
     PatternMode,

@@ -10,15 +10,12 @@ so callers choose between the projected plane and the full latent space.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-EXACT_TEST_LIMIT = 500_000  # max C(n+m, n) arrangements enumerated
 
 
 @dataclass
@@ -76,39 +73,49 @@ def knn_mean_dist(query, reference, k: int) -> float:
     return float(_knn_distances(query, reference, k).mean())
 
 
+def _doubled_midranks(values: np.ndarray) -> np.ndarray:
+    """Twice each value's midrank among values (1-based), as integers."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    out = np.empty(len(values), dtype=np.int64)
+    out[order] = np.repeat(starts + 1 + ends, ends - starts)
+    return out
+
+
 def mann_whitney_exact_less(x, y) -> float:
     """Exact one-sided rank-test p-value for 'x tends smaller than y'.
 
     The statistic counts pairs with x_i < y_j (ties half).  The p-value is
     the fraction of all C(n+m, n) relabelings of the pooled values whose
     statistic is at least the observed one, so it is exact under ties too.
+
+    The relabelings are counted, not enumerated: a relabeling's statistic
+    is n*m + n(n+1)/2 minus the midrank sum of the values it labels x, so
+    it reaches the observed statistic exactly when that rank sum is at most
+    the observed one.  A subset-sum recursion over the pooled midranks,
+    doubled so they are integers, counts the n-subsets at each rank sum in
+    exact integers (Python integers once int64 could overflow).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = len(x), len(y)
     if n == 0 or m == 0:
         raise DataError("rank test needs non-empty samples")
-    if math.comb(n + m, n) > EXACT_TEST_LIMIT:
-        raise ConfigError(
-            f"exact rank test over C({n + m}, {n}) arrangements is too large"
-        )
-
-    def statistic(a: np.ndarray, b: np.ndarray) -> float:
-        diff = a[:, None] - b[None, :]
-        return float((diff < 0).sum() + 0.5 * (diff == 0).sum())
-
-    observed = statistic(x, y)
     pooled = np.concatenate([x, y])
-    total = 0
-    at_least = 0
-    for combo in itertools.combinations(range(n + m), n):
-        mask = np.zeros(n + m, dtype=bool)
-        mask[list(combo)] = True
-        u = statistic(pooled[mask], pooled[~mask])
-        total += 1
-        if u >= observed - 1e-12:
-            at_least += 1
-    return at_least / total
+    if not np.isfinite(pooled).all():
+        raise DataError("rank test needs finite values")
+    ranks = _doubled_midranks(pooled)
+    limit = int(ranks[:n].sum())
+    # ways[k, s]: k-subsets of the values seen so far with doubled rank sum s
+    small = math.comb(n + m, min(n, (n + m) // 2)) < 2**63
+    ways = np.zeros((n + 1, limit + 1), dtype=np.int64 if small else object)
+    ways[0, 0] = 1
+    for r in ranks.tolist():
+        if r <= limit:
+            ways[1:, r:] = ways[1:, r:] + ways[:-1, : limit + 1 - r]
+    return int(ways[n].sum()) / math.comb(n + m, n)
 
 
 @dataclass(frozen=True)

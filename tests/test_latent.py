@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from peptaste.errors import ConfigError, DataError
+from peptaste.errors import DataError
 from peptaste.latent import (
     knn_mean_dist,
     mann_whitney_exact_less,
@@ -119,9 +121,48 @@ class TestMannWhitney:
         p = mann_whitney_exact_less([1.0, 2.0], [1.0, 2.0])
         assert p > 0.5
 
-    def test_guard_on_huge_enumeration(self):
-        with pytest.raises(ConfigError):
-            mann_whitney_exact_less(np.arange(20), np.arange(20))
+    @pytest.mark.parametrize("size", [12, 20])
+    def test_large_samples_match_scipy_exact(self, size):
+        # C(40, 20) relabelings: counted, not enumerated, with no size limit
+        rng = np.random.default_rng(size)
+        for shift in (-1.0, 0.0, 0.7):
+            x = rng.normal(size=size)
+            y = rng.normal(loc=shift, size=size)
+            ours = mann_whitney_exact_less(x, y)
+            ref = scipy.stats.mannwhitneyu(x, y, alternative="less", method="exact")
+            assert ours == pytest.approx(ref.pvalue, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 5), min_size=1, max_size=6),
+        st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    )
+    def test_counting_equals_enumeration_with_ties(self, x, y):
+        assert mann_whitney_exact_less(x, y) == enumerated_p_value(x, y)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DataError):
+            mann_whitney_exact_less([1.0, np.nan], [2.0, 3.0])
+
+
+def enumerated_p_value(x, y) -> float:
+    """Oracle: the statistic of every one of the C(n+m, n) relabelings."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n = len(x)
+
+    def statistic(a, b):
+        diff = a[:, None] - b[None, :]
+        return float((diff < 0).sum() + 0.5 * (diff == 0).sum())
+
+    observed = statistic(x, y)
+    pooled = np.concatenate([x, y])
+    total = at_least = 0
+    for combo in itertools.combinations(range(len(pooled)), n):
+        mask = np.zeros(len(pooled), dtype=bool)
+        mask[list(combo)] = True
+        total += 1
+        at_least += statistic(pooled[mask], pooled[~mask]) >= observed - 1e-12
+    return at_least / total
 
 
 def brute_force_standard(cands, training, keep_fraction, k):

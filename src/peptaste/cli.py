@@ -210,10 +210,11 @@ def _cmd_toxpredict(args) -> int:
 
 
 def _cmd_toxbench(args) -> int:
-    report = pipeline.run_toxbench(args.model, args.pos, args.neg)
+    report, excluded = pipeline.run_toxbench(args.model, args.pos, args.neg)
     lines = ["metric\tvalue"]
     for key, value in report.as_dict().items():
         lines.append(f"{key}\t{value!r}" if isinstance(value, float) else f"{key}\t{value}")
+    lines.append(f"excluded\t{excluded}")  # rows the model could not score
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -260,9 +261,10 @@ def _cmd_cluster(args) -> int:
     seqs = pipeline.read_sequences(args.input)
     for s in seqs:
         Peptide(s)  # validate early with a clear error
-    sim = similarity.similarity_matrix(seqs, workers=args.workers)
-    clusters = similarity.build_components(seqs, threshold=args.threshold, sim=sim)
-    reps = similarity.pick_representatives(clusters, sim)
+    clusters = similarity.build_components(
+        seqs, threshold=args.threshold, workers=args.workers
+    )
+    reps = similarity.pick_representatives(clusters, seqs=seqs)
     lines = ["cluster_id\tmember\tis_representative"]
     for cid, members in enumerate(clusters):
         for m in members:

@@ -114,20 +114,19 @@ def dedup_greedy(
         range(len(records)),
         key=lambda i: (-len(records[i].peptide), records[i].peptide.sequence, i),
     )
+    seqs = [r.peptide.sequence for r in records]
+    counts = similarity.residue_counts(seqs)
+    selfs = np.array([similarity.self_score(s, params) for s in seqs])
     kept_idx: list[int] = []
-    kept_seqs: list[str] = []
-    self_scores: list[float] = []
     for i in order:
-        seq = records[i].peptide.sequence
-        if kept_seqs:
-            raw = similarity.nw_score_block(seq, kept_seqs, params)
-            denom = np.maximum(similarity.self_score(seq, params), self_scores)
-            sims = np.maximum(raw / denom, 0.0)
+        # only kept records whose score bound can reach the threshold are aligned
+        near = similarity.reachable(i, kept_idx, counts, identity_threshold, params)
+        if len(near):
+            raw = similarity.nw_score_block(seqs[i], [seqs[j] for j in near], params)
+            sims = np.maximum(raw / np.maximum(selfs[i], selfs[near]), 0.0)
             if np.any(sims >= identity_threshold):
                 continue
         kept_idx.append(i)
-        kept_seqs.append(seq)
-        self_scores.append(similarity.self_score(seq, params))
     return Corpus([records[i] for i in sorted(kept_idx)])
 
 

@@ -370,14 +370,25 @@ def _entry(descriptor_id: str) -> _Descriptor:
     return _REGISTRY[descriptor_id]
 
 
-def _encode_codes(descriptor_id: str, codes: np.ndarray, config: DescriptorConfig):
+def _bounded_entry(descriptor_id: str, n: int, config: DescriptorConfig) -> _Descriptor:
     entry = _entry(descriptor_id)
-    n, lo, hi = len(codes), entry.min_len(config), entry.max_len(config)
+    lo, hi = entry.min_len(config), entry.max_len(config)
     if n < lo:
         raise ValidationError(f"{descriptor_id} requires length >= {lo}, got {n}")
     if n > hi:
         raise ValidationError(f"{descriptor_id} requires length <= {hi}, got {n}")
-    return entry.encode(codes, config)
+    return entry
+
+
+def _encode_codes(descriptor_id: str, codes: np.ndarray, config: DescriptorConfig):
+    return _bounded_entry(descriptor_id, len(codes), config).encode(codes, config)
+
+
+def check_length(ids, n: int, config: DescriptorConfig = DEFAULT_CONFIG) -> None:
+    """Raise the error encode_matrix raises for a peptide of length n: that
+    of the first descriptor in ids whose length bounds exclude n."""
+    for did in ids:
+        _bounded_entry(did, n, config)
 
 
 def encode(descriptor_id: str, peptide, config: DescriptorConfig = DEFAULT_CONFIG):
@@ -392,6 +403,15 @@ def min_length(
     and that length; (None, MIN_LENGTH) for no ids."""
     bounds = ((did, _entry(did).min_len(config)) for did in ids)
     return max(bounds, key=lambda b: b[1], default=(None, MIN_LENGTH))
+
+
+def max_length(
+    ids, config: DescriptorConfig = DEFAULT_CONFIG
+) -> tuple[str | None, float]:
+    """The first descriptor in ids with the smallest maximum peptide length,
+    and that length; (None, math.inf) for no ids."""
+    bounds = ((did, _entry(did).max_len(config)) for did in ids)
+    return min(bounds, key=lambda b: b[1], default=(None, math.inf))
 
 
 def descriptor_dims(config: DescriptorConfig = DEFAULT_CONFIG) -> dict[str, int]:

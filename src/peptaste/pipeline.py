@@ -322,13 +322,11 @@ def run_design(run: DesignRun) -> DesignReport:
             )
 
     with _stage("cluster"):
-        sim = similarity.similarity_matrix(
-            [str(p) for p in kept_peptides], workers=run.workers
-        )
+        kept_seqs = [str(p) for p in kept_peptides]
         clusters = similarity.build_components(
-            [str(p) for p in kept_peptides], threshold=run.cluster_threshold, sim=sim
+            kept_seqs, threshold=run.cluster_threshold, workers=run.workers
         )
-        reps = similarity.pick_representatives(clusters, sim)
+        reps = similarity.pick_representatives(clusters, seqs=kept_seqs)
 
     with _stage("toxicity"):
         tox_model = ens.load_model(run.tox_model_path)
@@ -566,11 +564,13 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
     """Full training pipeline: filter -> dedup -> balance/split ->
     descriptor selection -> weight search -> final fit -> held-out report.
 
-    Every read sequence must be long enough for every descriptor in the
-    universe; a shorter one fails the run before training, naming the
-    file, the sequence and the descriptor."""
+    Every read sequence must fit the length bounds of every descriptor in
+    the universe, unless max_len drops it anyway; one that does not fails
+    the run before training, naming the file, the sequence and the
+    descriptor."""
     cfg = options.descriptor_config
     need_id, need_len = descriptors.min_length(options.universe, cfg)
+    cap_id, cap_len = descriptors.max_length(options.universe, cfg)
 
     def read_peptides(path) -> list[Peptide]:
         peptides = [Peptide(s) for s in read_sequences(path)]
@@ -579,6 +579,12 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
                 raise ValidationError(
                     f"{path}: sequence {pep.sequence!r} has length {len(pep)}, "
                     f"but descriptor {need_id} requires length >= {need_len}"
+                )
+            if cap_len < len(pep) <= options.max_len:
+                raise ValidationError(
+                    f"{path}: sequence {pep.sequence!r} has length {len(pep)}, "
+                    f"within max_len {options.max_len}, but descriptor {cap_id} "
+                    f"requires length <= {cap_len}"
                 )
         return peptides
 
@@ -708,44 +714,25 @@ def toxtrain_report_text(result: ToxTrainResult) -> str:
 
 
 def run_toxpredict(model_path, input_path) -> list[dict]:
-    model = ens.load_model(model_path)
-    rows = []
-    for seq in read_sequences(input_path):
-        try:
-            pep = Peptide(seq)
-        except Exception as exc:  # report bad rows without aborting the batch
-            rows.append(
-                {"sequence": seq, "probability": None, "call": None, "error": str(exc)}
-            )
-            continue
-        rows.extend(model.predict([pep]))
-    return rows
+    """One prediction row per input sequence; a row the model cannot score
+    carries its error instead of a probability."""
+    return ens.load_model(model_path).predict(read_sequences(input_path))
 
 
-def run_toxbench(model_path, pos_path, neg_path) -> tox_metrics.MetricReport:
-    """Confusion metrics of a fitted model on labeled benchmark files.
-
-    Rows the model cannot score (bad residues, over-length sequences) are
-    excluded from the counts rather than guessed.
+def run_toxbench(model_path, pos_path, neg_path) -> tuple[tox_metrics.MetricReport, int]:
+    """Confusion metrics of a fitted model on labeled benchmark files, and
+    the number of rows it could not score (bad residues, over-length
+    sequences): those are excluded from the counts rather than guessed.
     """
     model = ens.load_model(model_path)
-    tp = fp = tn = fn = 0
+    y_true, y_pred = [], []
+    excluded = 0
     for path, truth in ((pos_path, 1), (neg_path, 0)):
-        for seq in read_sequences(path):
-            try:
-                rows = model.predict([Peptide(seq)])
-            except Exception:
+        for row in model.predict(read_sequences(path)):
+            if row["call"] is None:
+                excluded += 1
                 continue
-            call = rows[0]["call"]
-            if call is None:
-                continue
-            predicted = 1 if call == "toxic" else 0
-            if truth == 1 and predicted == 1:
-                tp += 1
-            elif truth == 1:
-                fn += 1
-            elif predicted == 1:
-                fp += 1
-            else:
-                tn += 1
-    return tox_metrics.compute_metrics(tp, fp, tn, fn)
+            y_true.append(truth)
+            y_pred.append(1 if row["call"] == "toxic" else 0)
+    counts = tox_metrics.confusion_counts(y_true, y_pred)
+    return tox_metrics.compute_metrics(*counts), excluded

@@ -5,7 +5,8 @@ where a gap of length g costs gap_open + (g-1) * gap_extend; switching
 directly between gap states opens a new gap.  End gaps are penalized like
 internal ones.  Normalized similarity divides the pair score by the larger
 self-alignment score, so identical sequences score exactly 1 and values
-are clamped into [0, 1].
+are clamped into [0, 1].  The similarity graph aligns only the pairs whose
+exact score bound can reach its threshold.
 """
 
 from __future__ import annotations
@@ -227,6 +228,68 @@ def similarity_matrix(
     return sim
 
 
+# Slack on the bound test: a pair is aligned unless its bound misses the
+# threshold by more than this, far above any rounding in the DP or the bound.
+BOUND_SLACK = 1e-9
+
+
+def residue_counts(seqs) -> np.ndarray:
+    """(n, symbols) count of each symbol that occurs in any of the sequences."""
+    codes = [np.frombuffer(_as_seq(s).encode("ascii"), dtype=np.uint8) for s in seqs]
+    if not codes:
+        return np.zeros((0, 0), dtype=np.int64)
+    symbols, column = np.unique(np.concatenate(codes), return_inverse=True)
+    row = np.repeat(np.arange(len(codes)), [len(c) for c in codes])
+    flat = np.bincount(row * len(symbols) + column, minlength=len(codes) * len(symbols))
+    return flat.reshape(len(codes), len(symbols))
+
+
+def reachable(query, refs, counts, threshold, params: AlignParams = DEFAULT_PARAMS):
+    """The refs (row indices into counts) whose normalized similarity to the
+    query row may reach the threshold; the others provably cannot.
+
+    The bound is exact: an alignment scores at most one match per residue
+    both sequences share, mismatches and gaps only subtract, and sequences
+    whose lengths differ by D > 0 need gaps costing at least one gap of
+    length D (a split gap opens twice and |gap_extend| <= |gap_open|).  It is
+    CD-HIT's short-word filter (Li & Godzik 2006) with one-residue words.
+    """
+    refs = np.asarray(refs, dtype=np.intp)
+    own, other = counts[query], counts[refs]
+    shared = np.minimum(own, other).sum(axis=1)
+    own_len, lens = own.sum(), other.sum(axis=1)
+    gap = np.abs(lens - own_len)
+    bound = params.match * shared + np.where(
+        gap > 0, params.gap_open + (gap - 1) * params.gap_extend, 0.0
+    )
+    denom = params.match * np.maximum(own_len, lens)
+    return refs[bound >= (threshold - BOUND_SLACK) * denom]
+
+
+def _threshold_edges(seqs, params, threshold, workers) -> list[tuple[int, int]]:
+    """Pairs i < j with similarity >= threshold.  Only pairs whose score
+    bound can reach it are aligned, with seqs[i] as the query as in
+    similarity_matrix, so each similarity equals the matrix's bit for bit."""
+    n = len(seqs)
+    counts = residue_counts(seqs)
+    selfs = np.array([self_score(s, params) for s in seqs])
+
+    def row_edges(i):
+        cand = reachable(i, np.arange(i + 1, n), counts, threshold, params)
+        if not len(cand):
+            return []
+        raw = nw_score_block(seqs[i], [seqs[j] for j in cand], params)
+        sims = np.maximum(raw / np.maximum(selfs[i], selfs[cand]), 0.0)
+        return [(i, int(j)) for j in cand[sims >= threshold]]
+
+    if workers > 1 and n > 2:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(row_edges, range(n)))
+    else:
+        rows = [row_edges(i) for i in range(n)]
+    return [edge for row in rows for edge in row]
+
+
 def build_components(
     seqs,
     params: AlignParams = DEFAULT_PARAMS,
@@ -236,43 +299,60 @@ def build_components(
 ) -> list[list[int]]:
     """Connected components of the similarity graph (edges >= threshold).
 
-    Clusters are ordered by their smallest member index; members ascend.
+    Edges come from sim when given; otherwise a pair is aligned only when
+    its score bound (see reachable) lets it reach the threshold.  Clusters
+    are ordered by their smallest member index; members ascend.
     """
     if not 0 < threshold <= 1:
         raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
     if sim is None:
-        sim = similarity_matrix(seqs, params, workers=workers)
-    n = sim.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    clusters = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            neighbors = np.nonzero((sim[u] >= threshold) & ~seen)[0]
-            seen[neighbors] = True
-            stack.extend(int(v) for v in neighbors)
-        clusters.append(sorted(members))
-    return clusters
+        seqs = [_as_seq(s) for s in seqs]
+        n = len(seqs)
+        edges = _threshold_edges(seqs, params, threshold, workers)
+    else:
+        n = sim.shape[0]
+        edges = zip(*np.nonzero(np.triu(sim >= threshold, 1)))
+    root = list(range(n))
+
+    def find(u):
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    for u, v in edges:
+        ru, rv = find(int(u)), find(int(v))
+        root[max(ru, rv)] = min(ru, rv)  # a cluster's root is its smallest member
+    clusters: dict[int, list[int]] = {}
+    for u in range(n):
+        clusters.setdefault(find(u), []).append(u)
+    return list(clusters.values())
 
 
-def pick_representatives(clusters, sim: np.ndarray) -> list[int]:
+def pick_representatives(
+    clusters,
+    sim: np.ndarray | None = None,
+    *,
+    seqs=None,
+    params: AlignParams = DEFAULT_PARAMS,
+) -> list[int]:
     """Per cluster, the member with maximal mean similarity to the others.
 
-    Singletons represent themselves; ties go to the lowest index.
+    Similarities come from sim, or, given seqs instead, from aligning each
+    multi-member cluster's members among themselves (bit-equal to the same
+    entries of similarity_matrix).  Singletons represent themselves; ties
+    go to the lowest index.
     """
     reps = []
     for members in clusters:
         if len(members) == 1:
             reps.append(members[0])
             continue
-        idx = np.array(members)
-        block = sim[np.ix_(idx, idx)]
+        if sim is None:
+            block = similarity_matrix([seqs[m] for m in members], params)
+        else:
+            idx = np.array(members)
+            block = sim[np.ix_(idx, idx)]
         means = (block.sum(axis=1) - np.diag(block)) / (len(members) - 1)
         reps.append(members[int(np.argmax(means))])
     return reps

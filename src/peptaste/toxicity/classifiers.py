@@ -1,7 +1,11 @@
 """Base classifiers for the toxicity ensemble, implemented from scratch.
 
 All learners share a tiny interface: fit(X, y) with y in {0, 1}, and
-predict_proba(X) returning the positive-class probability per row.
+predict_proba(X) returning the positive-class probability per row.  With
+rowwise=True every row is rounded exactly as a call with that row alone
+would round it, so a score never depends on the batch it came in; the
+default rounds the batch as one (training and cross-validation use it).
+Tree traversal is row-independent either way.
 Every source of randomness flows from a spawned SeedSequence, so fits
 are deterministic and independent of scheduling.
 """
@@ -283,7 +287,7 @@ class DecisionTree:
         self.tree = _grow_tree(X, self.max_depth, visit)
         return self
 
-    def predict_proba(self, X) -> np.ndarray:
+    def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
         return self.tree.predict(np.asarray(X, dtype=float))
 
     def to_state(self) -> dict:
@@ -331,9 +335,13 @@ class _Forest:
             self.trees.append(tree)
         return self
 
-    def predict_proba(self, X) -> np.ndarray:
+    def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return np.mean([t.predict_proba(X) for t in self.trees], axis=0)
+        votes = [t.predict_proba(X) for t in self.trees]
+        if rowwise:
+            # a one-row mean sums its trees pairwise; a batch mean, in order
+            return np.mean(np.stack(votes, axis=1), axis=1)
+        return np.mean(votes, axis=0)
 
     def to_state(self) -> dict:
         return {"trees": [t.to_state() for t in self.trees]}
@@ -400,7 +408,7 @@ class GradientBoosting:
             self.stages.append(tree)
         return self
 
-    def predict_proba(self, X) -> np.ndarray:
+    def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         f = np.full(X.shape[0], self.f0)
         for tree in self.stages:
@@ -435,16 +443,20 @@ class KNearest:
         self.y = y
         return self
 
-    def predict_proba(self, Xq) -> np.ndarray:
+    def predict_proba(self, Xq, *, rowwise: bool = False) -> np.ndarray:
         Xq = np.asarray(Xq, dtype=float)
         out = np.empty(Xq.shape[0])
         # chunked to bound the distance-matrix footprint
         step = max(1, int(2e7 // max(self.X.shape[0], 1)))
         for s in range(0, Xq.shape[0], step):
             block = Xq[s : s + step]
+            if rowwise:  # a stack of one-row products, each rounded alone
+                cross = (2 * block[:, None] @ self.X.T)[:, 0]
+            else:
+                cross = 2 * block @ self.X.T
             d2 = (
                 (block**2).sum(axis=1)[:, None]
-                - 2 * block @ self.X.T
+                - cross
                 + (self.X**2).sum(axis=1)[None, :]
             )
             idx = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
@@ -497,8 +509,12 @@ class LogisticRegressionGD:
         self.intercept = float(b)
         return self
 
-    def predict_proba(self, X) -> np.ndarray:
-        return _sigmoid(np.asarray(X, dtype=float) @ self.coef + self.intercept)
+    def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        # one row is a dot product; a batch, a matrix-vector product that
+        # may round differently
+        z = (X[:, None] @ self.coef)[:, 0] if rowwise else X @ self.coef
+        return _sigmoid(z + self.intercept)
 
     def to_state(self) -> dict:
         return {"coef": self.coef.tolist(), "intercept": self.intercept}
@@ -550,7 +566,7 @@ class AdaBoostStumps:
             self.alphas = [1.0]
         return self
 
-    def predict_proba(self, X) -> np.ndarray:
+    def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         votes = np.zeros(X.shape[0])
         for stump, alpha in zip(self.stumps, self.alphas):

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import descriptors
-from ..errors import ConfigError, DataError, ValidationError
+from ..errors import ConfigError, ValidationError
+from ..sequences import Peptide
 from . import metrics
 from .classifiers import ClassifierSpec, make_classifier
 
@@ -182,44 +183,50 @@ class EnsembleModel:
         raw = descriptors.encode_matrix(self.descriptor_ids, peptides, self.config)
         return self.scaler.transform(raw)
 
-    def predict_proba_features(self, X) -> np.ndarray:
+    def predict_proba_features(self, X, *, rowwise: bool = False) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         combined = np.zeros(X.shape[0])
         for name, w in zip(self.member_names, self.weights):
             if w:
-                combined += w * self.members[name].predict_proba(X)
+                combined += w * self.members[name].predict_proba(X, rowwise=rowwise)
         return combined
 
-    def predict(self, peptides) -> list[dict]:
-        """Per-peptide probability and call; descriptor failures are
-        reported per row without aborting the batch."""
-        rows = []
-        for pep in peptides:
-            try:
-                if len(str(pep)) > self.config.pad_len:
-                    raise ValidationError(
-                        f"sequence length {len(str(pep))} exceeds the model's "
-                        f"maximum of {self.config.pad_len}"
-                    )
-                X = self._encode([pep])
-            except (ValidationError, DataError) as exc:
-                rows.append(
-                    {
-                        "sequence": str(pep),
-                        "probability": None,
-                        "call": None,
-                        "error": str(exc),
-                    }
+    def row_error(self, peptide) -> str:
+        """Why the model cannot score a peptide, or '' when it can: bad
+        residues or too short a sequence, then over the model's maximum
+        length, then the first selected descriptor whose length bounds
+        exclude it."""
+        seq = str(peptide)
+        try:
+            Peptide(seq)
+            if len(seq) > self.config.pad_len:
+                raise ValidationError(
+                    f"sequence length {len(seq)} exceeds the model's "
+                    f"maximum of {self.config.pad_len}"
                 )
-                continue
-            proba = float(self.predict_proba_features(X)[0])
+            descriptors.check_length(self.descriptor_ids, len(seq), self.config)
+        except ValidationError as exc:
+            return str(exc)
+        return ""
+
+    def predict(self, peptides) -> list[dict]:
+        """Per-peptide probability and call.  Every row is validated first;
+        one that cannot be scored carries its error instead.  The rest are
+        encoded and scored as one batch, each row rounded as if scored
+        alone, so a row's probability does not depend on its batch."""
+        peptides = list(peptides)
+        errors = [self.row_error(p) for p in peptides]
+        valid = [p for p, err in zip(peptides, errors) if not err]
+        X = self._encode(valid)
+        probas = iter(self.predict_proba_features(X, rowwise=True).tolist())
+        rows = []
+        for pep, err in zip(peptides, errors):
+            proba = None if err else next(probas)
+            call = None
+            if proba is not None:
+                call = "toxic" if proba >= metrics.CALL_THRESHOLD else "nontoxic"
             rows.append(
-                {
-                    "sequence": str(pep),
-                    "probability": proba,
-                    "call": "toxic" if proba >= metrics.CALL_THRESHOLD else "nontoxic",
-                    "error": "",
-                }
+                {"sequence": str(pep), "probability": proba, "call": call, "error": err}
             )
         return rows
 

@@ -316,7 +316,8 @@ class TestToxTrainPipeline:
 
     def test_toxbench_on_training_files(self, small_tox_model, tox_corpus_files):
         pos, neg = tox_corpus_files
-        report = pipeline.run_toxbench(small_tox_model[0], pos, neg)
+        report, excluded = pipeline.run_toxbench(small_tox_model[0], pos, neg)
+        assert excluded == 0
         assert report.tp + report.fn > 0 and report.tn + report.fp > 0
         assert report.mcc >= 0.9
 
@@ -368,6 +369,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(pos) in err and "'KR'" in err and "TPC" in err
         assert not (tmp_path / "m.json").exists()
+
+    def test_toxtrain_rejects_peptide_too_long_for_universe(self, tmp_path, capsys):
+        # max_len 30 keeps length-28 rows, which Binary (pad_len 25) cannot encode
+        rng = np.random.default_rng(9)
+        files = {}
+        for name, alphabet in (("toxic.txt", "KRCWHLFI"), ("benign.txt", "DESTGANQ")):
+            seqs = ["".join(rng.choice(list(alphabet), size=int(rng.integers(20, 25))))
+                    for _ in range(40)]
+            if name == "toxic.txt":
+                seqs[7] = "K" * 28
+            files[name] = tmp_path / name
+            files[name].write_text("\n".join(seqs) + "\n")
+        args = ["toxtrain", "--pos", str(files["toxic.txt"]), "--neg",
+                str(files["benign.txt"]), "--folds", "2", "--selector", "knn",
+                "--model-out", str(tmp_path / "m.json"), "--descriptors", "AAC,Binary",
+                "--max-len", "30"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert str(files["toxic.txt"]) in err and "'" + "K" * 28 + "'" in err
+        assert "Binary requires length <= 25" in err
+        assert not (tmp_path / "m.json").exists()
+        # at the default max_len the row is dropped by the length filter instead
+        args[args.index("--max-len") + 1] = "25"
+        assert main(args) == 0
+
+    def test_toxbench_counts_excluded_rows(self, small_tox_model, tox_corpus_files,
+                                           tmp_path, capsys):
+        pos, neg = tox_corpus_files
+        bad_pos, bad_neg = tmp_path / "pos.txt", tmp_path / "neg.txt"
+        bad_pos.write_text(open(pos).read() + "KRXW\n")  # non-canonical residue
+        bad_neg.write_text(open(neg).read() + "D" * 30 + "\n")  # over pad_len
+        out = tmp_path / "bench.tsv"
+        assert main(["toxbench", "--model", small_tox_model[0], "--pos", str(bad_pos),
+                     "--neg", str(bad_neg), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[-2].startswith("MCC\t")
+        assert lines[-1] == "excluded\t2"
+        clean = tmp_path / "clean.tsv"
+        assert main(["toxbench", "--model", small_tox_model[0], "--pos", pos,
+                     "--neg", neg, "--out", str(clean)]) == 0
+        # the bad rows change nothing but the excluded count
+        assert clean.read_text().splitlines()[:-1] == lines[:-1]
+        assert clean.read_text().splitlines()[-1] == "excluded\t0"
 
     def test_cluster_output(self, tmp_path, capsys):
         src = tmp_path / "seqs.txt"

@@ -2,8 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from peptaste.corpus import Corpus, CorpusRecord, dedup_greedy
 from peptaste.errors import ConfigError
+from peptaste.sequences import Peptide
 from peptaste.similarity import (
     DEFAULT_PARAMS,
     AlignParams,
@@ -12,6 +16,9 @@ from peptaste.similarity import (
     nw_align,
     nw_score_block,
     pick_representatives,
+    reachable,
+    residue_counts,
+    self_score,
     similarity_matrix,
 )
 
@@ -257,3 +264,87 @@ class TestRepresentatives:
                 others = [x for x in members if x != m]
                 means.append(np.mean([sim[m, o] for o in others]))
             assert rep == members[int(np.argmax(means))]
+
+
+# sequences over a small alphabet, so that many pairs are similar
+small_seqs = st.lists(st.text("ACDK", min_size=2, max_size=10), min_size=1, max_size=14)
+
+
+@st.composite
+def align_params(draw):
+    gap_open = draw(st.floats(-3.0, 0.0))
+    return AlignParams(
+        match=draw(st.floats(0.5, 3.0)),
+        mismatch=draw(st.floats(-3.0, -0.1)),
+        gap_open=gap_open,
+        gap_extend=draw(st.floats(gap_open, 0.0)),
+    )
+
+
+def full_sweep_dedup(corpus, threshold, params=DEFAULT_PARAMS):
+    """Oracle: the longest-first sweep aligning each record with every kept one."""
+    records = list(corpus.records)
+    order = sorted(
+        range(len(records)),
+        key=lambda i: (-len(records[i].peptide), records[i].peptide.sequence, i),
+    )
+    kept = []
+    for i in order:
+        seq = records[i].peptide.sequence
+        others = [records[j].peptide.sequence for j in kept]
+        if others:
+            raw = nw_score_block(seq, others, params)
+            denom = np.maximum(self_score(seq, params), [self_score(o, params) for o in others])
+            if np.any(np.maximum(raw / denom, 0.0) >= threshold):
+                continue
+        kept.append(i)
+    return [records[i].peptide.sequence for i in sorted(kept)]
+
+
+class TestBoundPruning:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("ACDKW", min_size=1, max_size=12),
+           st.text("ACDKW", min_size=1, max_size=12), align_params())
+    def test_bound_keeps_every_pair_at_its_own_similarity(self, a, b, params):
+        # the score bound never falls below the score: at a threshold equal
+        # to the pair's similarity, the pair is always aligned
+        sim = normalized_similarity(a, b, params)
+        if sim > 0:
+            counts = residue_counts([a, b])
+            assert list(reachable(0, [1], counts, sim, params)) == [1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_seqs, st.floats(0.3, 1.0))
+    def test_pruned_graph_matches_full_matrix(self, seqs, threshold):
+        full = similarity_matrix(seqs)
+        clusters = build_components(seqs, threshold=threshold)
+        assert clusters == build_components(seqs, threshold=threshold, sim=full)
+        assert clusters == build_components(seqs, threshold=threshold, workers=2)
+        assert pick_representatives(clusters, seqs=seqs) == pick_representatives(
+            clusters, full
+        )
+        for members in clusters:
+            block = similarity_matrix([seqs[m] for m in members])
+            assert np.array_equal(block, full[np.ix_(members, members)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_seqs, st.floats(0.3, 1.0))
+    def test_pruned_dedup_matches_full_sweep(self, seqs, threshold):
+        corpus = Corpus([CorpusRecord(Peptide(s), None) for s in seqs])
+        kept = dedup_greedy(corpus, threshold)
+        assert kept.sequences() == full_sweep_dedup(corpus, threshold)
+
+    def test_pruning_skips_dissimilar_pairs(self, monkeypatch):
+        import peptaste.similarity as sim_mod
+
+        aligned = []
+        original = sim_mod.nw_score_block
+
+        def counting(query, refs, params=DEFAULT_PARAMS):
+            aligned.append(len(refs))
+            return original(query, refs, params)
+
+        monkeypatch.setattr(sim_mod, "nw_score_block", counting)
+        seqs = ["ACDEFGHIK", "ACDEFGHIR", "WWWWWWW", "PPPPPPP", "YYYYMMMM"]
+        assert build_components(seqs, threshold=0.7) == [[0, 1], [2], [3], [4]]
+        assert sum(aligned) == 1  # only the one pair sharing residues

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peptaste.errors import ConfigError, DataError
 from peptaste.sequences import Peptide
@@ -440,3 +442,85 @@ class TestEnsembleModel:
         rows_a = model.predict(peps[:5])
         rows_b = loaded.predict(peps[:5])
         assert rows_a == rows_b
+
+
+# one learner of every algorithm, small enough to fit quickly
+EVERY_KIND = {
+    "rf": ClassifierSpec("rf", trees=12, seed=1),
+    "ert": ClassifierSpec("ert", trees=9, seed=2),
+    "gbt": ClassifierSpec("gbt", trees=10, depth=3, learning_rate=0.1),
+    "knn": ClassifierSpec("knn", k=5),
+    "lr": ClassifierSpec("lr"),
+    "adb": ClassifierSpec("adb", trees=8),
+    "dt": ClassifierSpec("dt", depth=6),
+}
+
+
+@pytest.fixture(scope="module")
+def every_kind():
+    """Learners fitted on noisy data whose rows repeat, so k-NN distances tie."""
+    rng = np.random.default_rng(17)
+    base = np.round(rng.normal(size=(90, 8)), 1)
+    X = np.vstack([base, base[:30]])
+    y = (X[:, 0] + rng.normal(scale=0.8, size=len(X)) > 0).astype(int)
+    return X, {name: make_classifier(spec).fit(X, y) for name, spec in EVERY_KIND.items()}
+
+
+def one_row_calls(model, Q) -> np.ndarray:
+    return np.concatenate([model.predict_proba(Q[i : i + 1]) for i in range(len(Q))])
+
+
+class TestRowwiseScoring:
+    """rowwise=True must give every row the bits of a one-row call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
+    def test_rowwise_equals_one_row_calls(self, every_kind, seed, n):
+        X, models = every_kind
+        rng = np.random.default_rng(seed)
+        # fresh rows, training rows (zero k-NN distances) and coarse rows
+        Q = np.vstack([
+            rng.normal(size=(n, X.shape[1])),
+            X[rng.integers(0, len(X), size=n)],
+            np.round(rng.normal(size=(n, X.shape[1])), 1),
+        ])
+        for name, model in models.items():
+            batch = model.predict_proba(Q, rowwise=True)
+            assert batch.tobytes() == one_row_calls(model, Q).tobytes(), name
+
+    def test_rowwise_on_a_thousand_rows(self, every_kind):
+        X, models = every_kind
+        Q = np.random.default_rng(3).normal(size=(1000, X.shape[1]))
+        for name, model in models.items():
+            batch = model.predict_proba(Q, rowwise=True)
+            assert batch.tobytes() == one_row_calls(model, Q).tobytes(), name
+
+    def test_ensemble_batch_equals_one_peptide_calls(self):
+        model, peps, _, _ = TestEnsembleModel.fitted_model(
+            member_names=("rf", "ert", "gbt-l", "knn", "lr", "adb", "dt")
+        )
+        batch = peps + [Peptide("A" * 30), Peptide("KRCW")]
+        assert model.predict(batch) == [model.predict([p])[0] for p in batch]
+
+    def test_empty_batch(self):
+        model, *_ = TestEnsembleModel.fitted_model()
+        assert model.predict([]) == []
+
+    def test_row_errors_keep_their_order_of_checks(self):
+        model, *_ = TestEnsembleModel.fitted_model()
+        tpc = EnsembleModel(
+            member_names=model.member_names,
+            member_specs=model.member_specs,
+            members=model.members,
+            weights=model.weights,
+            descriptor_ids=("AAC", "TPC", "Binary"),
+            config=descriptors.DescriptorConfig(pad_len=25),
+            scaler=model.scaler,
+            cv_mcc=1.0,
+        )
+        # residues, then the model's maximum, then the descriptors' bounds
+        assert tpc.row_error("AXD" * 9) == f"invalid residue 'X' in sequence {'AXD' * 9!r}"
+        assert tpc.row_error("K") == "sequence 'K' has length 1, minimum is 2"
+        assert tpc.row_error("A" * 26) == "sequence length 26 exceeds the model's maximum of 25"
+        assert tpc.row_error("KR") == "TPC requires length >= 3, got 2"
+        assert tpc.row_error("KRC") == ""

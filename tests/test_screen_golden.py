@@ -2,7 +2,7 @@
 
 The digests were recorded before the screens became batch computations
 (the rank test, the similarity graph and toxicity scoring).  They pin, byte
-for byte: the `toxpredict` TSV of the session model on a library with
+for byte: the `toxpredict` TSV of the `small_tox_model` model on a library with
 over-length, non-canonical and too-short rows; the probabilities of a
 hand-weighted ensemble holding every learner; the `cluster` TSV at 0.70 on
 point-mutant families plus random peptides; the dedup sweep's kept set at

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, descriptors, physchem, pipeline, similarity
+from . import __version__, descriptors, physchem, pipeline, similarity, vae
 from . import corpus as corpus_mod
 from .errors import PeptasteError
 from .sequences import PatternMode, Peptide, parse_pattern
@@ -21,6 +21,10 @@ def _pattern(code: str):
     return parse_pattern(code if code.startswith(">") else ">" + code)
 
 
+def _descriptor_ids(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peptaste",
@@ -29,59 +33,74 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"peptaste {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("design", help="run the full design workflow")
-    p.add_argument("--pattern", required=True, help="request code such as x1x00")
-    p.add_argument("--mode", choices=["single", "multiple"], default="multiple")
-    p.add_argument("--corpus", required=True, help="annotated corpus (FASTA or TSV)")
-    p.add_argument("--tox-model", required=True, help="fitted toxicity model file")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--latent-dim", type=int, default=2000)
-    p.add_argument("--extension-epochs", type=int, default=None)
-    p.add_argument("--hidden-units", type=int, default=128)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--l1-lambda", type=float, default=0.01)
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--candidates", type=int, default=100)
-    p.add_argument("--keep-fraction", type=float, default=0.25)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--cluster-threshold", type=float, default=0.70)
-    p.add_argument("--max-len", type=int, default=14)
-    p.add_argument(
-        "--generation-mode", choices=["prior", "jitter"], default="prior"
+    # design and toxtrain flags set the DesignRun / ToxTrainOptions field
+    # named by their dest; a flag left out keeps that field's default
+    p = sub.add_parser(
+        "design", help="run the full design workflow", argument_default=argparse.SUPPRESS
     )
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--pattern", required=True, help="request code such as x1x00")
+    p.add_argument("--mode", choices=[m.value for m in PatternMode])
+    p.add_argument(
+        "--corpus",
+        dest="corpus_path",
+        metavar="CORPUS",
+        required=True,
+        help="annotated corpus (FASTA or TSV)",
+    )
+    p.add_argument(
+        "--tox-model",
+        dest="tox_model_path",
+        metavar="TOX_MODEL",
+        required=True,
+        help="fitted toxicity model file",
+    )
+    p.add_argument(
+        "--out", dest="out_dir", metavar="OUT", required=True, help="output directory"
+    )
+    p.add_argument("--seed", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--latent-dim", type=int)
+    p.add_argument("--extension-epochs", type=int)
+    p.add_argument("--hidden-units", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--dropout", dest="dropout_rate", metavar="DROPOUT", type=float)
+    p.add_argument("--l1-lambda", type=float)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--candidates", type=int)
+    p.add_argument("--keep-fraction", type=float)
+    p.add_argument("--k", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--cluster-threshold", type=float)
+    p.add_argument("--max-len", type=int)
+    p.add_argument("--generation-mode", choices=vae.GENERATION_MODES)
+    p.add_argument("--tau", type=float)
     p.add_argument(
         "--distance-space",
-        choices=["pca2", "latent"],
-        default="pca2",
+        choices=pipeline.DISTANCE_SPACES,
         help="space for nearest-neighbor screening distances",
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int)
 
-    p = sub.add_parser("toxtrain", help="train the toxicity ensemble")
+    p = sub.add_parser(
+        "toxtrain", help="train the toxicity ensemble", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--pos", required=True, help="toxic sequences file")
     p.add_argument("--neg", required=True, help="non-toxic sequences file")
     p.add_argument("--model-out", required=True)
     p.add_argument("--report-out", default=None, help="metrics text file")
     p.add_argument("--trace-out", default=None, help="selection trace TSV")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--epsilon", type=float, default=0.001)
-    p.add_argument("--max-len", type=int, default=25)
-    p.add_argument(
-        "--selector",
-        default="rf",
-        help="classifier preset driving descriptor selection",
-    )
-    p.add_argument("--selector-trees", type=int, default=None)
-    p.add_argument("--member-trees", type=int, default=None)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--folds", type=int)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--max-len", type=int)
+    p.add_argument("--selector", help="classifier preset driving descriptor selection")
+    p.add_argument("--selector-trees", type=int)
+    p.add_argument("--member-trees", type=int)
     p.add_argument(
         "--descriptors",
-        default=None,
+        dest="universe",
+        metavar="DESCRIPTORS",
+        type=_descriptor_ids,
         help="comma-separated descriptor universe (default: all 20)",
     )
 
@@ -105,7 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="emit descriptor vectors as TSV")
     p.add_argument("--input", required=True, help="sequences file")
     p.add_argument(
-        "--descriptors", required=True, help="comma-separated descriptor names"
+        "--descriptors",
+        required=True,
+        type=_descriptor_ids,
+        help="comma-separated descriptor names",
     )
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
 
@@ -137,34 +159,23 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
+def design_run(args) -> pipeline.DesignRun:
+    """The run a parsed `design` command line asks for."""
+    values = pipeline.field_values(pipeline.DesignRun, args)
+    values["pattern"] = _pattern(args.pattern)
+    if "mode" in values:
+        values["mode"] = PatternMode(values["mode"])
+    return pipeline.DesignRun(**values)
+
+
+def toxtrain_options(args) -> pipeline.ToxTrainOptions:
+    """The training options a parsed `toxtrain` command line asks for."""
+    values = pipeline.field_values(pipeline.ToxTrainOptions, args)
+    return pipeline.ToxTrainOptions(**values)
+
+
 def _cmd_design(args) -> int:
-    run = pipeline.DesignRun(
-        pattern=_pattern(args.pattern),
-        mode=PatternMode(args.mode),
-        corpus_path=args.corpus,
-        out_dir=args.out,
-        tox_model_path=args.tox_model,
-        seed=args.seed,
-        epochs=args.epochs,
-        latent_dim=args.latent_dim,
-        extension_epochs=args.extension_epochs,
-        hidden_units=args.hidden_units,
-        batch_size=args.batch_size,
-        dropout_rate=args.dropout,
-        l1_lambda=args.l1_lambda,
-        learning_rate=args.learning_rate,
-        candidates=args.candidates,
-        keep_fraction=args.keep_fraction,
-        k=args.k,
-        alpha=args.alpha,
-        cluster_threshold=args.cluster_threshold,
-        max_len=args.max_len,
-        generation_mode=args.generation_mode,
-        tau=args.tau,
-        distance_space=args.distance_space,
-        workers=args.workers,
-    )
-    report = pipeline.run_design(run)
+    report = pipeline.run_design(design_run(args))
     counts = report.counts
     print(
         f"design complete: {counts['generated']} generated, "
@@ -175,21 +186,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_toxtrain(args) -> int:
-    universe = (
-        tuple(s.strip() for s in args.descriptors.split(","))
-        if args.descriptors
-        else descriptors.DESCRIPTOR_IDS
-    )
-    options = pipeline.ToxTrainOptions(
-        seed=args.seed,
-        folds=args.folds,
-        epsilon=args.epsilon,
-        max_len=args.max_len,
-        selector=args.selector,
-        selector_trees=args.selector_trees,
-        member_trees=args.member_trees,
-        universe=universe,
-    )
+    options = toxtrain_options(args)
     result = pipeline.run_toxtrain(args.pos, args.neg, args.model_out, options)
     text = pipeline.toxtrain_report_text(result)
     if args.report_out:
@@ -230,10 +227,9 @@ def _cmd_physchem(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    ids = [s.strip() for s in args.descriptors.split(",") if s.strip()]
     peptides = [Peptide(s) for s in pipeline.read_sequences(args.input)]
-    matrix = descriptors.encode_matrix(ids, peptides)
-    names = descriptors.column_names(ids)
+    matrix = descriptors.encode_matrix(args.descriptors, peptides)
+    names = descriptors.column_names(args.descriptors)
     lines = ["sequence\t" + "\t".join(names)]
     for pep, row in zip(peptides, matrix):
         lines.append(str(pep) + "\t" + "\t".join(repr(v) for v in row.tolist()))

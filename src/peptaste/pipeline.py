@@ -12,9 +12,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from . import descriptors, latent, physchem, similarity, vae
 from .errors import (
     ConfigError,
     DataError,
+    ParseError,
     PeptasteError,
     TrainingDiverged,
     ValidationError,
@@ -34,8 +34,10 @@ from .sequences import (
     TastePattern,
     assign_record,
     encode_batch,
+    format_pattern,
     parse_taste_fasta,
     parse_taste_tsv,
+    split_fasta,
 )
 from .toxicity import classifiers as clf
 from .toxicity import ensemble as ens
@@ -92,15 +94,24 @@ def _write_tsv(path, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
+@contextlib.contextmanager
+def _parsing(path):
+    """Name the file in front of the line a ParseError reports."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def read_taste_corpus(path) -> corpus_mod.Corpus:
     """Load an annotated corpus from FASTA ('>abcde' headers) or TSV."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith(">"):
-        records = parse_taste_fasta(text)
-    else:
-        records = parse_taste_tsv(text)
+    with _parsing(path):
+        if text.lstrip().startswith(">"):
+            records = parse_taste_fasta(text)
+        else:
+            records = parse_taste_tsv(text)
     if not records:
         raise DataError(f"no records found in {path}")
     return corpus_mod.ingest(records, source=str(path))
@@ -108,26 +119,14 @@ def read_taste_corpus(path) -> corpus_mod.Corpus:
 
 def read_sequences(path) -> list[str]:
     """Read bare sequences: FASTA bodies, or one sequence per line, or the
-    first column of a TSV.  '#' comments and blank lines are skipped."""
+    first column of a TSV.  '#' comments and blank lines are skipped
+    outside FASTA; a FASTA header with no sequence is a ParseError."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     out: list[str] = []
     if text.lstrip().startswith(">"):
-        body: list[str] = []
-        started = False
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(">"):
-                if started and body:
-                    out.append("".join(body))
-                body = []
-                started = True
-            else:
-                body.append(line)
-        if started and body:
-            out.append("".join(body))
+        with _parsing(path):
+            out = [seq for _, _, seq in split_fasta(text)]
     else:
         for raw in text.splitlines():
             line = raw.strip()
@@ -141,14 +140,16 @@ def read_sequences(path) -> list[str]:
 
 # --- design workflow ---------------------------------------------------------
 
+DISTANCE_SPACES = ("pca2", "latent")
+
 
 @dataclass
 class DesignRun:
     pattern: TastePattern
-    mode: PatternMode
     corpus_path: str
     out_dir: str
     tox_model_path: str
+    mode: PatternMode = PatternMode.MULTIPLE
     seed: int = 0
     epochs: int = 500
     latent_dim: int = 2000
@@ -169,16 +170,36 @@ class DesignRun:
     dedup_threshold: float = 0.9
     generation_mode: str = "prior"
     tau: float = 0.5
-    distance_space: str = "pca2"  # or "latent"
+    distance_space: str = "pca2"
     workers: int = 1
 
     def __post_init__(self):
-        if self.distance_space not in ("pca2", "latent"):
+        if self.distance_space not in DISTANCE_SPACES:
             raise ConfigError(
                 f"distance_space must be 'pca2' or 'latent', got {self.distance_space!r}"
             )
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+
+
+# DesignRun fields the manifest leaves out: the inputs are recorded by
+# their digests, and the worker count cannot change a result
+_UNRECORDED = ("corpus_path", "out_dir", "tox_model_path", "workers")
+
+MANIFEST = "run_manifest.json"
+DESIGN_OUTPUTS = (
+    "candidates.tsv",
+    "filter_scores.tsv",
+    "clusters.tsv",
+    "loss_history.tsv",
+    "latent_coords.tsv",
+)
+SCORE_COLUMNS = ("sequence", "d_plus", "d_minus", "delta", "p_value", "accepted")
+CANDIDATE_COLUMNS = (
+    SCORE_COLUMNS[:-1]
+    + ("cluster_id", "is_representative", "tox_probability", "tox_call", "tox_error")
+    + physchem.PROFILE_FIELDS
+)
 
 
 @dataclass
@@ -190,28 +211,31 @@ class DesignReport:
     out_dir: str
 
 
-def _vae_config(run: DesignRun, stage: str, generation_count: int) -> vae.VaeConfig:
-    return vae.VaeConfig(
-        max_len=run.max_len,
-        latent_dim=run.latent_dim,
-        epochs=run.epochs,
-        extension_epochs=run.extension_epochs,
-        hidden_units=run.hidden_units,
-        conv_filters=run.conv_filters,
-        conv_kernel=run.conv_kernel,
-        dropout_rate=run.dropout_rate,
-        l1_lambda=run.l1_lambda,
-        learning_rate=run.learning_rate,
-        batch_size=run.batch_size,
-        seed=derive_seed(run.seed, stage),
-        generation_count=generation_count,
-    )
+def field_values(cls, source) -> dict:
+    """The attributes of source that name fields of the dataclass cls."""
+    return {
+        f.name: getattr(source, f.name) for f in fields(cls) if hasattr(source, f.name)
+    }
+
+
+def _vae_config(run: DesignRun, stage: str) -> vae.VaeConfig:
+    shared = field_values(vae.VaeConfig, run)
+    shared.update(seed=derive_seed(run.seed, stage), generation_count=run.candidates)
+    return vae.VaeConfig(**shared)
 
 
 def run_design(run: DesignRun) -> DesignReport:
     """Execute assign -> filter -> dedup -> train -> generate -> screen ->
-    cluster -> toxicity -> profile, writing every artifact under out_dir."""
+    cluster -> toxicity -> profile.  Each stage writes its artifact under
+    out_dir when it finishes and run_manifest.json comes last, so a
+    directory without a manifest holds an incomplete run."""
     os.makedirs(run.out_dir, exist_ok=True)
+
+    def out(name):
+        return os.path.join(run.out_dir, name)
+
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(out(MANIFEST))
     with _stage("corpus"):
         full = read_taste_corpus(run.corpus_path)
 
@@ -248,7 +272,7 @@ def run_design(run: DesignRun) -> DesignReport:
         neg_corpus = prepare(negatives, "negative") if avoidance else None
 
     with _stage("train-positive"):
-        pos_model = vae.SequenceVae(_vae_config(run, "vae-positive", run.candidates))
+        pos_model = vae.SequenceVae(_vae_config(run, "vae-positive"))
         pos_data = encode_batch(pos_corpus.peptides(), run.max_len)
         outcome_pos = vae.train_la(
             pos_model, pos_data, generation_mode=run.generation_mode, tau=run.tau
@@ -256,36 +280,54 @@ def run_design(run: DesignRun) -> DesignReport:
     outcome_neg = None
     if avoidance:
         with _stage("train-negative"):
-            neg_model = vae.SequenceVae(
-                _vae_config(run, "vae-negative", run.candidates)
-            )
+            neg_model = vae.SequenceVae(_vae_config(run, "vae-negative"))
             neg_data = encode_batch(neg_corpus.peptides(), run.max_len)
             outcome_neg = vae.train_la(
                 neg_model, neg_data, generation_mode=run.generation_mode, tau=run.tau
             )
+    _write_tsv(
+        out("loss_history.tsv"),
+        ("model", "epoch", "loss_tol", "loss_rec", "loss_kl", "l1_penalty"),
+        [
+            (tag, epoch, r.loss_tol, r.loss_rec, r.loss_kl, r.l1_penalty)
+            for tag, outcome in (("positive", outcome_pos), ("negative", outcome_neg))
+            if outcome is not None
+            for epoch, r in enumerate(outcome.history, start=1)
+        ],
+    )
 
     candidates = outcome_pos.generated
     with _stage("latent-projection"):
         # all latent coordinates come from the positive model's encoder so
         # Euclidean comparison happens in one shared space
-        pos_latent = pos_model.encode(pos_corpus.peptides())
-        neg_latent = pos_model.encode(neg_corpus.peptides()) if avoidance else None
-        cand_latent = pos_model.encode(candidates)
-        fit_points = (
-            np.vstack([pos_latent, neg_latent]) if avoidance else pos_latent
+        peptides = {"positive": pos_corpus.peptides()}
+        if avoidance:
+            peptides["negative"] = neg_corpus.peptides()
+        peptides["candidate"] = candidates
+        latents = {role: pos_model.encode(peps) for role, peps in peptides.items()}
+        projection = latent.pca2(
+            np.vstack([z for role, z in latents.items() if role != "candidate"])
         )
-        projection = latent.pca2(fit_points)
-        if run.distance_space == "pca2":
-            pos_pts = projection.project(pos_latent)
-            neg_pts = projection.project(neg_latent) if avoidance else None
-            cand_pts = projection.project(cand_latent)
-        else:
-            pos_pts, neg_pts, cand_pts = pos_latent, neg_latent, cand_latent
+        plane = {role: projection.project(z) for role, z in latents.items()}
+        _write_tsv(
+            out("latent_coords.tsv"),
+            ("role", "sequence", "pc1", "pc2"),
+            [
+                (role, str(pep), float(x), float(y))
+                for role, peps in peptides.items()
+                for pep, (x, y) in zip(peps, plane[role])
+            ],
+        )
+        points = plane if run.distance_space == "pca2" else latents
 
     with _stage("latent-filter"):
         if avoidance:
             kept_order, scores = latent.select_avoidance(
-                cand_pts, pos_pts, neg_pts, k=run.k, alpha=run.alpha
+                points["candidate"],
+                points["positive"],
+                points["negative"],
+                k=run.k,
+                alpha=run.alpha,
             )
             score_rows = [
                 (
@@ -298,210 +340,85 @@ def run_design(run: DesignRun) -> DesignReport:
                 )
                 for s in scores
             ]
-            score_of = {s.index: s for s in scores}
         else:
             kept_order, dists = latent.select_standard(
-                cand_pts, pos_pts, keep_fraction=run.keep_fraction, k=run.k
+                points["candidate"],
+                points["positive"],
+                keep_fraction=run.keep_fraction,
+                k=run.k,
             )
-            kept_set = set(kept_order)
+            kept = set(kept_order)
             score_rows = [
-                (str(candidates[i]), dists[i], None, None, None, i in kept_set)
-                for i in range(len(candidates))
+                (str(pep), d, None, None, None, i in kept)
+                for i, (pep, d) in enumerate(zip(candidates, dists.tolist()))
             ]
-            score_of = {
-                i: latent.BilateralScore(
-                    i, float(dists[i]), math.nan, math.nan, math.nan, True
-                )
-                for i in kept_order
-            }
-        kept_peptides = [candidates[i] for i in kept_order]
-        if not kept_peptides:
+        _write_tsv(out("filter_scores.tsv"), SCORE_COLUMNS, score_rows)
+        if not kept_order:
             raise DataError(
                 "latent filtering rejected every candidate; relax the filter "
                 "parameters or generate more candidates"
             )
 
     with _stage("cluster"):
-        kept_seqs = [str(p) for p in kept_peptides]
+        kept_seqs = [score_rows[i][0] for i in kept_order]
         clusters = similarity.build_components(
             kept_seqs, threshold=run.cluster_threshold, workers=run.workers
         )
-        reps = similarity.pick_representatives(clusters, seqs=kept_seqs)
+        local_reps = similarity.pick_representatives(clusters, seqs=kept_seqs)
+        _write_tsv(
+            out("clusters.tsv"),
+            ("cluster_id", "member", "is_representative"),
+            [
+                (cid, kept_seqs[m], m == local_reps[cid])
+                for cid, members in enumerate(clusters)
+                for m in members
+            ],
+        )
+    reps = [kept_order[r] for r in local_reps]  # candidate indices
 
     with _stage("toxicity"):
         tox_model = ens.load_model(run.tox_model_path)
-        rep_peptides = [kept_peptides[r] for r in reps]
-        tox_rows = tox_model.predict(rep_peptides)
+        tox_rows = tox_model.predict([candidates[i] for i in reps])
     with _stage("physchem"):
-        profiles = [physchem.profile(p) for p in rep_peptides]
-
-    candidate_rows = []
-    for cluster_id, (rep_local, tox_row, prof) in enumerate(
-        zip(reps, tox_rows, profiles)
-    ):
-        cand_index = kept_order[rep_local]
-        s = score_of[cand_index]
-        row = {
-            "sequence": str(kept_peptides[rep_local]),
-            "d_plus": s.d_plus,
-            "d_minus": None if math.isnan(s.d_minus) else s.d_minus,
-            "delta": None if math.isnan(s.delta) else s.delta,
-            "p_value": None if math.isnan(s.p_value) else s.p_value,
-            "cluster_id": cluster_id,
-            "is_representative": True,
-            "tox_probability": tox_row["probability"],
-            "tox_call": tox_row["call"],
-            "tox_error": tox_row["error"],
-        }
-        row.update(prof.as_dict())
-        candidate_rows.append(row)
+        candidate_rows = []
+        for cluster_id, (rep, tox_row) in enumerate(zip(reps, tox_rows)):
+            row = dict(zip(SCORE_COLUMNS[:-1], score_rows[rep]))
+            row.update(
+                cluster_id=cluster_id,
+                is_representative=True,
+                tox_probability=tox_row["probability"],
+                tox_call=tox_row["call"],
+                tox_error=tox_row["error"],
+            )
+            row.update(physchem.profile(candidates[rep]).as_dict())
+            candidate_rows.append(row)
+        _write_tsv(
+            out("candidates.tsv"),
+            CANDIDATE_COLUMNS,
+            [[row[c] for c in CANDIDATE_COLUMNS] for row in candidate_rows],
+        )
 
     counts = {
         "corpus_records": len(full),
         "positives": len(pos_corpus),
         "negatives": len(neg_corpus) if avoidance else 0,
         "generated": len(candidates),
-        "filtered": len(kept_peptides),
+        "filtered": len(kept_order),
         "clusters": len(clusters),
         "representatives": len(reps),
     }
-
-    with _stage("emit"):
-        _emit_design_outputs(
-            run,
-            candidate_rows,
-            score_rows,
-            clusters,
-            reps,
-            kept_peptides,
-            outcome_pos,
-            outcome_neg,
-            projection,
-            pos_corpus,
-            neg_corpus,
-            pos_latent,
-            neg_latent,
-            cand_latent,
-            candidates,
-            counts,
-        )
+    _write_manifest(run, counts)
     return DesignReport(candidate_rows, outcome_pos, outcome_neg, counts, run.out_dir)
 
 
-CANDIDATE_COLUMNS = (
-    "sequence",
-    "d_plus",
-    "d_minus",
-    "delta",
-    "p_value",
-    "cluster_id",
-    "is_representative",
-    "tox_probability",
-    "tox_call",
-    "tox_error",
-) + physchem.PROFILE_FIELDS
-
-
-def _emit_design_outputs(
-    run,
-    candidate_rows,
-    score_rows,
-    clusters,
-    reps,
-    kept_peptides,
-    outcome_pos,
-    outcome_neg,
-    projection,
-    pos_corpus,
-    neg_corpus,
-    pos_latent,
-    neg_latent,
-    cand_latent,
-    candidates,
-    counts,
-):
-    out = run.out_dir
-    _write_tsv(
-        os.path.join(out, "candidates.tsv"),
-        CANDIDATE_COLUMNS,
-        [[row[c] for c in CANDIDATE_COLUMNS] for row in candidate_rows],
-    )
-    _write_tsv(
-        os.path.join(out, "filter_scores.tsv"),
-        ("sequence", "d_plus", "d_minus", "delta", "p_value", "accepted"),
-        score_rows,
-    )
-    cluster_rows = []
-    for cid, members in enumerate(clusters):
-        for m in members:
-            cluster_rows.append(
-                (cid, str(kept_peptides[m]), m == reps[cid])
-            )
-    _write_tsv(
-        os.path.join(out, "clusters.tsv"),
-        ("cluster_id", "member", "is_representative"),
-        cluster_rows,
-    )
-
-    history_rows = []
-    for tag, outcome in (("positive", outcome_pos), ("negative", outcome_neg)):
-        if outcome is None:
-            continue
-        for epoch, rec in enumerate(outcome.history, start=1):
-            history_rows.append(
-                (tag, epoch, rec.loss_tol, rec.loss_rec, rec.loss_kl, rec.l1_penalty)
-            )
-    _write_tsv(
-        os.path.join(out, "loss_history.tsv"),
-        ("model", "epoch", "loss_tol", "loss_rec", "loss_kl", "l1_penalty"),
-        history_rows,
-    )
-
-    coord_rows = []
-    for role, peps, pts in (
-        ("positive", pos_corpus.peptides(), projection.project(pos_latent)),
-        (
-            "negative",
-            neg_corpus.peptides() if neg_corpus is not None else [],
-            projection.project(neg_latent) if neg_latent is not None else [],
-        ),
-        ("candidate", candidates, projection.project(cand_latent)),
-    ):
-        for pep, (x, y) in zip(peps, pts):
-            coord_rows.append((role, str(pep), float(x), float(y)))
-    _write_tsv(
-        os.path.join(out, "latent_coords.tsv"),
-        ("role", "sequence", "pc1", "pc2"),
-        coord_rows,
-    )
-
+def _write_manifest(run: DesignRun, counts: dict):
+    design = {
+        f.name: getattr(run, f.name) for f in fields(run) if f.name not in _UNRECORDED
+    }
+    design.update(pattern=format_pattern(run.pattern), mode=run.mode.value)
     manifest = {
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-        "design": {
-            "pattern": ">" + run.pattern.code,
-            "mode": run.mode.value,
-            "seed": run.seed,
-            "epochs": run.epochs,
-            "latent_dim": run.latent_dim,
-            "extension_epochs": run.extension_epochs,
-            "hidden_units": run.hidden_units,
-            "conv_filters": run.conv_filters,
-            "conv_kernel": run.conv_kernel,
-            "dropout_rate": run.dropout_rate,
-            "l1_lambda": run.l1_lambda,
-            "learning_rate": run.learning_rate,
-            "batch_size": run.batch_size,
-            "candidates": run.candidates,
-            "keep_fraction": run.keep_fraction,
-            "k": run.k,
-            "alpha": run.alpha,
-            "cluster_threshold": run.cluster_threshold,
-            "max_len": run.max_len,
-            "dedup_threshold": run.dedup_threshold,
-            "generation_mode": run.generation_mode,
-            "tau": run.tau,
-            "distance_space": run.distance_space,
-        },
+        "design": design,
         "stage_seeds": {
             stage: derive_seed(run.seed, stage)
             for stage in ("vae-positive", "vae-negative")
@@ -511,18 +428,12 @@ def _emit_design_outputs(
             "tox_model": _sha256(run.tox_model_path),
         },
         "counts": counts,
-        "outputs": {},
+        "outputs": {
+            name: _sha256(os.path.join(run.out_dir, name)) for name in DESIGN_OUTPUTS
+        },
     }
-    for name in (
-        "candidates.tsv",
-        "filter_scores.tsv",
-        "clusters.tsv",
-        "loss_history.tsv",
-        "latent_coords.tsv",
-    ):
-        manifest["outputs"][name] = _sha256(os.path.join(out, name))
     with open(
-        os.path.join(out, "run_manifest.json"), "w", encoding="utf-8", newline="\n"
+        os.path.join(run.out_dir, MANIFEST), "w", encoding="utf-8", newline="\n"
     ) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")

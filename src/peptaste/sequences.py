@@ -158,48 +158,55 @@ def assign_record(
     return Assignment.EXCLUDED
 
 
-def parse_taste_fasta(text: str) -> list[tuple[Peptide, TasteLabel]]:
-    """Parse an annotated FASTA document ('>abcde' headers, sequence bodies).
+def split_fasta(text: str):
+    """Yield (header line number, header without '>', sequence) per record.
 
-    Sequence bodies may wrap over multiple lines.  Raises ParseError with
-    the offending line number for malformed headers, ValidationError for
-    bad residues.
+    Sequence bodies may wrap over multiple lines; blank lines are skipped.
+    Raises ParseError with the line number for data before the first
+    header and for a header with no sequence.
     """
-    records: list[tuple[Peptide, TasteLabel]] = []
     header: tuple[int, str] | None = None
     body: list[str] = []
 
-    def flush():
-        if header is None:
-            return
-        line_no, code = header
-        seq = "".join(body)
-        if not seq:
-            raise ParseError(f"line {line_no}: header {'>' + code!r} has no sequence")
-        try:
-            records.append((Peptide(seq), TasteLabel.from_code(code)))
-        except ValidationError as exc:
-            raise ValidationError(f"record at line {line_no}: {exc}") from exc
+    def record():
+        line_no, name = header
+        if not body:
+            raise ParseError(f"line {line_no}: header {'>' + name!r} has no sequence")
+        return line_no, name, "".join(body)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith(">"):
-            flush()
-            code = line[1:]
-            if len(code) != len(TASTES) or any(c not in _LABEL_CHARS for c in code):
-                raise ParseError(
-                    f"line {line_no}: header {line!r} must be '>' followed by "
-                    f"exactly {len(TASTES)} characters from {{0, 1, x}}"
-                )
-            header = (line_no, code)
-            body = []
+            if header is not None:
+                yield record()
+            header, body = (line_no, line[1:]), []
+        elif header is None:
+            raise ParseError(f"line {line_no}: sequence data before any header")
         else:
-            if header is None:
-                raise ParseError(f"line {line_no}: sequence data before any header")
             body.append(line)
-    flush()
+    if header is not None:
+        yield record()
+
+
+def parse_taste_fasta(text: str) -> list[tuple[Peptide, TasteLabel]]:
+    """Parse an annotated FASTA document ('>abcde' headers, sequence bodies).
+
+    Raises ParseError with the offending line number for malformed headers
+    and empty records, ValidationError for bad residues.
+    """
+    records: list[tuple[Peptide, TasteLabel]] = []
+    for line_no, code, seq in split_fasta(text):
+        if len(code) != len(TASTES) or any(c not in _LABEL_CHARS for c in code):
+            raise ParseError(
+                f"line {line_no}: header {'>' + code!r} must be '>' followed by "
+                f"exactly {len(TASTES)} characters from {{0, 1, x}}"
+            )
+        try:
+            records.append((Peptide(seq), TasteLabel.from_code(code)))
+        except ValidationError as exc:
+            raise ValidationError(f"record at line {line_no}: {exc}") from exc
     return records
 
 

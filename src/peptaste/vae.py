@@ -11,11 +11,9 @@ candidate sequences.
 
 from __future__ import annotations
 
-import base64
 import enum
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +21,7 @@ from . import nn
 from .errors import ConfigError, NumericError, TrainingDiverged, ValidationError
 from .sequences import NUM_CHANNELS, Peptide, decode_argmax, encode_batch
 
-FORMAT_NAME = "peptaste-vae"
-FORMAT_VERSION = 1
+GENERATION_MODES = ("prior", "jitter")
 
 
 @dataclass(frozen=True)
@@ -309,7 +306,7 @@ class SequenceVae:
         """
         if n < 1:
             raise ConfigError(f"generation count must be >= 1, got {n}")
-        if mode not in ("prior", "jitter"):
+        if mode not in GENERATION_MODES:
             raise ConfigError(f"unknown generation mode {mode!r}")
         if mode == "jitter":
             if source_mu is None or len(source_mu) == 0:
@@ -424,93 +421,3 @@ def train_la(
         best_epoch=controller.best_epoch,
         best=controller.best,
     )
-
-
-def train_avoidance_pair(
-    positive_model: SequenceVae,
-    negative_model: SequenceVae,
-    positive_data: np.ndarray,
-    negative_data: np.ndarray,
-    generation_mode: str = "prior",
-    tau: float = 0.5,
-) -> tuple[TrainOutcome, TrainOutcome]:
-    """Train the positive and negative models independently.
-
-    Generation always comes from the positive model; the negative model
-    contributes its latent space for downstream filtering only.
-    """
-    pos_outcome = train_la(positive_model, positive_data, generation_mode, tau)
-    neg_outcome = train_la(negative_model, negative_data, generation_mode, tau)
-    return pos_outcome, neg_outcome
-
-
-# --- serialization ----------------------------------------------------------
-
-
-def _encode_array(arr: np.ndarray) -> dict:
-    data = np.ascontiguousarray(arr, dtype="<f8")
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(data.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(obj) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
-
-
-def _record_to_list(r: LossRecord) -> list[float]:
-    return [r.loss_tol, r.loss_rec, r.loss_kl, r.l1_penalty]
-
-
-def save_model(model: SequenceVae, path):
-    doc = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "config": asdict(model.config),
-        "params": {n: _encode_array(a) for n, a in model.named_params().items()},
-        "adam": {
-            "step": model.optimizer.step_count,
-            "m": [_encode_array(a) for a in model.optimizer.m],
-            "v": [_encode_array(a) for a in model.optimizer.v],
-        },
-        "history": [_record_to_list(r) for r in model.history],
-        "snapshot": None,
-    }
-    if model.snapshot is not None:
-        doc["snapshot"] = {
-            "epoch": model.snapshot["epoch"],
-            "record": _record_to_list(model.snapshot["record"]),
-            "weights": {
-                n: _encode_array(a) for n, a in model.snapshot["weights"].items()
-            },
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> SequenceVae:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT_NAME:
-        raise ValidationError(f"not a {FORMAT_NAME} file: {path}")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported model version {doc.get('version')}")
-    model = SequenceVae(VaeConfig(**doc["config"]))
-    model.load_weights({n: _decode_array(a) for n, a in doc["params"].items()})
-    model.optimizer.step_count = int(doc["adam"]["step"])
-    for dst, src in zip(model.optimizer.m, doc["adam"]["m"]):
-        dst[...] = _decode_array(src)
-    for dst, src in zip(model.optimizer.v, doc["adam"]["v"]):
-        dst[...] = _decode_array(src)
-    model.history = [LossRecord(*row) for row in doc["history"]]
-    snap = doc.get("snapshot")
-    if snap is not None:
-        model.snapshot = {
-            "epoch": snap["epoch"],
-            "record": LossRecord(*snap["record"]),
-            "weights": {n: _decode_array(a) for n, a in snap["weights"].items()},
-        }
-    return model

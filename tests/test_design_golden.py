@@ -8,7 +8,9 @@ no L1, 24 candidates, 150 epochs plus 10 of extension): standard mode in
 the PCA plane with prior sampling; standard mode in the full latent space
 with jitter sampling; and avoidance mode with the significance gate stubbed
 to accept every candidate.  Each run gave the same digests with one and
-with two BLAS threads on a 2-core x86-64 machine (OpenBLAS).
+with two BLAS threads on a 2-core x86-64 machine (OpenBLAS).  The same
+runs also show that avoidance mode trains its positive model exactly as
+standard mode does.
 """
 
 import hashlib
@@ -121,3 +123,17 @@ def digests(out_dir) -> dict:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_design_outputs_match_golden(design_dirs, name):
     assert digests(design_dirs[name]) == GOLDEN[name]
+
+
+def test_avoidance_trains_the_positive_model_as_standard_mode(design_dirs):
+    # x1xxx and x1x00 select the same positives, and a model's seed depends
+    # only on the master seed and its stage, so the positive model trains
+    # the same whether or not a negative model is trained after it
+    def history(name, model):
+        lines = (design_dirs[name] / "loss_history.tsv").read_text().splitlines()
+        return [line for line in lines[1:] if line.split("\t")[0] == model]
+
+    positive = history("avoidance_stubbed_gate", "positive")
+    assert positive and positive == history("standard_pca2_prior", "positive")
+    assert history("avoidance_stubbed_gate", "negative")
+    assert not history("standard_pca2_prior", "negative")

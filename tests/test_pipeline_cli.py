@@ -1,12 +1,16 @@
+import argparse
+import dataclasses
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
 
 from peptaste import pipeline
-from peptaste.cli import main
+from peptaste.cli import build_parser, design_run, main, toxtrain_options
 from peptaste.descriptors import encode_matrix
-from peptaste.errors import DataError
+from peptaste.errors import DataError, ParseError
 from peptaste.pipeline import (
     CANDIDATE_COLUMNS,
     DesignRun,
@@ -76,6 +80,26 @@ class TestReaders:
         corpus = read_taste_corpus(p)
         assert corpus.records[0].label.code == "x1xxx"
 
+    @pytest.mark.parametrize(
+        "text, line", [(">a\n>b\nKLMN\n>c\nACDE\n", 1), (">a\nACDE\n\n>b\n", 4)]
+    )
+    def test_read_sequences_rejects_empty_fasta_record(self, tmp_path, capsys, text, line):
+        # a header with no sequence is an error naming the file and line,
+        # not a dropped row
+        p = tmp_path / "seqs.fasta"
+        p.write_text(text)
+        where = re.escape(f"{p}: line {line}: header")
+        with pytest.raises(ParseError, match=f"{where} '>[ab]' has no sequence"):
+            read_sequences(p)
+        assert main(["physchem", "--input", str(p)]) == 3
+        assert f"{p}: line {line}" in capsys.readouterr().err
+
+    def test_read_taste_corpus_names_file_of_empty_record(self, tmp_path):
+        p = tmp_path / "corpus.fasta"
+        p.write_text(">x1xxx\n>xx1xx\nACDE\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 1: header '>x1xxx'")):
+            read_taste_corpus(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.txt"
         p.write_text("\n")
@@ -95,6 +119,26 @@ def design_out(tmp_path_factory, toy_corpus_path, small_tox_model):
     run = toy_design_run(toy_corpus_path, small_tox_model[0], out)
     report = run_design(run)
     return run, report, out
+
+
+@pytest.fixture(scope="module")
+def rejected_run(tmp_path_factory, toy_corpus_path, small_tox_model, design_out):
+    """An avoidance run whose filter rejects every candidate, written over
+    the outputs of a successful run; (output directory, raised error)."""
+    out = tmp_path_factory.mktemp("rejected")
+    for path in design_out[2].iterdir():
+        shutil.copy(path, out)
+    run = toy_design_run(
+        toy_corpus_path,
+        small_tox_model[0],
+        out,
+        pattern=parse_pattern(">x1x00"),
+        epochs=150,
+        l1_lambda=0.0,
+    )
+    with pytest.raises(DataError) as err:
+        run_design(run)
+    return out, err.value
 
 
 class TestDesignPipeline:
@@ -211,22 +255,26 @@ class TestDesignPipeline:
         coords = parse_tsv(tmp_path / "latent_space" / "latent_coords.tsv")
         assert {row["role"] for row in coords} >= {"positive", "candidate"}
 
-    def test_avoidance_mode_rejects_all_on_toy_corpus(
-        self, toy_corpus_path, small_tox_model, tmp_path
-    ):
+    def test_avoidance_mode_rejects_all_on_toy_corpus(self, rejected_run):
         # converged toy models collapse their latent space, so the bilateral
         # significance gate cannot fire; the documented outcome is the
         # explicit rejection error rather than a silent empty report
-        run = toy_design_run(
-            toy_corpus_path,
-            small_tox_model[0],
-            tmp_path / "avoid",
-            pattern=parse_pattern(">x1x00"),
-            epochs=150,
-            l1_lambda=0.0,
-        )
-        with pytest.raises(DataError, match="stage latent-filter.*rejected every candidate"):
-            run_design(run)
+        _, error = rejected_run
+        assert re.search("stage latent-filter.*rejected every candidate", str(error))
+
+    def test_rejected_run_keeps_stage_artifacts(self, rejected_run):
+        # the stages before the filter leave their artifacts; the manifest
+        # of the earlier successful run in the same directory is gone, so
+        # the directory reads as an incomplete run
+        out, _ = rejected_run
+        assert not (out / "run_manifest.json").exists()
+        history = parse_tsv(out / "loss_history.tsv")
+        assert {row["model"] for row in history} == {"positive", "negative"}
+        coords = parse_tsv(out / "latent_coords.tsv")
+        assert {row["role"] for row in coords} == {"positive", "negative", "candidate"}
+        scores = parse_tsv(out / "filter_scores.tsv")
+        assert len(scores) == 24
+        assert {row["accepted"] for row in scores} == {"False"}
 
     def test_avoidance_plumbing_with_stubbed_gate(
         self, toy_corpus_path, small_tox_model, tmp_path, monkeypatch
@@ -320,6 +368,127 @@ class TestToxTrainPipeline:
         assert excluded == 0
         assert report.tp + report.fn > 0 and report.tn + report.fp > 0
         assert report.mcc >= 0.9
+
+
+def subparser(name):
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def option_strings(name):
+    return [s for action in subparser(name)._actions for s in action.option_strings]
+
+
+DESIGN_REQUIRED = [
+    "design", "--pattern", "x1x00", "--corpus", "c.tsv", "--tox-model", "m.json",
+    "--out", "out",
+]
+TOXTRAIN_REQUIRED = ["toxtrain", "--pos", "p.txt", "--neg", "n.txt", "--model-out", "m.json"]
+
+
+class TestCliParity:
+    """design and toxtrain flags parse onto their dataclass fields, and a
+    flag left out leaves the field's own default."""
+
+    def test_design_options_unchanged(self):
+        assert option_strings("design") == [
+            "-h", "--help", "--pattern", "--mode", "--corpus", "--tox-model", "--out",
+            "--seed", "--epochs", "--latent-dim", "--extension-epochs",
+            "--hidden-units", "--batch-size", "--dropout", "--l1-lambda",
+            "--learning-rate", "--candidates", "--keep-fraction", "--k", "--alpha",
+            "--cluster-threshold", "--max-len", "--generation-mode", "--tau",
+            "--distance-space", "--workers",
+        ]
+
+    def test_toxtrain_options_unchanged(self):
+        assert option_strings("toxtrain") == [
+            "-h", "--help", "--pos", "--neg", "--model-out", "--report-out",
+            "--trace-out", "--seed", "--folds", "--epsilon", "--max-len", "--selector",
+            "--selector-trees", "--member-trees", "--descriptors",
+        ]
+
+    def test_design_required_flags_give_defaults(self):
+        run = design_run(build_parser().parse_args(DESIGN_REQUIRED))
+        assert run == DesignRun(
+            pattern=parse_pattern(">x1x00"),
+            corpus_path="c.tsv",
+            tox_model_path="m.json",
+            out_dir="out",
+        )
+
+    def test_design_every_flag(self):
+        argv = DESIGN_REQUIRED + [
+            "--mode", "single", "--seed", "3", "--epochs", "7", "--latent-dim", "9",
+            "--extension-epochs", "2", "--hidden-units", "5", "--batch-size", "6",
+            "--dropout", "0.25", "--l1-lambda", "0.5", "--learning-rate", "0.02",
+            "--candidates", "12", "--keep-fraction", "0.5", "--k", "4",
+            "--alpha", "0.1", "--cluster-threshold", "0.8", "--max-len", "11",
+            "--generation-mode", "jitter", "--tau", "0.75",
+            "--distance-space", "latent", "--workers", "2",
+        ]
+        expected = DesignRun(
+            pattern=parse_pattern(">x1x00"),
+            corpus_path="c.tsv",
+            tox_model_path="m.json",
+            out_dir="out",
+            mode=PatternMode.SINGLE,
+            seed=3,
+            epochs=7,
+            latent_dim=9,
+            extension_epochs=2,
+            hidden_units=5,
+            batch_size=6,
+            dropout_rate=0.25,
+            l1_lambda=0.5,
+            learning_rate=0.02,
+            candidates=12,
+            keep_fraction=0.5,
+            k=4,
+            alpha=0.1,
+            cluster_threshold=0.8,
+            max_len=11,
+            generation_mode="jitter",
+            tau=0.75,
+            distance_space="latent",
+            workers=2,
+        )
+        run = design_run(build_parser().parse_args(argv))
+        assert run == expected
+        # each flag moved its own field off the default
+        defaults = design_run(build_parser().parse_args(DESIGN_REQUIRED))
+        moved = {
+            f.name
+            for f in dataclasses.fields(DesignRun)
+            if getattr(run, f.name) != getattr(defaults, f.name)
+        }
+        assert len(moved) == (len(argv) - len(DESIGN_REQUIRED)) // 2 == 20
+
+    def test_toxtrain_required_flags_give_defaults(self):
+        args = build_parser().parse_args(TOXTRAIN_REQUIRED)
+        assert toxtrain_options(args) == ToxTrainOptions()
+        assert (args.pos, args.neg, args.model_out) == ("p.txt", "n.txt", "m.json")
+        assert args.report_out is None and args.trace_out is None
+
+    def test_toxtrain_every_flag(self):
+        argv = TOXTRAIN_REQUIRED + [
+            "--report-out", "r.txt", "--trace-out", "t.tsv", "--seed", "3",
+            "--folds", "4", "--epsilon", "0.01", "--max-len", "20", "--selector", "knn",
+            "--selector-trees", "6", "--member-trees", "8",
+            "--descriptors", "AAC, GAAC,,DPC",
+        ]
+        args = build_parser().parse_args(argv)
+        assert toxtrain_options(args) == ToxTrainOptions(
+            seed=3,
+            folds=4,
+            epsilon=0.01,
+            max_len=20,
+            selector="knn",
+            selector_trees=6,
+            member_trees=8,
+            universe=("AAC", "GAAC", "DPC"),
+        )
+        assert (args.report_out, args.trace_out) == ("r.txt", "t.tsv")
 
 
 class TestCli:

@@ -305,9 +305,10 @@ def run_design(run: DesignRun) -> DesignReport:
             peptides["negative"] = neg_corpus.peptides()
         peptides["candidate"] = candidates
         latents = {role: pos_model.encode(peps) for role, peps in peptides.items()}
-        projection = latent.pca2(
-            np.vstack([z for role, z in latents.items() if role != "candidate"])
-        )
+        fit_points = latents["positive"]
+        if avoidance:
+            fit_points = np.vstack([fit_points, latents["negative"]])
+        projection = latent.pca2(fit_points)
         plane = {role: projection.project(z) for role, z in latents.items()}
         _write_tsv(
             out("latent_coords.tsv"),

@@ -30,12 +30,16 @@ class ProjectedSpace:
 
 
 def pca2(points: np.ndarray) -> ProjectedSpace:
-    """Top-2 principal axes from the exact covariance eigendecomposition.
+    """Top-2 principal axes from an exact symmetric eigendecomposition.
 
-    Covariance uses the n-1 divisor.  Each axis is flipped so its largest-
-    magnitude loading is positive.  When fewer than two eigenvalues are
-    positive the remaining axis is a deterministic null-space vector and
-    the result is flagged rank-deficient.
+    Covariance uses the n-1 divisor.  With fewer points than dimensions
+    (n < d) the axes come from the n x n Gram matrix of the centred points
+    (the "snapshot" method), which has the covariance's nonzero eigenvalues;
+    otherwise, or when every centred point is zero, from the d x d
+    covariance.  Each axis is flipped so its largest-magnitude loading is
+    positive.  When fewer than two eigenvalues are positive the remaining
+    axis is a deterministic null-space vector and the result is flagged
+    rank-deficient.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 3:
@@ -44,17 +48,50 @@ def pca2(points: np.ndarray) -> ProjectedSpace:
         raise DataError("projection needs dimension >= 2")
     mean = pts.mean(axis=0)
     centered = pts - mean
-    cov = centered.T @ centered / (pts.shape[0] - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.maximum(eigvals[order], 0.0)
-    axes = eigvecs[:, order[:2]].T.copy()
+    n, d = centered.shape
+    if n < d and centered.any():
+        eigvals, axes = _gram_axes(centered)
+    else:
+        eigvals, axes = _covariance_axes(centered)
     for row in axes:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
     tol = max(eigvals[0], 1.0) * 1e-12
     deficient = bool(np.sum(eigvals > tol) < 2)
     return ProjectedSpace(mean, axes, (float(eigvals[0]), float(eigvals[1])), deficient)
+
+
+def _covariance_axes(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped covariance eigenvalues, descending, and the top two axes."""
+    cov = centered.T @ centered / (centered.shape[0] - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    return np.maximum(eigvals[order], 0.0), eigvecs[:, order[:2]].T.copy()
+
+
+def _gram_axes(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped Gram eigenvalues, descending, and the top two axes.
+
+    An eigenvector u of C C^T / (n-1) maps to the covariance eigenvector
+    C^T u.  When the points span less than a plane, the second mapped
+    vector is rounding noise, largely along the first axis, so it is
+    orthogonalised against that axis; if no more than 1e-8 of it survives,
+    the coordinate vector where the first axis is smallest, orthogonalised
+    likewise, stands in.
+    """
+    gram = centered @ centered.T / (centered.shape[0] - 1)
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    order = np.argsort(eigvals)[::-1]
+    first, second = (centered.T @ eigvecs[:, order[:2]]).T
+    first /= np.linalg.norm(first)
+    norm_before = np.linalg.norm(second)
+    second -= (first @ second) * first
+    if not np.linalg.norm(second) > 1e-8 * norm_before:
+        j = np.argmin(np.abs(first))
+        second = -first[j] * first
+        second[j] += 1.0
+    second /= np.linalg.norm(second)
+    return np.maximum(eigvals[order], 0.0), np.vstack([first, second])
 
 
 def _knn_distances(query: np.ndarray, reference: np.ndarray, k: int) -> np.ndarray:

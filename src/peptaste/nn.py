@@ -2,13 +2,16 @@
 
 Everything runs in 64-bit floats so finite-difference gradient checks have
 numerical headroom.  Layers cache their forward inputs; backward() must be
-called once per forward().  The L1 penalty applies to dense weights only,
-contributing lambda * sign(W) to their gradients and lambda * sum|W| to
-the recorded total loss.
+called once per forward() and writes each gradient into the layer's
+existing grads array, so a ParameterBuffer can gather every parameter and
+gradient of a model into one contiguous array each.  The L1 penalty applies
+to dense weights only, contributing lambda * sign(W) to their gradients and
+lambda * sum|W| to the recorded total loss.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +20,32 @@ from .errors import ConfigError, NumericError, ValidationError
 
 BCE_EPS = 1e-7
 
+# elements per block of the in-place elementwise loops (256 KiB of float64)
+CHUNK = 32_768
+
+
+def _blocks(size: int):
+    for start in range(0, size, CHUNK):
+        yield slice(start, min(start + CHUNK, size))
+
+
+def _add_l1_subgradient(grad: np.ndarray, W: np.ndarray, lam: float):
+    """grad += lam * sign(W), one block at a time, with no W-sized temporary."""
+    g, w = grad.reshape(-1), W.reshape(-1)
+    scratch = np.empty(min(CHUNK, w.size))
+    for s in _blocks(w.size):
+        step = scratch[: s.stop - s.start]
+        np.sign(w[s], out=step)
+        step *= lam
+        g[s] += step
+
 
 class Layer:
-    """Base layer: subclasses fill params/grads dicts keyed by tensor name."""
+    """Base layer: subclasses fill params/grads dicts keyed by tensor name.
+
+    A layer with parameters allocates a zeroed gradient array for each, and
+    backward() overwrites it in place.
+    """
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -40,12 +66,13 @@ class Dense(Layer):
         super().__init__()
         if n_in < 1 or n_out < 1:
             raise ConfigError("dense layer sizes must be >= 1")
-        if l1_lambda < 0:
-            raise ConfigError("l1_lambda must be >= 0")
+        if not (math.isfinite(l1_lambda) and l1_lambda >= 0):
+            raise ConfigError(f"l1_lambda must be finite and >= 0, got {l1_lambda}")
         rng = rng or np.random.default_rng(0)
         limit = np.sqrt(1.0 / n_in)
         self.params["W"] = rng.uniform(-limit, limit, (n_in, n_out))
         self.params["b"] = np.zeros(n_out)
+        self.grads = {name: np.zeros_like(p) for name, p in self.params.items()}
         self.l1_lambda = l1_lambda
         self._x = None
 
@@ -59,12 +86,11 @@ class Dense(Layer):
         return x @ self.params["W"] + self.params["b"]
 
     def backward(self, grad):
-        W = self.params["W"]
-        dW = self._x.T @ grad
+        W, dW = self.params["W"], self.grads["W"]
+        np.matmul(self._x.T, grad, out=dW)
         if self.l1_lambda:
-            dW = dW + self.l1_lambda * np.sign(W)
-        self.grads["W"] = dW
-        self.grads["b"] = grad.sum(axis=0)
+            _add_l1_subgradient(dW, W, self.l1_lambda)
+        np.sum(grad, axis=0, out=self.grads["b"])
         return grad @ W.T
 
     def penalty(self) -> float:
@@ -86,6 +112,7 @@ class Conv1D(Layer):
         limit = np.sqrt(1.0 / (in_channels * kernel))
         self.params["W"] = rng.uniform(-limit, limit, (kernel, in_channels, filters))
         self.params["b"] = np.zeros(filters)
+        self.grads = {name: np.zeros_like(p) for name, p in self.params.items()}
         self._cols = None
 
     def forward(self, x, train=False, rng=None):
@@ -104,8 +131,8 @@ class Conv1D(Layer):
     def backward(self, grad):
         k = self.params["W"].shape[0]
         pad = k // 2
-        self.grads["W"] = np.einsum("blkc,blf->kcf", self._cols, grad)
-        self.grads["b"] = grad.sum(axis=(0, 1))
+        np.einsum("blkc,blf->kcf", self._cols, grad, out=self.grads["W"])
+        np.sum(grad, axis=(0, 1), out=self.grads["b"])
         dcols = np.einsum("blf,kcf->blkc", grad, self.params["W"])
         batch, length = grad.shape[0], grad.shape[1]
         dxp = np.zeros((batch, length + 2 * pad, dcols.shape[3]))
@@ -237,6 +264,37 @@ def kl_loss(mean: np.ndarray, logvar: np.ndarray):
     return loss, dmean, dlogvar
 
 
+class ParameterBuffer:
+    """Named layer tensors moved into one contiguous float64 array.
+
+    Every parameter, and its gradient, becomes a view into `values` (and
+    `grads`), in the order the slots are given; the layers keep using their
+    params and grads dicts, so the optimizer and whole-model weight copies
+    each work on a single array.
+    """
+
+    def __init__(self, slots):
+        slots = list(slots)  # (name, layer, key)
+        self.shapes = {name: layer.params[key].shape for name, layer, key in slots}
+        total = sum(math.prod(shape) for shape in self.shapes.values())
+        self.values = np.empty(total)
+        self.grads = np.zeros(total)
+        values, grads = self.views(self.values), self.views(self.grads)
+        for name, layer, key in slots:
+            values[name][...] = layer.params[key]
+            layer.params[key] = values[name]
+            layer.grads[key] = grads[name]
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor's view into flat, a buffer laid out like `values`."""
+        out, offset = {}, 0
+        for name, shape in self.shapes.items():
+            size = math.prod(shape)
+            out[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        return out
+
+
 @dataclass
 class AdamConfig:
     learning_rate: float = 0.001
@@ -244,37 +302,67 @@ class AdamConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
 
+    def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+
 
 class Adam:
-    """Bias-corrected Adam over a fixed ordered list of parameter arrays."""
+    """Bias-corrected Adam (Kingma & Ba, 2015) over one flat parameter array.
 
-    def __init__(self, params: list[np.ndarray], config: AdamConfig | None = None):
+    step() updates the array in place, CHUNK elements at a time through two
+    chunk-sized scratch arrays, so it allocates nothing.  Per element it
+    computes m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t) and
+    p -= (lr * m_hat) / (sqrt(v_hat) + eps), in that order.
+    """
+
+    def __init__(self, params: np.ndarray, config: AdamConfig | None = None):
+        flat = params.ndim == 1 and params.flags.c_contiguous
+        if not flat or params.dtype != np.float64:
+            raise ValidationError("Adam needs a contiguous 1-D float64 parameter array")
         self.config = config or AdamConfig()
         self.params = params
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = np.empty((2, min(CHUNK, params.size)))
         self.step_count = 0
 
-    def step(self, grads: list[np.ndarray]):
-        if len(grads) != len(self.params):
+    def step(self, grads: np.ndarray):
+        if grads.shape != self.params.shape:
             raise ValidationError(
-                f"expected {len(self.params)} gradients, got {len(grads)}"
+                f"gradient shape {grads.shape} does not match "
+                f"parameters {self.params.shape}"
             )
         cfg = self.config
         self.step_count += 1
         t = self.step_count
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            if g.shape != p.shape:
-                raise ValidationError(
-                    f"gradient shape {g.shape} does not match parameter {p.shape}"
-                )
+        bias1 = 1 - cfg.beta1**t
+        bias2 = 1 - cfg.beta2**t
+        for s in _blocks(self.params.size):
+            p, g, m, v = self.params[s], grads[s], self.m[s], self.v[s]
+            a, b = self._scratch[:, : s.stop - s.start]
             m *= cfg.beta1
-            m += (1 - cfg.beta1) * g
+            np.multiply(g, 1 - cfg.beta1, out=a)
+            m += a
             v *= cfg.beta2
-            v += (1 - cfg.beta2) * g * g
-            m_hat = m / (1 - cfg.beta1**t)
-            v_hat = v / (1 - cfg.beta2**t)
-            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            np.multiply(g, 1 - cfg.beta2, out=a)
+            a *= g
+            v += a
+            np.divide(m, bias1, out=a)
+            a *= cfg.learning_rate
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += cfg.epsilon
+            a /= b
+            p -= a
 
 
 @dataclass
@@ -292,15 +380,18 @@ def grad_check(loss_fn, named_params, h: float = 1e-5) -> GradCheckReport:
 
     loss_fn() must recompute the loss and return (loss, grads) where grads
     maps each name in named_params to the analytic gradient array.  The
-    relative error denominator is floored at 1e-3 so near-zero gradients
-    are compared absolutely.
+    analytic gradients are copied before any parameter is perturbed, since
+    loss_fn may return arrays it overwrites on its next call.  The relative
+    error denominator is floored at 1e-3 so near-zero gradients are compared
+    absolutely.
     """
     _, grads = loss_fn()
+    analytic_grads = {name: np.array(grads[name], dtype=float) for name in named_params}
     worst = 0.0
     worst_name = ""
     n = 0
     for name, arr in named_params.items():
-        analytic = grads[name]
+        analytic = analytic_grads[name]
         flat = arr.ravel()
         for i in range(flat.size):
             orig = flat[i]

@@ -180,6 +180,7 @@ class DesignRun:
             )
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        _vae_config(self, "vae-positive")  # rejects bad training settings up front
 
 
 # DesignRun fields the manifest leaves out: the inputs are recorded by
@@ -271,30 +272,36 @@ def run_design(run: DesignRun) -> DesignReport:
         pos_corpus = prepare(positives, "positive")
         neg_corpus = prepare(negatives, "negative") if avoidance else None
 
-    with _stage("train-positive"):
-        pos_model = vae.SequenceVae(_vae_config(run, "vae-positive"))
-        pos_data = encode_batch(pos_corpus.peptides(), run.max_len)
-        outcome_pos = vae.train_la(
-            pos_model, pos_data, generation_mode=run.generation_mode, tau=run.tau
-        )
-    outcome_neg = None
-    if avoidance:
-        with _stage("train-negative"):
-            neg_model = vae.SequenceVae(_vae_config(run, "vae-negative"))
-            neg_data = encode_batch(neg_corpus.peptides(), run.max_len)
-            outcome_neg = vae.train_la(
-                neg_model, neg_data, generation_mode=run.generation_mode, tau=run.tau
+    # the loss history is written even when training or generation fails
+    trained = {}
+    try:
+        with _stage("train-positive"):
+            pos_model = vae.SequenceVae(_vae_config(run, "vae-positive"))
+            trained["positive"] = pos_model
+            pos_data = encode_batch(pos_corpus.peptides(), run.max_len)
+            outcome_pos = vae.train_la(
+                pos_model, pos_data, generation_mode=run.generation_mode, tau=run.tau
             )
-    _write_tsv(
-        out("loss_history.tsv"),
-        ("model", "epoch", "loss_tol", "loss_rec", "loss_kl", "l1_penalty"),
-        [
-            (tag, epoch, r.loss_tol, r.loss_rec, r.loss_kl, r.l1_penalty)
-            for tag, outcome in (("positive", outcome_pos), ("negative", outcome_neg))
-            if outcome is not None
-            for epoch, r in enumerate(outcome.history, start=1)
-        ],
-    )
+        outcome_neg = None
+        if avoidance:
+            with _stage("train-negative"):
+                neg_model = vae.SequenceVae(_vae_config(run, "vae-negative"))
+                trained["negative"] = neg_model
+                neg_data = encode_batch(neg_corpus.peptides(), run.max_len)
+                outcome_neg = vae.train_la(
+                    neg_model, neg_data, generation_mode=run.generation_mode, tau=run.tau
+                )
+    finally:
+        if trained:
+            _write_tsv(
+                out("loss_history.tsv"),
+                ("model", "epoch", "loss_tol", "loss_rec", "loss_kl", "l1_penalty"),
+                [
+                    (tag, epoch, r.loss_tol, r.loss_rec, r.loss_kl, r.l1_penalty)
+                    for tag, model in trained.items()
+                    for epoch, r in enumerate(model.history, start=1)
+                ],
+            )
 
     candidates = outcome_pos.generated
     with _stage("latent-projection"):

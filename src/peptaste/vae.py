@@ -55,6 +55,11 @@ class VaeConfig:
             raise ConfigError("dropout_rate must be in [0, 1)")
         if self.batch_size < 1 or self.generation_count < 1:
             raise ConfigError("batch_size and generation_count must be >= 1")
+        if not (math.isfinite(self.l1_lambda) and self.l1_lambda >= 0):
+            raise ConfigError(
+                f"l1_lambda must be finite and >= 0, got {self.l1_lambda}"
+            )
+        nn.AdamConfig(learning_rate=self.learning_rate)  # checks the learning rate
 
     @property
     def extension(self) -> int:
@@ -188,9 +193,11 @@ class SequenceVae:
                 nn.Sigmoid(),
             ]
         )
+        self.buffer = nn.ParameterBuffer(
+            (name, layer, key) for name, layer, key, _ in self._registry()
+        )
         self.optimizer = nn.Adam(
-            [arr for _, _, _, arr in self._registry()],
-            nn.AdamConfig(learning_rate=c.learning_rate),
+            self.buffer.values, nn.AdamConfig(learning_rate=c.learning_rate)
         )
         self.history: list[LossRecord] = []
         self.snapshot: dict | None = None
@@ -206,17 +213,19 @@ class SequenceVae:
         yield from self.decoder.named_params("dec.")
 
     def named_params(self) -> dict[str, np.ndarray]:
-        return {name: arr for name, _, _, arr in self._registry()}
+        return self.buffer.views(self.buffer.values)
 
     def parameter_count(self) -> int:
-        return sum(arr.size for arr in self.named_params().values())
+        return self.buffer.values.size
 
     def copy_weights(self) -> dict[str, np.ndarray]:
-        return {name: arr.copy() for name, arr in self.named_params().items()}
+        """Views, by parameter name, into one copy of the parameter buffer."""
+        return self.buffer.views(self.buffer.values.copy())
 
     def load_weights(self, weights: dict[str, np.ndarray]):
-        for name, _, _, arr in self._registry():
-            arr[...] = weights[name]
+        np.concatenate(
+            [weights[name].ravel() for name in self.buffer.shapes], out=self.buffer.values
+        )
 
     def l1_penalty(self) -> float:
         return (
@@ -254,6 +263,9 @@ class SequenceVae:
     def loss_and_grads(self, x: np.ndarray, eps: np.ndarray, rng=None):
         """Full training loss (reconstruction + KL + L1) and its gradients.
 
+        The gradients are views into the model's gradient buffer, which the
+        next call overwrites.
+
         eps is the reparameterization noise; rng seeds the dropout masks
         (eval-mode dropout when omitted).  Passing both explicitly makes
         the computation a deterministic function of the parameters, which
@@ -278,14 +290,13 @@ class SequenceVae:
         self.trunk.backward(dh)
 
         record = LossRecord(rec + kl + l1, rec, kl, l1)
-        grads = {name: layer.grads[key] for name, layer, key, _ in self._registry()}
-        return record, grads
+        return record, self.buffer.views(self.buffer.grads)
 
     def train_step(self, x: np.ndarray, rng) -> LossRecord:
         """One Adam update on a batch; returns that batch's loss record."""
         eps = rng.standard_normal((x.shape[0], self.config.latent_dim))
-        record, grads = self.loss_and_grads(x, eps, rng=rng)
-        self.optimizer.step([grads[name] for name in grads])
+        record, _ = self.loss_and_grads(x, eps, rng=rng)
+        self.optimizer.step(self.buffer.grads)
         return record
 
     # --- generation --------------------------------------------------------

@@ -7,6 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peptaste import latent
 from peptaste.errors import DataError
 from peptaste.latent import (
     knn_mean_dist,
@@ -71,6 +72,138 @@ class TestPca2:
     def test_too_few_points(self):
         with pytest.raises(DataError):
             pca2(np.zeros((2, 3)))
+
+
+def covariance_pca2(points):
+    """pca2 from the d x d covariance alone: the method pca2 uses when there
+    are at least as many points as dimensions, kept here as the reference
+    for its Gram-matrix route."""
+    pts = np.asarray(points, dtype=float)
+    mean = pts.mean(axis=0)
+    centered = pts - mean
+    cov = centered.T @ centered / (pts.shape[0] - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.maximum(eigvals[order], 0.0)
+    axes = eigvecs[:, order[:2]].T.copy()
+    for row in axes:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    tol = max(eigvals[0], 1.0) * 1e-12
+    deficient = bool(np.sum(eigvals > tol) < 2)
+    return latent.ProjectedSpace(mean, axes, (float(eigvals[0]), float(eigvals[1])), deficient)
+
+
+def spectral_cloud(seed, n, d, sigmas, scale, offset):
+    """n points in d dimensions whose centred matrix has the singular values
+    sigmas (times scale) along random orthonormal directions."""
+    rng = np.random.default_rng(seed)
+    r = len(sigmas)
+    left = rng.normal(size=(n, r))
+    left -= left.mean(axis=0)  # columns orthogonal to the ones vector
+    left, _ = np.linalg.qr(left)
+    right, _ = np.linalg.qr(rng.normal(size=(d, r)))
+    centered = (left * (scale * np.asarray(sigmas))) @ right.T
+    return centered + offset * rng.normal(size=d)
+
+
+def same_up_to_sign(a, b):
+    return min(np.abs(a - b).max(), np.abs(a + b).max())
+
+
+def assert_orthonormal_and_finite(space):
+    assert np.isfinite(space.axes).all()
+    assert np.isfinite(space.variances).all()
+    assert np.abs(space.axes @ space.axes.T - np.eye(2)).max() < 1e-12
+
+
+class TestGramPca2:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 24),
+        extra=st.integers(1, 40),
+        rank=st.integers(1, 6),
+        gaps=st.lists(st.floats(1.2, 3.0), min_size=2, max_size=2),
+        scale=st.floats(1e-2, 1e2),
+        offset=st.sampled_from([0.0, 1.0, 100.0]),
+    )
+    def test_matches_covariance_path(self, seed, n, extra, rank, gaps, scale, offset):
+        # oracle: with fewer points than dimensions, the Gram route gives the
+        # covariance route's axes and variances and the same flag
+        d = n + extra
+        rank = min(rank, n - 1)
+        rng = np.random.default_rng(seed)
+        top = [1.0, 1.0 / gaps[0], 1.0 / (gaps[0] * gaps[1])][:rank]
+        tail = list(rng.uniform(0.0, top[-1] / 1.2, size=rank - len(top)))
+        pts = spectral_cloud(seed, n, d, top + tail, scale, offset)
+        got, want = pca2(pts), covariance_pca2(pts)
+        assert got.rank_deficient == want.rank_deficient
+        assert got.rank_deficient == (rank < 2)
+        assert got.variances[0] == pytest.approx(want.variances[0], rel=1e-12)
+        assert same_up_to_sign(got.axes[0], want.axes[0]) < 1e-9
+        if rank >= 2:
+            assert got.variances[1] == pytest.approx(want.variances[1], rel=1e-12)
+            assert same_up_to_sign(got.axes[1], want.axes[1]) < 1e-9
+        else:
+            assert abs(got.variances[1] - want.variances[1]) <= 1e-12 * want.variances[0]
+        assert_orthonormal_and_finite(got)
+        for row in got.axes:
+            assert row[np.argmax(np.abs(row))] > 0
+
+    def test_rank_one_cloud(self):
+        rng = np.random.default_rng(5)
+        pts = np.outer(rng.normal(size=30), rng.normal(size=200)) + 3.0
+        space = pca2(pts)
+        assert space.rank_deficient
+        assert_orthonormal_and_finite(space)
+
+    def test_points_on_a_coordinate_line(self):
+        # the second mapped vector is exactly parallel to the first axis, so
+        # a coordinate vector stands in for it
+        pts = np.zeros((4, 6))
+        pts[:, 0] = np.arange(4.0)
+        space = pca2(pts)
+        assert space.rank_deficient
+        assert space.variances[0] == pytest.approx(5.0 / 3.0, rel=1e-12)
+        assert np.array_equal(space.axes[0], np.eye(6)[0])
+        assert_orthonormal_and_finite(space)
+
+    def test_identical_points(self):
+        # every centred point is exactly zero: the covariance route answers
+        pts = np.tile(np.arange(40.0) - 7.0, (6, 1))
+        space = pca2(pts)
+        assert space.rank_deficient
+        assert space.variances == (0.0, 0.0)
+        assert_orthonormal_and_finite(space)
+
+    def test_collapsed_encoder_means(self):
+        # like the latent means of a collapsed VAE: one point plus noise of
+        # 1e-17, whose Gram spectrum is rounding noise
+        rng = np.random.default_rng(6)
+        pts = 1e-3 * rng.normal(size=300) + 1e-17 * rng.normal(size=(60, 300))
+        space = pca2(pts)
+        assert space.rank_deficient
+        assert_orthonormal_and_finite(space)
+        assert space.project(pts).shape == (60, 2)
+
+    @pytest.mark.parametrize("noise", [1e-17, 1.0])
+    def test_eigh_sees_at_most_the_gram_matrix(self, monkeypatch, noise):
+        # perf guard: 240 encoder means of width 2000 never reach a d x d
+        # eigendecomposition
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=2000) + noise * rng.normal(size=(240, 2000))
+        pca2(pts)
+        assert shapes and max(max(s) for s in shapes) <= 240
+
 
 
 class TestKnn:

@@ -122,34 +122,75 @@ class TestLosses:
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        p = [np.array([1.0, -2.0])]
+        p = np.array([1.0, -2.0])
         opt = nn.Adam(p)
-        opt.step([np.zeros(2)])
-        assert np.array_equal(p[0], [1.0, -2.0])
+        opt.step(np.zeros(2))
+        assert np.array_equal(p, [1.0, -2.0])
 
     def test_first_step_magnitude(self):
         # oracle: hand evaluation of the bias-corrected recurrence
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         opt = nn.Adam(p)
-        opt.step([np.array([1.0])])
-        assert p[0][0] == pytest.approx(-0.001, abs=1e-8)
+        opt.step(np.array([1.0]))
+        assert p[0] == pytest.approx(-0.001, abs=1e-8)
 
     def test_deterministic_runs(self):
         def run():
             rng = np.random.default_rng(6)
-            p = [rng.random((3, 3))]
+            p = rng.random(9)
             opt = nn.Adam(p)
             for _ in range(100):
-                opt.step([rng.random((3, 3)) - 0.5])
-            return p[0]
+                opt.step(rng.random(9) - 0.5)
+            return p
 
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        opt = nn.Adam([np.zeros(2)])
+        opt = nn.Adam(np.zeros(2))
         with pytest.raises(ValidationError):
-            opt.step([np.zeros(3)])
+            opt.step(np.zeros(3))
 
+    def test_chunked_update_matches_whole_array_update(self):
+        # oracle: one whole-array pass in the same operation order, over a
+        # buffer that spans several chunks and ends in a partial one
+        rng = np.random.default_rng(9)
+        size = 2 * nn.CHUNK + 123
+        p = rng.normal(size=size)
+        ref = p.copy()
+        m, v = np.zeros(size), np.zeros(size)
+        opt = nn.Adam(p)
+        cfg = opt.config
+        for t in range(1, 6):
+            g = rng.normal(size=size)
+            opt.step(g)
+            m = cfg.beta1 * m + (1 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+            m_hat = m / (1 - cfg.beta1**t)
+            v_hat = v / (1 - cfg.beta2**t)
+            ref -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        assert np.array_equal(p, ref)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", -0.001),
+            ("learning_rate", 0.0),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("beta1", 1.0),
+            ("beta1", -0.1),
+            ("beta2", float("nan")),
+            ("epsilon", 0.0),
+            ("epsilon", float("nan")),
+        ],
+    )
+    def test_invalid_config_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            nn.AdamConfig(**{field: value})
+
+    def test_non_flat_parameters_rejected(self):
+        with pytest.raises(ValidationError):
+            nn.Adam(np.zeros((2, 2)))
 
 class TestGradCheck:
     def test_dense_bce_gradients(self):
@@ -171,6 +212,32 @@ class TestGradCheck:
             loss_fn, {"W": layer.params["W"], "b": layer.params["b"]}
         )
         assert report.ok(1e-6)
+
+    def test_reused_gradient_buffer(self):
+        # loss_fn overwrites one gradient array on every call, as a model's
+        # gradient buffer does; the check must keep the unperturbed gradient
+        w = np.array([0.3, -1.2, 2.0])
+        buf = np.empty(3)
+
+        def loss_fn():
+            np.multiply(3.0, w**2, out=buf)
+            return float((w**3).sum()), {"w": buf}
+
+        assert nn.grad_check(loss_fn, {"w": w}).ok(1e-6)
+
+    def test_in_place_l1_gradient_matches_allocating_form(self):
+        # oracle: x.T @ grad + lambda * sign(W) with temporaries, on a weight
+        # matrix larger than one chunk and with exact zeros in it
+        rng = np.random.default_rng(10)
+        layer = nn.Dense(300, 130, l1_lambda=0.01, rng=rng)
+        layer.params["W"][::7] = 0.0
+        x = rng.normal(size=(4, 300))
+        grad = rng.normal(size=(4, 130))
+        layer.forward(x)
+        layer.backward(grad)
+        expected = x.T @ grad + 0.01 * np.sign(layer.params["W"])
+        assert np.array_equal(layer.grads["W"], expected)
+        assert np.array_equal(layer.grads["b"], grad.sum(axis=0))
 
     def test_l1_subgradient_signs(self):
         layer = nn.Dense(2, 2, l1_lambda=0.5)

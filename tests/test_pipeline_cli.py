@@ -7,10 +7,10 @@ import shutil
 import numpy as np
 import pytest
 
-from peptaste import pipeline
+from peptaste import pipeline, vae
 from peptaste.cli import build_parser, design_run, main, toxtrain_options
 from peptaste.descriptors import encode_matrix
-from peptaste.errors import DataError, ParseError
+from peptaste.errors import DataError, NumericError, ParseError, TrainingDiverged
 from peptaste.pipeline import (
     CANDIDATE_COLUMNS,
     DesignRun,
@@ -234,6 +234,42 @@ class TestDesignPipeline:
         )
         with pytest.raises(DataError, match="11111"):
             run_design(run)
+
+    def test_failed_generation_keeps_loss_history(
+        self, toy_corpus_path, small_tox_model, tmp_path, monkeypatch, capsys
+    ):
+        def reject(self, n, **kwargs):
+            raise NumericError("generation rejected too many samples")
+
+        monkeypatch.setattr(vae.SequenceVae, "generate", reject)
+        out = tmp_path / "genfail"
+        argv = ["design", "--pattern", "x1xxx", "--corpus", toy_corpus_path]
+        argv += ["--tox-model", small_tox_model[0], "--out", str(out), "--seed", "1"]
+        argv += ["--epochs", "4", "--latent-dim", "8", "--hidden-units", "8"]
+        assert main(argv + ["--candidates", "4"]) == 4
+        assert "generation rejected" in capsys.readouterr().err
+        history = parse_tsv(out / "loss_history.tsv")
+        assert {row["model"] for row in history} == {"positive"}
+        epochs = [int(row["epoch"]) for row in history]
+        assert len(epochs) >= 3 and epochs == list(range(1, len(epochs) + 1))
+        assert not (out / "run_manifest.json").exists()
+        assert not (out / "latent_coords.tsv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_training_keeps_loss_history(
+        self, toy_corpus_path, small_tox_model, tmp_path
+    ):
+        # one batch per epoch: epoch 1 records cleanly, then the exploded
+        # weights overflow
+        out = tmp_path / "diverged"
+        run = toy_design_run(
+            toy_corpus_path, small_tox_model[0], out, learning_rate=1e30, batch_size=1000
+        )
+        with pytest.raises(TrainingDiverged) as err:
+            run_design(run)
+        history = parse_tsv(out / "loss_history.tsv")
+        assert len(history) == len(err.value.history) >= 1
+        assert not (out / "run_manifest.json").exists()
 
     def test_full_latent_distance_space_and_jitter(
         self, toy_corpus_path, small_tox_model, tmp_path
@@ -640,6 +676,26 @@ class TestCli:
         )
         assert code == 2
         assert "requests nothing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--learning-rate", "-0.001"),
+            ("--learning-rate", "0"),
+            ("--learning-rate", "nan"),
+            ("--l1-lambda", "nan"),
+            ("--l1-lambda", "-1"),
+        ],
+    )
+    def test_invalid_optimizer_setting_exits_before_training(
+        self, toy_corpus_path, small_tox_model, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "bad"
+        argv = ["design", "--pattern", "x1xxx", "--corpus", toy_corpus_path]
+        argv += ["--tox-model", small_tox_model[0], "--out", str(out)]
+        assert main(argv + [flag, value]) == 2
+        assert flag.removeprefix("--").replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")

@@ -50,6 +50,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             VaeConfig(max_len=6, extension_epochs=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", -0.001),
+            ("learning_rate", 0.0),
+            ("learning_rate", float("nan")),
+            ("l1_lambda", -0.01),
+            ("l1_lambda", float("nan")),
+            ("l1_lambda", float("inf")),
+        ],
+    )
+    def test_optimizer_settings_validated(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            VaeConfig(max_len=6, **{field: value})
+
     def test_extension_default_is_fifth_of_epochs(self):
         assert VaeConfig(max_len=6, epochs=500).extension == 100
         assert VaeConfig(max_len=6, epochs=13).extension == 3

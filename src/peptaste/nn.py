@@ -226,10 +226,11 @@ class Stack:
     def penalty(self) -> float:
         return sum(layer.penalty() for layer in self.layers)
 
-    def named_params(self, prefix=""):
+    def param_slots(self, prefix=""):
+        """(name, layer, key) for every parameter, in layer order."""
         for i, layer in enumerate(self.layers):
-            for name, arr in layer.params.items():
-                yield f"{prefix}{i}.{type(layer).__name__}.{name}", layer, name, arr
+            for key in layer.params:
+                yield f"{prefix}{i}.{type(layer).__name__}.{key}", layer, key
 
 
 def bce_loss(pred: np.ndarray, target: np.ndarray):

@@ -193,9 +193,7 @@ class SequenceVae:
                 nn.Sigmoid(),
             ]
         )
-        self.buffer = nn.ParameterBuffer(
-            (name, layer, key) for name, layer, key, _ in self._registry()
-        )
+        self.buffer = nn.ParameterBuffer(self._registry())
         self.optimizer = nn.Adam(
             self.buffer.values, nn.AdamConfig(learning_rate=c.learning_rate)
         )
@@ -205,12 +203,12 @@ class SequenceVae:
     # --- parameter bookkeeping -------------------------------------------
 
     def _registry(self):
-        yield from self.trunk.named_params("enc.")
-        for name, arr in self.head_mean.params.items():
-            yield f"mean.{name}", self.head_mean, name, arr
-        for name, arr in self.head_logvar.params.items():
-            yield f"logvar.{name}", self.head_logvar, name, arr
-        yield from self.decoder.named_params("dec.")
+        yield from self.trunk.param_slots("enc.")
+        for key in self.head_mean.params:
+            yield f"mean.{key}", self.head_mean, key
+        for key in self.head_logvar.params:
+            yield f"logvar.{key}", self.head_logvar, key
+        yield from self.decoder.param_slots("dec.")
 
     def named_params(self) -> dict[str, np.ndarray]:
         return self.buffer.views(self.buffer.values)

@@ -29,17 +29,6 @@ def _blocks(size: int):
         yield slice(start, min(start + CHUNK, size))
 
 
-def _add_l1_subgradient(grad: np.ndarray, W: np.ndarray, lam: float):
-    """grad += lam * sign(W), one block at a time, with no W-sized temporary."""
-    g, w = grad.reshape(-1), W.reshape(-1)
-    scratch = np.empty(min(CHUNK, w.size))
-    for s in _blocks(w.size):
-        step = scratch[: s.stop - s.start]
-        np.sign(w[s], out=step)
-        step *= lam
-        g[s] += step
-
-
 class Layer:
     """Base layer: subclasses fill params/grads dicts keyed by tensor name.
 
@@ -66,8 +55,8 @@ class Dense(Layer):
         super().__init__()
         if n_in < 1 or n_out < 1:
             raise ConfigError("dense layer sizes must be >= 1")
-        if not (math.isfinite(l1_lambda) and l1_lambda >= 0):
-            raise ConfigError(f"l1_lambda must be finite and >= 0, got {l1_lambda}")
+        if l1_lambda < 0:
+            raise ConfigError("l1_lambda must be >= 0")
         rng = rng or np.random.default_rng(0)
         limit = np.sqrt(1.0 / n_in)
         self.params["W"] = rng.uniform(-limit, limit, (n_in, n_out))
@@ -89,7 +78,7 @@ class Dense(Layer):
         W, dW = self.params["W"], self.grads["W"]
         np.matmul(self._x.T, grad, out=dW)
         if self.l1_lambda:
-            _add_l1_subgradient(dW, W, self.l1_lambda)
+            dW += self.l1_lambda * np.sign(W)
         np.sum(grad, axis=0, out=self.grads["b"])
         return grad @ W.T
 

@@ -12,6 +12,7 @@ are deterministic and independent of scheduling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,10 +48,11 @@ class ClassifierSpec:
                 raise ConfigError(f"{field_name} must be >= 1")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be >= 0")
+        lr = self.learning_rate
+        if lr is not None and not (math.isfinite(lr) and lr > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {lr}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
 
 
 # named presets: the boosted-tree learner carries two hyperparameter
@@ -115,75 +117,111 @@ class _Tree:
         return cls(*(state[name] for name in cls.__slots__))
 
 
-def _grow_tree(X, max_depth, visit) -> _Tree:
-    """Depth-first growth shared by every tree learner.
+def _grow_trees(X, stats, roots, max_depth, visits, cost_of) -> list[_Tree]:
+    """Depth-first growth shared by every tree learner, of many trees in
+    lockstep.
 
-    visit(idx, may_split) gives a node's value and, when may_split is true,
-    its best (cost, feature, threshold) or None.  Rows with
+    Tree t grows from rows roots[t] of X; stats holds the statistics of
+    X's rows (s x rows) that its splits sum.  visits[t](idx, may_split)
+    gives a node's value and, when may_split is true, either None or the
+    node's split search as (feat_ids, param, rng) for _best_splits.  Each
+    step visits every unfinished tree's nodes up to its next search; one
+    _best_splits call then scores every search of the step.  Rows with
     X[:, feature] <= threshold go left.
     """
-    feature, threshold, left, right, value = [], [], [], [], []
-    # (rows, depth, parent's child list, parent); popping the left child
-    # first numbers the nodes, and makes the visits, in depth-first order
-    stack = [(np.arange(X.shape[0]), 0, None, -1)]
-    while stack:
-        idx, depth, children, parent = stack.pop()
-        node = len(feature)
-        if children is not None:
-            children[parent] = node
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        v, split = visit(idx, depth < max_depth and len(idx) >= 2)
-        value.append(float(v))
-        if split is None:
-            continue
-        _, f, thr = split
-        mask = X[idx, f] <= thr
-        if np.count_nonzero(mask) in (0, len(idx)):
-            continue
-        feature[node] = int(f)
-        threshold[node] = float(thr)
-        stack.append((idx[~mask], depth + 1, right, node))
-        stack.append((idx[mask], depth + 1, left, node))
-    return _Tree(feature, threshold, left, right, value)
+    grown = [([], [], [], [], []) for _ in roots]
+    # per tree: (rows, depth, parent's child list, parent); popping the left
+    # child first numbers the nodes, and makes the visits, in depth-first order
+    stacks = [[(root, 0, None, -1)] for root in roots]
+    active = list(range(len(roots)))
+    while active:
+        visited, searches = [], []
+        for t in active:
+            stack = stacks[t]
+            feature, threshold, left, right, value = grown[t]
+            while stack:
+                idx, depth, children, parent = stack.pop()
+                node = len(feature)
+                if children is not None:
+                    children[parent] = node
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                v, search = visits[t](idx, depth < max_depth and len(idx) >= 2)
+                value.append(float(v))
+                if search is not None:
+                    visited.append((t, idx, depth, node))
+                    searches.append((idx, *search))
+                    break
+        splits = _best_splits(X, stats, searches, cost_of) if searches else []
+        for (t, idx, depth, node), split in zip(visited, splits):
+            if split is None:
+                continue
+            _, f, thr = split
+            mask = X[idx, f] <= thr
+            if np.count_nonzero(mask) in (0, len(idx)):
+                continue
+            feature, threshold, left, right, _ = grown[t]
+            feature[node] = int(f)
+            threshold[node] = float(thr)
+            stacks[t].append((idx[~mask], depth + 1, right, node))
+            stacks[t].append((idx[mask], depth + 1, left, node))
+        active = [t for t in active if stacks[t]]
+    return [_Tree(*arrays) for arrays in grown]
 
 
-# cells (rows x columns) scored at once: bounds the scorer's temporaries
-# to a few MB however many rows and features a node has
+# cells (nodes x columns x padded rows) scored at once: bounds the scorer's
+# temporaries to a few MB however many nodes, rows and features a step has
 _SPLIT_BLOCK = 1 << 16
+# cells the scorer handles in the time one more call costs (about 100 us
+# per call and 100 ns per cell on a 2-core Xeon VM): a node whose padding
+# would cost more cells than this starts a new chunk
+_CALL_CELLS = 1 << 10
 
 
-def _best_split(X, idx, feat_ids, stats, cost, rng=None):
-    """Best (cost, feature, threshold) of one node; None when no column splits.
+def _best_splits(X, stats, nodes, cost_of):
+    """Best (cost, feature, threshold) of each node; None where no column
+    splits.
 
-    The node holds rows idx of X; its candidate columns are feat_ids and
-    stats holds its per-row statistics (rows x s).  cost maps the sums of
-    those statistics left and right of every candidate split (candidates x
-    columns x s) to the quantity to minimize.  Every boundary between
-    distinct sorted values is a candidate; with rng set (extremely
-    randomized mode) each non-constant column instead gets one uniform
-    threshold, drawn in column order.  A later column wins only when lower
-    by more than 1e-15.
+    stats holds the statistics of X's rows (s x rows).  Node k is
+    (idx, feat_ids, param, rng): it holds rows idx of X, its candidate
+    columns are feat_ids, the same number for every node, and param is a
+    number its cost depends on.  cost_of(params) gives the cost of nodes
+    with those params (nodes x 1 x 1): it maps the sums of the statistics
+    left and right of every candidate split (s x nodes x columns x
+    candidates) to the quantity to minimize.  Every boundary between distinct
+    sorted values is a candidate; with rng set (extremely randomized mode)
+    each non-constant column instead gets one uniform threshold, drawn
+    from rng in column order.  A later column wins only when lower by more
+    than 1e-15.
     """
-    m = len(idx)
-    best = None
-    width = max(1, _SPLIT_BLOCK // m)
-    for start in range(0, len(feat_ids), width):
-        ids = feat_ids[start : start + width]
-        block = X[idx[:, None], ids]
+    best = [None] * len(nodes)
+
+    def walk(ks, features, splits, scores, threshold):
+        # node ks[i]'s columns in order (the arrays are nodes x columns);
+        # threshold(i, j) is that of column j's winner in node ks[i]
+        rows = zip(features.tolist(), splits.tolist(), scores.tolist())
+        for i, (k, row) in enumerate(zip(ks, rows)):
+            b, won = best[k], None
+            for j, (f, ok, score) in enumerate(zip(*row)):
+                if ok and (b is None or score < b[0] - 1e-15):
+                    b, won = (score, f), j
+            if won is not None:
+                best[k] = (*b, threshold(i, won))
+
+    sorting = []
+    for k, (idx, feat_ids, param, rng) in enumerate(nodes):
         if rng is None:
-            # a stable sort per column and numpy's sequential cumsum give
-            # the same bits as sorting and summing one column at a time
-            order = block.argsort(axis=0, kind="stable")
-            xs = block[order, np.arange(len(ids))]
-            sums = stats[order].cumsum(axis=0)
-            cols, rows, scores = _column_winners(
-                cost, sums[:-1], sums[-1] - sums[:-1], xs[:-1] < xs[1:]
-            )
-            thresholds = 0.5 * (xs[rows, cols] + xs[rows + 1, cols])
-        else:
+            sorting.append(k)
+            continue
+        m = len(idx)
+        cost = cost_of(np.full((1, 1, 1), param))
+        node_stats = stats[:, idx]
+        width = max(1, _SPLIT_BLOCK // m)
+        for start in range(0, len(feat_ids), width):
+            ids = feat_ids[start : start + width]
+            block = X[idx[:, None], ids]
             lo, hi = block.min(axis=0), block.max(axis=0)
             varying = (lo != hi).nonzero()[0]
             thr = lo[varying] + (hi[varying] - lo[varying]) * rng.random(varying.size)
@@ -195,40 +233,108 @@ def _best_split(X, idx, feat_ids, stats, cost, rng=None):
                 np.add.reduce(c[g])
                 for side in (goes_left, ~goes_left)
                 for g in side
-                for c in stats.T
+                for c in node_stats
             ]
-            left, right = np.reshape(sums, (2, 1, varying.size, stats.shape[1]))
+            sums = np.reshape(sums, (2, varying.size, len(node_stats)))
+            left, right = sums.transpose(0, 2, 1)[:, :, None, :, None]
             n_left = goes_left.sum(axis=1)
-            cols, _, scores = _column_winners(
-                cost, left, right, ((n_left > 0) & (n_left < m))[None]
+            valid = ((n_left > 0) & (n_left < m))[None, :, None]
+            splits, _, scores = _column_winners(cost, left, right, valid)
+            walk([k], ids[varying][None], splits, scores, lambda _, j: thr[j])
+
+    flat = np.ascontiguousarray(X).reshape(-1)
+    for chunk in _node_chunks(nodes, sorting):
+        # node i of the chunk fills the first m[i] of its rows; when sizes
+        # differ, the rest are pad rows that read NaN with zero statistics.
+        # A stable sort puts them last, so the real rows keep the order and
+        # cumsum the node alone would give, no boundary next to a pad row is
+        # a candidate, and the last sum is the node's total (adding zeros
+        # changes no bits but the sign of a -0.0, which no cost tells apart)
+        m = [len(nodes[k][0]) for k in chunk]
+        n_rows = m[-1]
+        pad = None
+        if m[0] < n_rows:
+            pad = np.arange(n_rows) >= np.array(m)[:, None]
+            rows = np.zeros(pad.shape, dtype=np.int64)
+            rows[~pad] = np.concatenate([nodes[k][0] for k in chunk])
+        else:
+            rows = np.array([nodes[k][0] for k in chunk])
+        feats = np.array([nodes[k][1] for k in chunk])
+        params = np.array([nodes[k][2] for k in chunk], dtype=float)
+        cost = cost_of(params[:, None, None])
+        node_rows = np.arange(0, rows.size, n_rows)[:, None, None]
+        row_cells = rows * X.shape[1]
+        width = max(1, _SPLIT_BLOCK // rows.size)
+        for start in range(0, feats.shape[1], width):
+            ids = feats[:, start : start + width]
+            # nodes x columns x rows, read through flat positions
+            block = flat.take(row_cells[:, None, :] + ids[:, :, None])
+            if pad is not None:
+                np.copyto(block, np.nan, where=pad[:, None, :])
+            order = block.argsort(axis=2, kind="stable")
+            column_rows = np.arange(0, block.size, n_rows).reshape(ids.shape + (1,))
+            xs = block.take(order + column_rows)
+            sums = stats.take(rows.take(order + node_rows), axis=1)
+            if pad is not None:
+                np.copyto(sums, 0.0, where=pad[:, None, :])
+            sums = sums.cumsum(axis=3)
+            left, right = sums[..., :-1], sums[..., -1:] - sums[..., :-1]
+            valid = xs[:, :, :-1] < xs[:, :, 1:]
+            splits, at, scores = _column_winners(cost, left, right, valid)
+            walk(
+                chunk, ids, splits, scores,
+                lambda i, j: 0.5 * (xs[i, j, at[i, j]] + xs[i, j, at[i, j] + 1]),
             )
-            thresholds = thr[cols]
-            cols = varying[cols]
-        winners = zip(ids[cols].tolist(), scores.tolist(), thresholds.tolist())
-        for f, score, t in winners:
-            if best is None or score < best[0] - 1e-15:
-                best = (score, f, t)
     return best
 
 
+def _best_split(X, idx, feat_ids, stats, cost, rng=None):
+    """Best (cost, feature, threshold) of one node, rows idx of X with
+    statistics stats (rows x s), scored as _best_splits scores it; cost maps
+    the node's left and right sums to the quantity to minimize."""
+    node = (np.arange(len(idx)), feat_ids, 0.0, rng)
+    return _best_splits(X[idx], stats.T, [node], lambda _: cost)[0]
+
+
+def _node_chunks(nodes, ks):
+    """The nodes ks, smallest first, in chunks of at most _SPLIT_BLOCK
+    (nodes x columns x padded rows) cells; a node over the budget on its
+    own is a chunk of one, scored in column blocks.  A node also starts a
+    new chunk when padding the chunk's nodes to its row count would cost
+    more than _CALL_CELLS cells."""
+    chunk, rows = [], 0
+    for k in sorted(ks, key=lambda k: len(nodes[k][0])):
+        m, n_cols = len(nodes[k][0]), len(nodes[k][1])
+        if chunk and (
+            (len(chunk) + 1) * m * n_cols > _SPLIT_BLOCK
+            or len(chunk) * (m - rows) * n_cols > _CALL_CELLS
+        ):
+            yield chunk
+            chunk = []
+        chunk.append(k)
+        rows = m
+    if chunk:
+        yield chunk
+
+
 def _column_winners(cost, left, right, valid):
-    """For each column with a valid candidate: (column, row, cost) of its
-    first lowest-cost candidate."""
+    """For each node and column (valid is nodes x columns x candidates):
+    whether it has a valid candidate, its first lowest-cost candidate and
+    that cost."""
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(valid, cost(left, right), np.inf)
-    cols = valid.any(axis=0).nonzero()[0]
-    rows = scores.argmin(axis=0)[cols]
-    return cols, rows, scores[rows, cols]
+    # min gives the argmin's bits: a cost's zeros all have one sign
+    return valid.any(axis=2), scores.argmin(axis=2), scores.min(axis=2)
 
 
 def _gini_cost(total_w):
     """Weighted Gini impurity of a split from sums of (w, w * y)."""
 
     def cost(left, right):
-        wl = left[..., 0]
+        wl = left[0]
         wr = total_w - wl
-        pl = left[..., 1] / wl
-        pr = right[..., 1] / wr
+        pl = left[1] / wl
+        pr = right[1] / wr
         return wl * pl * (1 - pl) + wr * pr * (1 - pr)
 
     return cost
@@ -236,8 +342,8 @@ def _gini_cost(total_w):
 
 def _newton_cost(left, right):
     """Negated Newton gain sl^2 / nl + sr^2 / nr from sums of (r, 1)."""
-    sl, nl = left[..., 0], left[..., 1]
-    sr, nr = right[..., 0], right[..., 1]
+    sl, nl = left
+    sr, nr = right
     return -(sl**2 / nl + sr**2 / nr)
 
 
@@ -265,27 +371,32 @@ class DecisionTree:
             else np.asarray(sample_weight, dtype=float)
         )
         wy = w * y
-        stats = np.column_stack((w, wy))
+        visits, roots = [self._visit(X.shape[1], w, wy)], [np.arange(len(y))]
+        (self.tree,) = _grow_trees(
+            X, np.stack((w, wy)), roots, self.max_depth, visits, _gini_cost
+        )
+        return self
+
+    def _visit(self, d, w, wy):
+        """This tree's node visit for _grow_trees, over d columns with row
+        weights w and wy = w * y."""
         rng = np.random.default_rng(self.seed_seq)
         threshold_rng = rng if self.random_thresholds else None
-        d = X.shape[1]
         n_feat = max(1, int(np.sqrt(d))) if self.max_features == "sqrt" else d
 
         def visit(idx, may_split):
-            wsum = w[idx].sum()
-            pos = wy[idx].sum() / wsum if wsum > 0 else 0.0
+            wsum = np.add.reduce(w[idx])
+            pos = np.add.reduce(wy[idx]) / wsum if wsum > 0 else 0.0
             if not may_split or pos in (0.0, 1.0):
                 return pos, None
             if n_feat < d:
-                feat_ids = np.sort(rng.choice(d, size=n_feat, replace=False))
+                feat_ids = rng.choice(d, size=n_feat, replace=False)
+                feat_ids.sort()
             else:
                 feat_ids = np.arange(d)
-            return pos, _best_split(
-                X, idx, feat_ids, stats[idx], _gini_cost(wsum), threshold_rng
-            )
+            return pos, (feat_ids, wsum, threshold_rng)
 
-        self.tree = _grow_tree(X, self.max_depth, visit)
-        return self
+        return visit
 
     def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
         return self.tree.predict(np.asarray(X, dtype=float))
@@ -311,15 +422,20 @@ class _Forest:
         self.trees: list[DecisionTree] = []
 
     def fit(self, X, y, sample_weight=None):
+        """Grow every tree together over X; each tree's root holds its
+        bootstrap row ids in draw order, so its splits are those of a fit
+        on X[ids]."""
         X, y = _check_xy(X, y)
-        seqs = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-        self.trees = []
         n = len(y)
-        for seq in seqs:
+        w = np.full(n, 1.0 / n)
+        wy = w * y
+        stats = np.stack((w, wy))
+        self.trees, roots, visits = [], [], []
+        for seq in np.random.SeedSequence(self.seed).spawn(self.n_trees):
             rng = np.random.default_rng(seq.spawn(1)[0])
-            if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
-            else:
+            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            if np.unique(y[idx]).size < 2:
+                # degenerate bootstrap: fall back to the full sample
                 idx = np.arange(n)
             tree = DecisionTree(
                 max_depth=self.max_depth,
@@ -327,12 +443,12 @@ class _Forest:
                 random_thresholds=self.random_thresholds,
                 seed_seq=seq,
             )
-            xi, yi = X[idx], y[idx]
-            if np.unique(yi).size < 2:
-                # degenerate bootstrap: fall back to the full sample
-                xi, yi = X, y
-            tree.fit(xi, yi)
             self.trees.append(tree)
+            roots.append(idx)
+            visits.append(tree._visit(X.shape[1], w, wy))
+        grown = _grow_trees(X, stats, roots, self.max_depth, visits, _gini_cost)
+        for tree, grown_tree in zip(self.trees, grown):
+            tree.tree = grown_tree
         return self
 
     def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
@@ -368,15 +484,16 @@ def _regression_tree(X, r, h, max_depth) -> _Tree:
     """Squared-error regression tree, the boosting weak learner; each leaf
     holds the Newton step for the logistic loss."""
     features = np.arange(X.shape[1])
-    stats = np.column_stack((r, np.ones(len(r))))
+    stats = np.stack((r, np.ones(len(r))))
 
     def visit(idx, may_split):
-        step = r[idx].sum() / max(h[idx].sum(), 1e-12)
+        step = np.add.reduce(r[idx]) / max(np.add.reduce(h[idx]), 1e-12)
         if not may_split:
             return step, None
-        return step, _best_split(X, idx, features, stats[idx], _newton_cost)
+        return step, (features, 0.0, None)
 
-    return _grow_tree(X, max_depth, visit)
+    roots = [np.arange(X.shape[0])]
+    return _grow_trees(X, stats, roots, max_depth, [visit], lambda _: _newton_cost)[0]
 
 
 def _sigmoid(z):
@@ -487,23 +604,43 @@ class LogisticRegressionGD:
         self.max_iter = max_iter
         self.coef = None
         self.intercept = 0.0
+        self.n_iter = 0  # gradient steps the last fit took
 
     def fit(self, X, y, sample_weight=None):
         X, y = _check_xy(X, y)
         n, d = X.shape
+        y = y.astype(float)
         w = np.zeros(d)
         b = 0.0
         # spectral-norm upper bound via the Frobenius norm
         lipschitz = (np.linalg.norm(X) ** 2 + n) / (4.0 * n) + self.l2
         step = 1.0 / lipschitz
-        for _ in range(self.max_iter):
-            p = _sigmoid(X @ w + b)
-            err = p - y
-            gw = X.T @ err / n + self.l2 * w
-            gb = err.mean()
-            if max(np.abs(gw).max(), abs(gb)) < self.tol:
+        # every pass works in these buffers, in the operation order of
+        # p = _sigmoid(X @ w + b), gw = X.T @ err / n + l2 * w and
+        # gb = err.mean(), so the fit keeps those expressions' bits
+        z, err = np.empty(n), np.empty(n)
+        gw, scratch = np.empty(d), np.empty(d)
+        self.n_iter = self.max_iter
+        for it in range(self.max_iter):
+            np.matmul(X, w, out=z)
+            z += b
+            np.maximum(z, -500, out=z)
+            np.minimum(z, 500, out=z)
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.divide(1.0, z, out=z)
+            np.subtract(z, y, out=err)
+            np.matmul(X.T, err, out=gw)
+            gw /= n
+            np.multiply(w, self.l2, out=scratch)
+            gw += scratch
+            gb = np.add.reduce(err) / n
+            if max(np.abs(gw, out=scratch).max(), abs(gb)) < self.tol:
+                self.n_iter = it
                 break
-            w -= step * gw
+            np.multiply(gw, step, out=scratch)
+            w -= scratch
             b -= step * gb
         self.coef = w
         self.intercept = float(b)

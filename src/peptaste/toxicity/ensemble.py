@@ -54,8 +54,9 @@ def forward_select(
     tuple.  Ties keep the earlier-evaluated candidate, so results are
     deterministic for a fixed universe order.
     """
-    if epsilon < 0:
-        raise ConfigError(f"epsilon must be >= 0, got {epsilon}")
+    # +inf is allowed: it stops selection after the pair stage
+    if not epsilon >= 0:
+        raise ConfigError(f"epsilon must be >= 0 and not NaN, got {epsilon}")
     universe = tuple(universe)
     if not universe:
         raise ConfigError("descriptor universe must be non-empty")

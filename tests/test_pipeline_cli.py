@@ -697,6 +697,16 @@ class TestCli:
         assert flag.removeprefix("--").replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_toxtrain_rejects_bad_epsilon(self, tox_corpus_files, tmp_path, capsys, value):
+        pos, neg = tox_corpus_files
+        out = tmp_path / "model.json"
+        argv = ["toxtrain", "--pos", pos, "--neg", neg, "--model-out", str(out)]
+        argv += ["--descriptors", "AAC,GAAC", "--folds", "3", "--epsilon", value]
+        assert main(argv) == 2
+        assert f"epsilon must be >= 0 and not NaN, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")
         assert main(["physchem", "--input", missing]) == 3

@@ -189,6 +189,73 @@ class TestBaseClassifiers:
         with pytest.raises(ConfigError):
             preset_spec("catboost")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", 0.0),
+            ("learning_rate", -0.1),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("l2", -1e-4),
+            ("l2", float("nan")),
+            ("l2", float("inf")),
+        ],
+    )
+    def test_spec_rejects_non_finite_or_out_of_range_settings(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ClassifierSpec("gbt", **{field: value})
+
+
+def reference_logistic_fit(model, X, y):
+    """LogisticRegressionGD.fit as one allocating loop: (coef, intercept,
+    gradient steps taken)."""
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    lipschitz = (np.linalg.norm(X) ** 2 + n) / (4.0 * n) + model.l2
+    step = 1.0 / lipschitz
+    for it in range(model.max_iter):
+        p = 1.0 / (1.0 + np.exp(-np.clip(X @ w + b, -500, 500)))
+        err = p - y
+        gw = X.T @ err / n + model.l2 * w
+        gb = err.mean()
+        if max(np.abs(gw).max(), abs(gb)) < model.tol:
+            return w, float(b), it
+        w -= step * gw
+        b -= step * gb
+    return w, float(b), model.max_iter
+
+
+class TestLogisticRegressionLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 150),
+        st.integers(1, 30),
+        st.sampled_from([1e-3, 1.0, 40.0]),
+        st.sampled_from([0.0, 1e-4, 0.5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_loop_matches_reference_bits(self, n, d, scale, l2, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) * scale
+        if seed % 3 == 0:
+            X = np.round(X)  # ties and exact zeros
+        y = rng.integers(0, 2, size=n)
+        y[rng.choice(n, size=2, replace=False)] = (0, 1)
+        model = LogisticRegressionGD(l2=l2, max_iter=int(rng.integers(1, 400)))
+        model.fit(X, y)
+        w, b, steps = reference_logistic_fit(model, X, y)
+        assert model.coef.tobytes() == w.tobytes()
+        assert model.intercept.hex() == b.hex()
+        assert model.n_iter == steps
+
+    def test_converged_fit_stops_before_the_cap(self):
+        X, y = separable_data(60, 3, seed=4)
+        model = LogisticRegressionGD(l2=0.5).fit(X, y)
+        w, b, steps = reference_logistic_fit(model, X, y)
+        assert 0 < model.n_iter == steps < model.max_iter
+        assert model.coef.tobytes() == w.tobytes()
+
 
 class TestWeightVectors:
     def test_two_members(self):
@@ -286,6 +353,16 @@ class TestForwardSelect:
         assert best_single.ids == ("good",)
         assert "good" in result.selected
         assert result.mcc >= best_single.mcc
+
+    def test_nan_epsilon_is_rejected(self):
+        with pytest.raises(ConfigError, match="nan"):
+            forward_select(
+                ("a", "b"),
+                ClassifierSpec("dt", depth=2),
+                lambda ids: np.zeros((4, len(ids))),
+                np.array([0, 1, 0, 1]),
+                epsilon=float("nan"),
+            )
 
     def test_infinite_epsilon_stops_at_pair_stage(self):
         rng = np.random.default_rng(14)

@@ -6,6 +6,7 @@ every tree learner's fitted state byte for byte.
 
 import hashlib
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -300,3 +301,93 @@ def test_tree_state_round_trip():
     assert isinstance(again.tree.feature, np.ndarray)
     assert json.dumps(again.to_state()) == json.dumps(state)
     assert np.array_equal(again.predict_proba(X), model.predict_proba(X))
+
+
+# --- lockstep growth: a forest grows its trees together ----------------------
+
+
+def one_tree_fits(forest, X, y):
+    """The forest's trees as separate one-tree DecisionTree fits on X[boot],
+    with the seeds and bootstraps the forest draws."""
+    n = len(y)
+    states = []
+    for seq in np.random.SeedSequence(forest.seed).spawn(forest.n_trees):
+        rng = np.random.default_rng(seq.spawn(1)[0])
+        idx = rng.integers(0, n, size=n) if forest.bootstrap else np.arange(n)
+        if np.unique(y[idx]).size < 2:
+            idx = np.arange(n)
+        tree = clf.DecisionTree(
+            max_depth=forest.max_depth,
+            max_features="sqrt",
+            random_thresholds=forest.random_thresholds,
+            seed_seq=seq,
+        )
+        states.append(tree.fit(X[idx], y[idx]).to_state())
+    return states
+
+
+@st.composite
+def forests(draw):
+    """Forest fits with ties, constant and duplicate columns, sometimes a
+    lone minority row (degenerate bootstraps), one to seven trees and
+    depth limits from stumps to deep trees."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 10))
+    X = rng.integers(0, levels, size=(n, d)) / levels
+    if draw(st.booleans()):
+        X += rng.normal(scale=1e-3, size=(n, d))
+    if d > 1 and draw(st.booleans()):
+        X[:, rng.integers(0, d)] = 0.25  # constant column
+    if d > 1 and draw(st.booleans()):
+        X[:, 0] = X[:, d - 1]  # duplicate column
+    y = rng.integers(0, 2, size=n)
+    if draw(st.booleans()):
+        y[:] = 0  # one minority row: most bootstraps miss it
+    y[rng.choice(n, size=2, replace=False)] = (0, 1)
+    kind = draw(st.sampled_from([clf.RandomForest, clf.ExtraTrees]))
+    n_trees, depth = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    forest = kind(n_trees, depth, seed=draw(st.integers(0, 99)))
+    return forest, X, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests())
+def test_lockstep_forest_matches_one_tree_fits(case):
+    forest, X, y = case
+    expected = json.dumps(one_tree_fits(forest, X, y))
+    for block in BLOCKS:  # 1: every chunk holds one node
+        with mock.patch.object(clf, "_SPLIT_BLOCK", block):
+            forest.fit(X, y)
+        assert json.dumps([t.to_state() for t in forest.trees]) == expected
+
+
+def test_forest_searches_all_trees_in_one_call_per_step():
+    X, y = noisy_matrix(np.random.default_rng(5), n=120, d=16)
+    calls = []
+    scorer = clf._best_splits
+
+    def counted(X, stats, nodes, cost_of):
+        calls.append(len(nodes))
+        return scorer(X, stats, nodes, cost_of)
+
+    with mock.patch.object(clf, "_best_splits", counted):
+        forest = clf.RandomForest(6, 12, seed=3).fit(X, y)
+    nodes = [len(t.tree.feature) for t in forest.trees]
+    assert len(calls) <= max(nodes) < sum(nodes)
+    assert sum(calls) >= sum(n // 2 for n in nodes)  # every split was scored
+
+
+def test_forest_fit_copies_no_rows_of_X():
+    # a per-tree X[boot] copy alone would take X.nbytes at the peak
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(1500, 2000))
+    y = (X[:, 0] > 0).astype(np.int64)
+    tracemalloc.start()
+    try:
+        clf.RandomForest(6, 2, seed=1).fit(X, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 2

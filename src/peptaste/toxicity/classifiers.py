@@ -370,16 +370,15 @@ class DecisionTree:
             if sample_weight is None
             else np.asarray(sample_weight, dtype=float)
         )
-        wy = w * y
-        visits, roots = [self._visit(X.shape[1], w, wy)], [np.arange(len(y))]
-        (self.tree,) = _grow_trees(
-            X, np.stack((w, wy)), roots, self.max_depth, visits, _gini_cost
-        )
+        stats = np.stack((w, w * y))
+        visits, roots = [self._visit(X.shape[1], stats)], [np.arange(len(y))]
+        (self.tree,) = _grow_trees(X, stats, roots, self.max_depth, visits, _gini_cost)
         return self
 
-    def _visit(self, d, w, wy):
-        """This tree's node visit for _grow_trees, over d columns with row
-        weights w and wy = w * y."""
+    def _visit(self, d, stats):
+        """This tree's node visit for _grow_trees, over d columns whose rows
+        have statistics stats = (w, w * y)."""
+        w, wy = stats
         rng = np.random.default_rng(self.seed_seq)
         threshold_rng = rng if self.random_thresholds else None
         n_feat = max(1, int(np.sqrt(d))) if self.max_features == "sqrt" else d
@@ -428,8 +427,7 @@ class _Forest:
         X, y = _check_xy(X, y)
         n = len(y)
         w = np.full(n, 1.0 / n)
-        wy = w * y
-        stats = np.stack((w, wy))
+        stats = np.stack((w, w * y))
         self.trees, roots, visits = [], [], []
         for seq in np.random.SeedSequence(self.seed).spawn(self.n_trees):
             rng = np.random.default_rng(seq.spawn(1)[0])
@@ -445,7 +443,7 @@ class _Forest:
             )
             self.trees.append(tree)
             roots.append(idx)
-            visits.append(tree._visit(X.shape[1], w, wy))
+            visits.append(tree._visit(X.shape[1], stats))
         grown = _grow_trees(X, stats, roots, self.max_depth, visits, _gini_cost)
         for tree, grown_tree in zip(self.trees, grown):
             tree.tree = grown_tree

@@ -12,7 +12,7 @@ import sys
 
 from . import __version__, descriptors, physchem, pipeline, similarity, vae
 from . import corpus as corpus_mod
-from .errors import PeptasteError
+from .errors import ConfigError, PeptasteError
 from .sequences import PatternMode, Peptide, parse_pattern
 from .toxicity import ensemble as ens
 
@@ -22,7 +22,14 @@ def _pattern(code: str):
 
 
 def _descriptor_ids(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+    """The --descriptors list: known IDs, comma-separated, empty entries skipped."""
+    ids = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not ids:
+        raise ConfigError("--descriptors names no descriptor")
+    for d in ids:
+        if d not in descriptors.DESCRIPTOR_IDS:
+            raise ConfigError(f"unknown descriptor {d!r}")
+    return ids
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=pipeline.DISTANCE_SPACES,
         help="space for nearest-neighbor screening distances",
     )
-    p.add_argument("--workers", type=int)
 
     p = sub.add_parser(
         "toxtrain", help="train the toxicity ensemble", argument_default=argparse.SUPPRESS
@@ -143,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="sequences file")
     p.add_argument("--threshold", type=float, default=0.70)
     p.add_argument("--out", default=None, help="output TSV (default stdout)")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("census", help="taste statistics for a corpus")
     p.add_argument("--corpus", required=True)
@@ -257,15 +262,8 @@ def _cmd_cluster(args) -> int:
     seqs = pipeline.read_sequences(args.input)
     for s in seqs:
         Peptide(s)  # validate early with a clear error
-    clusters = similarity.build_components(
-        seqs, threshold=args.threshold, workers=args.workers
-    )
-    reps = similarity.pick_representatives(clusters, seqs=seqs)
-    lines = ["cluster_id\tmember\tis_representative"]
-    for cid, members in enumerate(clusters):
-        for m in members:
-            lines.append(f"{cid}\t{seqs[m]}\t{m == reps[cid]}")
-    _emit("\n".join(lines) + "\n", args.out)
+    clusters, reps = pipeline.cluster_sequences(seqs, args.threshold)
+    pipeline.write_clusters(args.out, seqs, clusters, reps)
     return 0
 
 
@@ -291,9 +289,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # argument types raise ConfigError, which exits 2 like argparse's own errors
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except PeptasteError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -114,19 +114,13 @@ def dedup_greedy(
         range(len(records)),
         key=lambda i: (-len(records[i].peptide), records[i].peptide.sequence, i),
     )
-    seqs = [r.peptide.sequence for r in records]
-    counts = similarity.residue_counts(seqs)
-    selfs = np.array([similarity.self_score(s, params) for s in seqs])
+    scorer = similarity.Scorer([r.peptide.sequence for r in records], params)
     kept_idx: list[int] = []
     for i in order:
         # only kept records whose score bound can reach the threshold are aligned
-        near = similarity.reachable(i, kept_idx, counts, identity_threshold, params)
-        if len(near):
-            raw = similarity.nw_score_block(seqs[i], [seqs[j] for j in near], params)
-            sims = np.maximum(raw / np.maximum(selfs[i], selfs[near]), 0.0)
-            if np.any(sims >= identity_threshold):
-                continue
-        kept_idx.append(i)
+        _, sims = scorer.bounded(i, kept_idx, identity_threshold)
+        if not np.any(sims >= identity_threshold):
+            kept_idx.append(i)
     return Corpus([records[i] for i in sorted(kept_idx)])
 
 

@@ -3,8 +3,7 @@ toxicity-model lifecycle, with reproducible per-stage seeding and a run
 manifest digesting every input and output.
 
 Stage seeds are keyed hashes of (master seed, stage name), so any stage
-can be re-run in isolation and a worker-count flag can never change
-results.
+can be re-run in isolation.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ import contextlib
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -87,11 +87,16 @@ def _fmt(value) -> str:
 
 
 def _write_tsv(path, header, rows):
+    """Write the table to path, or to stdout when path is None."""
     lines = ["\t".join(header)]
     for row in rows:
         lines.append("\t".join(_fmt(v) for v in row))
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 @contextlib.contextmanager
@@ -138,6 +143,26 @@ def read_sequences(path) -> list[str]:
     return out
 
 
+CLUSTER_COLUMNS = ("cluster_id", "member", "is_representative")
+
+
+def cluster_sequences(seqs, threshold: float) -> tuple[list[list[int]], list[int]]:
+    """The similarity graph's clusters of seqs and each one's representative."""
+    clusters, scores = similarity.build_components(seqs, threshold=threshold)
+    return clusters, similarity.pick_representatives(clusters, seqs, scores)
+
+
+def write_clusters(path, seqs, clusters, reps):
+    """One row per member: cluster id, sequence, whether it represents the
+    cluster.  Written to stdout when path is None."""
+    rows = [
+        (cid, seqs[m], m == reps[cid])
+        for cid, members in enumerate(clusters)
+        for m in members
+    ]
+    _write_tsv(path, CLUSTER_COLUMNS, rows)
+
+
 # --- design workflow ---------------------------------------------------------
 
 DISTANCE_SPACES = ("pca2", "latent")
@@ -171,21 +196,18 @@ class DesignRun:
     generation_mode: str = "prior"
     tau: float = 0.5
     distance_space: str = "pca2"
-    workers: int = 1
 
     def __post_init__(self):
         if self.distance_space not in DISTANCE_SPACES:
             raise ConfigError(
                 f"distance_space must be 'pca2' or 'latent', got {self.distance_space!r}"
             )
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         _vae_config(self, "vae-positive")  # rejects bad training settings up front
 
 
 # DesignRun fields the manifest leaves out: the inputs are recorded by
-# their digests, and the worker count cannot change a result
-_UNRECORDED = ("corpus_path", "out_dir", "tox_model_path", "workers")
+# their digests
+_UNRECORDED = ("corpus_path", "out_dir", "tox_model_path")
 
 MANIFEST = "run_manifest.json"
 DESIGN_OUTPUTS = (
@@ -369,19 +391,8 @@ def run_design(run: DesignRun) -> DesignReport:
 
     with _stage("cluster"):
         kept_seqs = [score_rows[i][0] for i in kept_order]
-        clusters = similarity.build_components(
-            kept_seqs, threshold=run.cluster_threshold, workers=run.workers
-        )
-        local_reps = similarity.pick_representatives(clusters, seqs=kept_seqs)
-        _write_tsv(
-            out("clusters.tsv"),
-            ("cluster_id", "member", "is_representative"),
-            [
-                (cid, kept_seqs[m], m == local_reps[cid])
-                for cid, members in enumerate(clusters)
-                for m in members
-            ],
-        )
+        clusters, local_reps = cluster_sequences(kept_seqs, run.cluster_threshold)
+        write_clusters(out("clusters.tsv"), kept_seqs, clusters, local_reps)
     reps = [kept_order[r] for r in local_reps]  # candidate indices
 
     with _stage("toxicity"):

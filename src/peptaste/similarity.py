@@ -5,13 +5,13 @@ where a gap of length g costs gap_open + (g-1) * gap_extend; switching
 directly between gap states opens a new gap.  End gaps are penalized like
 internal ones.  Normalized similarity divides the pair score by the larger
 self-alignment score, so identical sequences score exactly 1 and values
-are clamped into [0, 1].  The similarity graph aligns only the pairs whose
-exact score bound can reach its threshold.
+are clamped into [0, 1].  The redundancy sweep and the similarity graph
+align only the pairs whose exact score bound can reach their threshold, and
+representatives reuse the graph's similarities; all three ask one Scorer.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,33 +201,6 @@ def normalized_similarity(a, b, params: AlignParams = DEFAULT_PARAMS) -> float:
     return max(nw_score(a, b, params) / denom, 0.0)
 
 
-def similarity_matrix(
-    seqs, params: AlignParams = DEFAULT_PARAMS, workers: int = 1
-) -> np.ndarray:
-    """Symmetric matrix of pairwise normalized similarities (diagonal 1)."""
-    seqs = [_as_seq(s) for s in seqs]
-    n = len(seqs)
-    sim = np.eye(n)
-    selfs = np.array([self_score(s, params) for s in seqs])
-
-    def fill_row(i):
-        if i + 1 >= n:
-            return i, np.zeros(0)
-        raw = nw_score_block(seqs[i], seqs[i + 1 :], params)
-        denom = np.maximum(selfs[i], selfs[i + 1 :])
-        return i, np.maximum(raw / denom, 0.0)
-
-    if workers > 1 and n > 2:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(fill_row, range(n)))
-    else:
-        rows = [fill_row(i) for i in range(n)]
-    for i, vals in rows:
-        sim[i, i + 1 :] = vals
-        sim[i + 1 :, i] = vals
-    return sim
-
-
 # Slack on the bound test: a pair is aligned unless its bound misses the
 # threshold by more than this, far above any rounding in the DP or the bound.
 BOUND_SLACK = 1e-9
@@ -266,52 +239,62 @@ def reachable(query, refs, counts, threshold, params: AlignParams = DEFAULT_PARA
     return refs[bound >= (threshold - BOUND_SLACK) * denom]
 
 
-def _threshold_edges(seqs, params, threshold, workers) -> list[tuple[int, int]]:
-    """Pairs i < j with similarity >= threshold.  Only pairs whose score
-    bound can reach it are aligned, with seqs[i] as the query as in
-    similarity_matrix, so each similarity equals the matrix's bit for bit."""
-    n = len(seqs)
-    counts = residue_counts(seqs)
-    selfs = np.array([self_score(s, params) for s in seqs])
+class Scorer:
+    """Normalized similarities among a fixed list of sequences.
 
-    def row_edges(i):
-        cand = reachable(i, np.arange(i + 1, n), counts, threshold, params)
-        if not len(cand):
-            return []
-        raw = nw_score_block(seqs[i], [seqs[j] for j in cand], params)
-        sims = np.maximum(raw / np.maximum(selfs[i], selfs[cand]), 0.0)
-        return [(i, int(j)) for j in cand[sims >= threshold]]
+    Every similarity is aligned with seqs[i] as the query against a block of
+    refs, so a pair scores the same bits whichever caller asks for it.
+    """
 
-    if workers > 1 and n > 2:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row_edges, range(n)))
-    else:
-        rows = [row_edges(i) for i in range(n)]
-    return [edge for row in rows for edge in row]
+    def __init__(self, seqs, params: AlignParams = DEFAULT_PARAMS):
+        self.seqs = [_as_seq(s) for s in seqs]
+        self.params = params
+        self.selfs = np.array([self_score(s, params) for s in self.seqs])
+        self.counts = residue_counts(self.seqs)
+
+    def similarities(self, i, refs) -> np.ndarray:
+        """Normalized similarity of seqs[i] to each of seqs[refs]."""
+        refs = np.asarray(refs, dtype=np.intp)
+        if not len(refs):
+            return np.zeros(0)
+        raw = nw_score_block(self.seqs[i], [self.seqs[j] for j in refs], self.params)
+        return np.maximum(raw / np.maximum(self.selfs[i], self.selfs[refs]), 0.0)
+
+    def bounded(self, i, refs, threshold) -> tuple[np.ndarray, np.ndarray]:
+        """The refs whose score bound lets them reach the threshold against
+        seqs[i] (see reachable), and their similarities; the rest are not
+        aligned."""
+        near = reachable(i, refs, self.counts, threshold, self.params)
+        return near, self.similarities(i, near)
+
+
+def similarity_matrix(seqs, params: AlignParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Symmetric matrix of pairwise normalized similarities (diagonal 1)."""
+    scorer = Scorer(seqs, params)
+    n = len(scorer.seqs)
+    sim = np.eye(n)
+    for i in range(n - 1):
+        vals = scorer.similarities(i, np.arange(i + 1, n))
+        sim[i, i + 1 :] = vals
+        sim[i + 1 :, i] = vals
+    return sim
 
 
 def build_components(
-    seqs,
-    params: AlignParams = DEFAULT_PARAMS,
-    threshold: float = 0.70,
-    workers: int = 1,
-    sim: np.ndarray | None = None,
-) -> list[list[int]]:
-    """Connected components of the similarity graph (edges >= threshold).
+    seqs, params: AlignParams = DEFAULT_PARAMS, threshold: float = 0.70
+) -> tuple[list[list[int]], dict[tuple[int, int], float]]:
+    """Connected components of the similarity graph (edges >= threshold),
+    and the similarities aligned to find them, keyed (i, j) with i < j.
 
-    Edges come from sim when given; otherwise a pair is aligned only when
-    its score bound (see reachable) lets it reach the threshold.  Clusters
-    are ordered by their smallest member index; members ascend.
+    A pair is aligned only when its score bound (see reachable) lets it
+    reach the threshold, with seqs[i] as the query as in similarity_matrix,
+    so each similarity equals the matrix's bit for bit.  Clusters are
+    ordered by their smallest member index; members ascend.
     """
     if not 0 < threshold <= 1:
         raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
-    if sim is None:
-        seqs = [_as_seq(s) for s in seqs]
-        n = len(seqs)
-        edges = _threshold_edges(seqs, params, threshold, workers)
-    else:
-        n = sim.shape[0]
-        edges = zip(*np.nonzero(np.triu(sim >= threshold, 1)))
+    scorer = Scorer(seqs, params)
+    n = len(scorer.seqs)
     root = list(range(n))
 
     def find(u):
@@ -320,39 +303,46 @@ def build_components(
             u = root[u]
         return u
 
-    for u, v in edges:
-        ru, rv = find(int(u)), find(int(v))
-        root[max(ru, rv)] = min(ru, rv)  # a cluster's root is its smallest member
+    scores = {}
+    for i in range(n):
+        near, sims = scorer.bounded(i, np.arange(i + 1, n), threshold)
+        for j, s in zip(near.tolist(), sims.tolist()):
+            scores[i, j] = s
+            if s >= threshold:
+                ri, rj = find(i), find(j)
+                root[max(ri, rj)] = min(ri, rj)  # a cluster's root is its smallest member
     clusters: dict[int, list[int]] = {}
     for u in range(n):
         clusters.setdefault(find(u), []).append(u)
-    return list(clusters.values())
+    return list(clusters.values()), scores
 
 
 def pick_representatives(
-    clusters,
-    sim: np.ndarray | None = None,
-    *,
-    seqs=None,
-    params: AlignParams = DEFAULT_PARAMS,
+    clusters, seqs, scores, params: AlignParams = DEFAULT_PARAMS
 ) -> list[int]:
     """Per cluster, the member with maximal mean similarity to the others.
 
-    Similarities come from sim, or, given seqs instead, from aligning each
-    multi-member cluster's members among themselves (bit-equal to the same
-    entries of similarity_matrix).  Singletons represent themselves; ties
-    go to the lowest index.
+    Similarities come from scores, keyed (i, j) with i before j in the
+    cluster, as build_components returns them; the pairs missing there are
+    aligned with seqs[i] as the query.  Each cluster's block then equals
+    the same entries of similarity_matrix.  Singletons represent themselves;
+    ties go to the lowest index.
     """
+    scorer = Scorer(seqs, params)
+    known = dict(scores)
     reps = []
     for members in clusters:
         if len(members) == 1:
             reps.append(members[0])
             continue
-        if sim is None:
-            block = similarity_matrix([seqs[m] for m in members], params)
-        else:
-            idx = np.array(members)
-            block = sim[np.ix_(idx, idx)]
+        block = np.eye(len(members))
+        for a, i in enumerate(members[:-1]):
+            later = members[a + 1 :]
+            missing = [j for j in later if (i, j) not in known]
+            known.update(zip([(i, j) for j in missing], scorer.similarities(i, missing)))
+            row = [known[i, j] for j in later]
+            block[a, a + 1 :] = row
+            block[a + 1 :, a] = row
         means = (block.sum(axis=1) - np.diag(block)) / (len(members) - 1)
         reps.append(members[int(np.argmax(means))])
     return reps

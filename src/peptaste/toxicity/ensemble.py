@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -252,27 +252,12 @@ def save_model(model: EnsembleModel, path):
         "version": FORMAT_VERSION,
         "member_names": list(model.member_names),
         "member_specs": {
-            name: {
-                "algorithm": s.algorithm,
-                "trees": s.trees,
-                "depth": s.depth,
-                "k": s.k,
-                "learning_rate": s.learning_rate,
-                "l2": s.l2,
-                "seed": s.seed,
-            }
-            for name, s in model.member_specs.items()
+            name: asdict(s) for name, s in model.member_specs.items()
         },
         "members": {n: model.members[n].to_state() for n in model.member_names},
         "weights": list(model.weights),
         "descriptor_ids": list(model.descriptor_ids),
-        "descriptor_config": {
-            "pad_len": model.config.pad_len,
-            "window": model.config.window,
-            "k_max": model.config.k_max,
-            "lam": model.config.lam,
-            "weight": model.config.weight,
-        },
+        "descriptor_config": asdict(model.config),
         "scaler": {
             "mean": model.scaler.mean.tolist(),
             "scale": model.scaler.scale.tolist(),

@@ -5,7 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from peptaste import descriptors, similarity, vae
+from peptaste import corpus, descriptors, similarity, vae
 from peptaste.toxicity import classifiers
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -20,25 +20,27 @@ def load_spans(monkeypatch):
     return module
 
 
-def test_install_wraps_and_restore_puts_back(monkeypatch):
-    spans = load_spans(monkeypatch)
-    originals = (
+def hooked():
+    return (
         descriptors.encode_matrix,
         vars(descriptors.FeatureScaler)["fit"],
         similarity.nw_score_block,
+        similarity.similarity_matrix,
+        similarity.build_components,
+        similarity.pick_representatives,
+        corpus.dedup_greedy,
         vae.SequenceVae.train_step,
         classifiers.RandomForest.fit,
     )
+
+
+def test_install_wraps_and_restore_puts_back(monkeypatch):
+    spans = load_spans(monkeypatch)
+    originals = hooked()
     restore = spans.install(spans.Tracer())
     try:
-        assert descriptors.encode_matrix is not originals[0]
-        assert vae.SequenceVae.train_step is not originals[3]
+        wrapped = hooked()
     finally:
         restore()
-    assert (
-        descriptors.encode_matrix,
-        vars(descriptors.FeatureScaler)["fit"],
-        similarity.nw_score_block,
-        vae.SequenceVae.train_step,
-        classifiers.RandomForest.fit,
-    ) == originals
+    assert all(during is not before for during, before in zip(wrapped, originals))
+    assert hooked() == originals

@@ -434,7 +434,7 @@ class TestCliParity:
             "--hidden-units", "--batch-size", "--dropout", "--l1-lambda",
             "--learning-rate", "--candidates", "--keep-fraction", "--k", "--alpha",
             "--cluster-threshold", "--max-len", "--generation-mode", "--tau",
-            "--distance-space", "--workers",
+            "--distance-space",
         ]
 
     def test_toxtrain_options_unchanged(self):
@@ -461,7 +461,7 @@ class TestCliParity:
             "--candidates", "12", "--keep-fraction", "0.5", "--k", "4",
             "--alpha", "0.1", "--cluster-threshold", "0.8", "--max-len", "11",
             "--generation-mode", "jitter", "--tau", "0.75",
-            "--distance-space", "latent", "--workers", "2",
+            "--distance-space", "latent",
         ]
         expected = DesignRun(
             pattern=parse_pattern(">x1x00"),
@@ -487,7 +487,6 @@ class TestCliParity:
             generation_mode="jitter",
             tau=0.75,
             distance_space="latent",
-            workers=2,
         )
         run = design_run(build_parser().parse_args(argv))
         assert run == expected
@@ -498,7 +497,7 @@ class TestCliParity:
             for f in dataclasses.fields(DesignRun)
             if getattr(run, f.name) != getattr(defaults, f.name)
         }
-        assert len(moved) == (len(argv) - len(DESIGN_REQUIRED)) // 2 == 20
+        assert len(moved) == (len(argv) - len(DESIGN_REQUIRED)) // 2 == 19
 
     def test_toxtrain_required_flags_give_defaults(self):
         args = build_parser().parse_args(TOXTRAIN_REQUIRED)
@@ -706,6 +705,41 @@ class TestCli:
         assert main(argv) == 2
         assert f"epsilon must be >= 0 and not NaN, got {value}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["toxtrain", "encode"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("FOO", "unknown descriptor 'FOO'"),
+            ("AAC,FOO", "unknown descriptor 'FOO'"),
+            (",", "--descriptors names no descriptor"),
+            ("", "--descriptors names no descriptor"),
+        ],
+    )
+    def test_bad_descriptor_list_is_a_config_error(
+        self, tox_corpus_files, tmp_path, capsys, command, value, message
+    ):
+        pos, neg = tox_corpus_files
+        out = tmp_path / "out"
+        if command == "toxtrain":
+            argv = ["toxtrain", "--pos", pos, "--neg", neg, "--model-out", str(out)]
+        else:
+            argv = ["encode", "--input", pos, "--out", str(out)]
+        assert main(argv + ["--descriptors", value]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_naming_unknown_descriptor_is_a_data_error(
+        self, small_tox_model, tmp_path, capsys
+    ):
+        doc = json.loads(open(small_tox_model[0]).read())
+        doc["descriptor_ids"][0] = "FOO"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        src = tmp_path / "seqs.txt"
+        src.write_text("KRCW\n")
+        assert main(["toxpredict", "--model", str(model), "--input", str(src)]) == 3
+        assert "unknown descriptor 'FOO'" in capsys.readouterr().err
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")

@@ -51,6 +51,48 @@ def enumerate_alignment_score(a: str, b: str, params=DEFAULT_PARAMS) -> float:
     return best(0, 0, 0)
 
 
+def components_from_matrix(sim, threshold):
+    """Reference: union-find over every pair of the full matrix at or above
+    the threshold, clusters ordered by smallest member, members ascending."""
+    parent = list(range(sim.shape[0]))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(len(parent)):
+        for j in range(i + 1, len(parent)):
+            if sim[i, j] >= threshold:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(parent)):
+        groups.setdefault(find(i), []).append(i)
+    return sorted((sorted(m) for m in groups.values()), key=lambda c: c[0])
+
+
+def representatives_from_matrix(clusters, sim):
+    """Reference: per cluster, the member of maximal mean similarity in the
+    full matrix's block; singletons represent themselves."""
+    reps = []
+    for members in clusters:
+        if len(members) == 1:
+            reps.append(members[0])
+            continue
+        idx = np.array(members)
+        block = sim[np.ix_(idx, idx)]
+        means = (block.sum(axis=1) - np.diag(block)) / (len(members) - 1)
+        reps.append(members[int(np.argmax(means))])
+    return reps
+
+
+def matrix_scores(sim):
+    """A similarity matrix as the scores build_components returns."""
+    n = sim.shape[0]
+    return {(i, j): sim[i, j] for i in range(n) for j in range(i + 1, n)}
+
+
 class TestAlignment:
     def test_identity(self):
         assert nw_align("AAA", "AAA").score == 6.0
@@ -168,12 +210,12 @@ class TestNormalizedSimilarity:
 
 class TestClustering:
     def test_identical_pair_connects(self):
-        clusters = build_components(["ACDE", "ACDE", "WWWW"], threshold=0.9)
+        clusters, _ = build_components(["ACDE", "ACDE", "WWWW"], threshold=0.9)
         assert clusters == [[0, 1], [2]]
 
     def test_threshold_one_gives_singletons(self):
         seqs = ["ACDE", "ACDF", "WWWW"]
-        clusters = build_components(seqs, threshold=1.0)
+        clusters, _ = build_components(seqs, threshold=1.0)
         assert clusters == [[0], [1], [2]]
 
     def test_components_match_union_find_oracle(self):
@@ -182,27 +224,9 @@ class TestClustering:
             "".join(rng.choice(list("ACD"), size=rng.integers(3, 7)))
             for _ in range(20)
         ]
-        sim = similarity_matrix(seqs)
         threshold = 0.6
-        clusters = build_components(seqs, threshold=threshold, sim=sim)
-
-        parent = list(range(len(seqs)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(len(seqs)):
-            for j in range(i + 1, len(seqs)):
-                if sim[i, j] >= threshold:
-                    parent[find(i)] = find(j)
-        groups = {}
-        for i in range(len(seqs)):
-            groups.setdefault(find(i), []).append(i)
-        expected = sorted((sorted(m) for m in groups.values()), key=lambda c: c[0])
-        assert clusters == expected
+        clusters, _ = build_components(seqs, threshold=threshold)
+        assert clusters == components_from_matrix(similarity_matrix(seqs), threshold)
 
     def test_monotone_refinement(self):
         rng = np.random.default_rng(4)
@@ -210,9 +234,8 @@ class TestClustering:
             "".join(rng.choice(list("ACD"), size=rng.integers(3, 7)))
             for _ in range(15)
         ]
-        sim = similarity_matrix(seqs)
-        low = build_components(seqs, threshold=0.5, sim=sim)
-        high = build_components(seqs, threshold=0.8, sim=sim)
+        low, _ = build_components(seqs, threshold=0.5)
+        high, _ = build_components(seqs, threshold=0.8)
         # every high-threshold cluster sits inside one low-threshold cluster
         low_of = {}
         for ci, members in enumerate(low):
@@ -221,21 +244,12 @@ class TestClustering:
         for members in high:
             assert len({low_of[m] for m in members}) == 1
 
-    def test_workers_do_not_change_matrix(self):
-        rng = np.random.default_rng(5)
-        seqs = [
-            "".join(rng.choice(list("ACDEF"), size=rng.integers(2, 9)))
-            for _ in range(12)
-        ]
-        assert np.array_equal(
-            similarity_matrix(seqs, workers=1), similarity_matrix(seqs, workers=4)
-        )
-
 
 class TestRepresentatives:
+    # complete scores, so the sequences are never aligned
     def test_singleton(self):
         sim = np.eye(1)
-        assert pick_representatives([[0]], sim) == [0]
+        assert pick_representatives([[0]], ["A"], matrix_scores(sim)) == [0]
 
     def test_center_wins(self):
         sim = np.array(
@@ -245,7 +259,7 @@ class TestRepresentatives:
                 [0.9, 0.7, 1.0],
             ]
         )
-        assert pick_representatives([[0, 1, 2]], sim) == [0]
+        assert pick_representatives([[0, 1, 2]], ["A"] * 3, matrix_scores(sim)) == [0]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
@@ -254,7 +268,7 @@ class TestRepresentatives:
         sim = (sim + sim.T) / 2
         np.fill_diagonal(sim, 1.0)
         clusters = [[0, 1, 2, 3], [4, 5], [6], [7, 8, 9, 10, 11]]
-        reps = pick_representatives(clusters, sim)
+        reps = pick_representatives(clusters, ["A"] * n, matrix_scores(sim))
         for members, rep in zip(clusters, reps):
             if len(members) == 1:
                 assert rep == members[0]
@@ -317,12 +331,13 @@ class TestBoundPruning:
     @given(small_seqs, st.floats(0.3, 1.0))
     def test_pruned_graph_matches_full_matrix(self, seqs, threshold):
         full = similarity_matrix(seqs)
-        clusters = build_components(seqs, threshold=threshold)
-        assert clusters == build_components(seqs, threshold=threshold, sim=full)
-        assert clusters == build_components(seqs, threshold=threshold, workers=2)
-        assert pick_representatives(clusters, seqs=seqs) == pick_representatives(
-            clusters, full
-        )
+        clusters, scores = build_components(seqs, threshold=threshold)
+        assert clusters == components_from_matrix(full, threshold)
+        # every aligned similarity equals the matrix's, bit for bit
+        assert all(s == full[i, j] for (i, j), s in scores.items())
+        expected = representatives_from_matrix(clusters, full)
+        assert pick_representatives(clusters, seqs, scores) == expected
+        assert pick_representatives(clusters, seqs, {}) == expected
         for members in clusters:
             block = similarity_matrix([seqs[m] for m in members])
             assert np.array_equal(block, full[np.ix_(members, members)])
@@ -346,5 +361,33 @@ class TestBoundPruning:
 
         monkeypatch.setattr(sim_mod, "nw_score_block", counting)
         seqs = ["ACDEFGHIK", "ACDEFGHIR", "WWWWWWW", "PPPPPPP", "YYYYMMMM"]
-        assert build_components(seqs, threshold=0.7) == [[0, 1], [2], [3], [4]]
+        clusters, scores = build_components(seqs, threshold=0.7)
+        assert clusters == [[0, 1], [2], [3], [4]]
         assert sum(aligned) == 1  # only the one pair sharing residues
+        assert list(scores) == [(0, 1)]
+
+    def test_representatives_align_only_pairs_the_graph_skipped(self, monkeypatch):
+        import peptaste.similarity as sim_mod
+
+        aligned = []
+        original = sim_mod.nw_score_block
+
+        def counting(query, refs, params=DEFAULT_PARAMS):
+            aligned.extend((query, r) for r in refs)
+            return original(query, refs, params)
+
+        monkeypatch.setattr(sim_mod, "nw_score_block", counting)
+        # a chain: b is three substitutions from a, c three more from b, so
+        # a and c join one cluster through b, but their bound (14 shared
+        # residues of 20) cannot reach 0.75 and the graph never aligns them
+        a = "ACDEFGHIKLMNPQRSTVWY"
+        b = "WWW" + a[3:]
+        c = "WWWYYY" + a[6:]
+        seqs = [a, b, c, "PPPPPPPP", "KKKKKKKK"]
+        clusters, scores = build_components(seqs, threshold=0.75)
+        assert clusters == [[0, 1, 2], [3], [4]]
+        assert (0, 2) not in scores and {(0, 1), (1, 2)} <= set(scores)
+        del aligned[:]
+        reps = pick_representatives(clusters, seqs, scores)
+        assert aligned == [(a, c)]
+        assert reps == representatives_from_matrix(clusters, similarity_matrix(seqs))

@@ -479,6 +479,35 @@ class ToxTrainOptions:
         default_factory=descriptors.DescriptorConfig
     )
 
+    def __post_init__(self):
+        # rejects bad settings before run_toxtrain reads any input
+        if self.folds < 2:
+            raise ConfigError(f"folds must be >= 2, got {self.folds}")
+        if not self.epsilon >= 0:
+            raise ConfigError(f"epsilon must be >= 0 and not NaN, got {self.epsilon}")
+        self.selector_spec()
+        self.member_specs()
+        ens.weight_grid_units(len(self.member_names), self.weight_step)
+
+    def selector_spec(self) -> clf.ClassifierSpec:
+        """The learner whose cross-validated MCC drives descriptor selection."""
+        return clf.preset_spec(
+            self.selector,
+            seed=derive_seed(self.seed, "selection"),
+            trees=self.selector_trees,
+        )
+
+    def member_specs(self) -> dict[str, clf.ClassifierSpec]:
+        """The ensemble members by name."""
+        return {
+            name: clf.preset_spec(
+                name,
+                seed=derive_seed(self.seed, f"member-{name}"),
+                trees=self.member_trees,
+            )
+            for name in self.member_names
+        }
+
 
 @dataclass
 class ToxTrainResult:
@@ -555,11 +584,7 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
 
     selection = ens.forward_select(
         options.universe,
-        clf.preset_spec(
-            options.selector,
-            seed=derive_seed(options.seed, "selection"),
-            trees=options.selector_trees,
-        ),
+        options.selector_spec(),
         x_builder,
         y_train,
         folds=options.folds,
@@ -567,14 +592,7 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
         epsilon=options.epsilon,
     )
 
-    member_specs = {
-        name: clf.preset_spec(
-            name,
-            seed=derive_seed(options.seed, f"member-{name}"),
-            trees=options.member_trees,
-        )
-        for name in options.member_names
-    }
+    member_specs = options.member_specs()
     raw_train = np.hstack([raw_block(d) for d in selection.selected])
     scaler = descriptors.FeatureScaler.fit(raw_train)
     X_train = scaler.transform(raw_train)

@@ -1,17 +1,21 @@
 """Base classifiers for the toxicity ensemble, implemented from scratch.
 
-All learners share a tiny interface: fit(X, y) with y in {0, 1}, and
-predict_proba(X) returning the positive-class probability per row.  With
-rowwise=True every row is rounded exactly as a call with that row alone
-would round it, so a score never depends on the batch it came in; the
-default rounds the batch as one (training and cross-validation use it).
-Tree traversal is row-independent either way.
+All learners share a tiny interface: fit_folds(X, y, sets) fits one
+learner per training set, each set a list of distinct row ids of X, in
+one call, and returns them in set order; fit(X, y) with y in {0, 1} is
+its one-set case, on every row.  A set's learner is byte-identical to a
+fit on X[rows], y[rows].  predict_proba(X) returns the positive-class
+probability per row.  With rowwise=True every row is rounded exactly as a
+call with that row alone would round it, so a score never depends on the
+batch it came in; the default rounds the batch as one (training and
+cross-validation use it).  Tree traversal is row-independent either way.
 Every source of randomness flows from a spawned SeedSequence, so fits
 are deterministic and independent of scheduling.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -70,17 +74,40 @@ PRESETS = {
 
 DEFAULT_MEMBERS = ("rf", "gbt-l", "gbt-x", "knn", "lr")
 
-def _check_xy(X, y):
+def _check_sets(X, y, sets):
+    """X as floats, y as int64 and each training set as an int64 array of
+    row ids; every set needs two rows or more and both classes."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValidationError("X must be (n, d) with one label per row")
-    if X.shape[0] < 2:
-        raise DataError("need at least 2 samples")
-    classes = np.unique(y)
-    if not np.array_equal(classes, [0, 1]):
-        raise DataError(f"labels must contain both classes 0 and 1, got {classes}")
-    return X, y.astype(np.int64)
+    sets = [np.asarray(rows, dtype=np.int64) for rows in sets]
+    for rows in sets:
+        if len(rows) < 2:
+            raise DataError("need at least 2 samples")
+        classes = np.unique(y[rows])
+        if not np.array_equal(classes, [0, 1]):
+            raise DataError(f"labels must contain both classes 0 and 1, got {classes}")
+    return X, y.astype(np.int64), sets
+
+
+def _take_rows(X, rows):
+    """X[rows], as a view of X when rows is one run of consecutive ids."""
+    if np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows))):
+        return X[rows[0] : rows[0] + len(rows)]
+    return X[rows]
+
+
+class _Learner:
+    def fit(self, X, y, sample_weight=None):
+        """Fit on every row of X: the one-set case of fit_folds."""
+        self.fit_folds(X, y, [np.arange(len(y))])
+        return self
+
+    def _copies(self, k: int) -> list:
+        """k learners with this one's settings, this one first, for
+        fit_folds to fit one per set."""
+        return [self] + [copy.copy(self) for _ in range(k - 1)]
 
 
 # --- decision trees ---------------------------------------------------------
@@ -117,17 +144,18 @@ class _Tree:
         return cls(*(state[name] for name in cls.__slots__))
 
 
-def _grow_trees(X, stats, roots, max_depth, visits, cost_of) -> list[_Tree]:
+def _grow_trees(X, stats, roots, offsets, max_depth, visits, cost_of) -> list[_Tree]:
     """Depth-first growth shared by every tree learner, of many trees in
     lockstep.
 
-    Tree t grows from rows roots[t] of X; stats holds the statistics of
-    X's rows (s x rows) that its splits sum.  visits[t](idx, may_split)
-    gives a node's value and, when may_split is true, either None or the
-    node's split search as (feat_ids, param, rng) for _best_splits.  Each
-    step visits every unfinished tree's nodes up to its next search; one
-    _best_splits call then scores every search of the step.  Rows with
-    X[:, feature] <= threshold go left.
+    Tree t grows from rows roots[t] of X; stats holds statistics that its
+    splits sum (s x columns), row r's for tree t in column offsets[t] + r,
+    so trees of different training sets can share X.  visits[t](idx,
+    may_split) gives a node's value and, when may_split is true, either
+    None or the node's split search as (feat_ids, param, rng) for
+    _best_splits.  Each step visits every unfinished tree's nodes up to its
+    next search; one _best_splits call then scores every search of the
+    step.  Rows with X[:, feature] <= threshold go left.
     """
     grown = [([], [], [], [], []) for _ in roots]
     # per tree: (rows, depth, parent's child list, parent); popping the left
@@ -152,7 +180,7 @@ def _grow_trees(X, stats, roots, max_depth, visits, cost_of) -> list[_Tree]:
                 value.append(float(v))
                 if search is not None:
                     visited.append((t, idx, depth, node))
-                    searches.append((idx, *search))
+                    searches.append((idx, offsets[t], *search))
                     break
         splits = _best_splits(X, stats, searches, cost_of) if searches else []
         for (t, idx, depth, node), split in zip(visited, splits):
@@ -171,9 +199,23 @@ def _grow_trees(X, stats, roots, max_depth, visits, cost_of) -> list[_Tree]:
     return [_Tree(*arrays) for arrays in grown]
 
 
+def _stacked(n_rows, sets, columns):
+    """The statistics of several training sets of an n_rows-row X in one
+    array, for _grow_trees: set j's statistics columns[j] (s x len(sets[j]))
+    land in columns offsets[j] + sets[j].  Returns (stats, offsets)."""
+    offsets = [j * n_rows for j in range(len(sets))]
+    stats = np.zeros((len(columns[0]), len(sets) * n_rows))
+    for rows, offset, c in zip(sets, offsets, columns):
+        stats[:, offset + rows] = c
+    return stats, offsets
+
+
 # cells (nodes x columns x padded rows) scored at once: bounds the scorer's
-# temporaries to a few MB however many nodes, rows and features a step has
-_SPLIT_BLOCK = 1 << 16
+# temporaries (about 130 bytes a cell) to about 1 MB however many nodes,
+# rows and features a step has.  On a 2-core Xeon VM, 20-tree forests on
+# 4,568 x 20 rows fit as fast with 2,048 to 65,536 cells; the smaller
+# block keeps a ten-fold lockstep step from raising peak memory
+_SPLIT_BLOCK = 1 << 13
 # cells the scorer handles in the time one more call costs (about 100 us
 # per call and 100 ns per cell on a 2-core Xeon VM): a node whose padding
 # would cost more cells than this starts a new chunk
@@ -184,17 +226,17 @@ def _best_splits(X, stats, nodes, cost_of):
     """Best (cost, feature, threshold) of each node; None where no column
     splits.
 
-    stats holds the statistics of X's rows (s x rows).  Node k is
-    (idx, feat_ids, param, rng): it holds rows idx of X, its candidate
-    columns are feat_ids, the same number for every node, and param is a
-    number its cost depends on.  cost_of(params) gives the cost of nodes
-    with those params (nodes x 1 x 1): it maps the sums of the statistics
-    left and right of every candidate split (s x nodes x columns x
-    candidates) to the quantity to minimize.  Every boundary between distinct
-    sorted values is a candidate; with rng set (extremely randomized mode)
-    each non-constant column instead gets one uniform threshold, drawn
-    from rng in column order.  A later column wins only when lower by more
-    than 1e-15.
+    Node k is (idx, offset, feat_ids, param, rng): it holds rows idx of
+    X, whose statistics are stats[:, offset + idx] (stats is s x columns),
+    its candidate columns are feat_ids, the same number for every node, and
+    param is a number its cost depends on.  cost_of(params) gives the cost
+    of nodes with those params (nodes x 1 x 1): it maps the sums of the
+    statistics left and right of every candidate split (s x nodes x columns
+    x candidates) to the quantity to minimize.  Every boundary between
+    distinct sorted values is a candidate; with rng set (extremely
+    randomized mode) each non-constant column instead gets one uniform
+    threshold, drawn from rng in column order.  A later column wins only
+    when lower by more than 1e-15.
     """
     best = [None] * len(nodes)
 
@@ -211,13 +253,13 @@ def _best_splits(X, stats, nodes, cost_of):
                 best[k] = (*b, threshold(i, won))
 
     sorting = []
-    for k, (idx, feat_ids, param, rng) in enumerate(nodes):
+    for k, (idx, offset, feat_ids, param, rng) in enumerate(nodes):
         if rng is None:
             sorting.append(k)
             continue
         m = len(idx)
         cost = cost_of(np.full((1, 1, 1), param))
-        node_stats = stats[:, idx]
+        node_stats = stats[:, offset + idx]
         width = max(1, _SPLIT_BLOCK // m)
         for start in range(0, len(feat_ids), width):
             ids = feat_ids[start : start + width]
@@ -259,8 +301,9 @@ def _best_splits(X, stats, nodes, cost_of):
             rows[~pad] = np.concatenate([nodes[k][0] for k in chunk])
         else:
             rows = np.array([nodes[k][0] for k in chunk])
-        feats = np.array([nodes[k][1] for k in chunk])
-        params = np.array([nodes[k][2] for k in chunk], dtype=float)
+        stat_rows = rows + np.array([nodes[k][1] for k in chunk])[:, None]
+        feats = np.array([nodes[k][2] for k in chunk])
+        params = np.array([nodes[k][3] for k in chunk], dtype=float)
         cost = cost_of(params[:, None, None])
         node_rows = np.arange(0, rows.size, n_rows)[:, None, None]
         row_cells = rows * X.shape[1]
@@ -274,10 +317,12 @@ def _best_splits(X, stats, nodes, cost_of):
             order = block.argsort(axis=2, kind="stable")
             column_rows = np.arange(0, block.size, n_rows).reshape(ids.shape + (1,))
             xs = block.take(order + column_rows)
-            sums = stats.take(rows.take(order + node_rows), axis=1)
+            del block  # the temporaries below are the scorer's peak
+            sums = stats.take(stat_rows.take(order + node_rows), axis=1)
+            del order
             if pad is not None:
                 np.copyto(sums, 0.0, where=pad[:, None, :])
-            sums = sums.cumsum(axis=3)
+            np.cumsum(sums, axis=3, out=sums)
             left, right = sums[..., :-1], sums[..., -1:] - sums[..., :-1]
             valid = xs[:, :, :-1] < xs[:, :, 1:]
             splits, at, scores = _column_winners(cost, left, right, valid)
@@ -292,7 +337,7 @@ def _best_split(X, idx, feat_ids, stats, cost, rng=None):
     """Best (cost, feature, threshold) of one node, rows idx of X with
     statistics stats (rows x s), scored as _best_splits scores it; cost maps
     the node's left and right sums to the quantity to minimize."""
-    node = (np.arange(len(idx)), feat_ids, 0.0, rng)
+    node = (np.arange(len(idx)), 0, feat_ids, 0.0, rng)
     return _best_splits(X[idx], stats.T, [node], lambda _: cost)[0]
 
 
@@ -304,7 +349,7 @@ def _node_chunks(nodes, ks):
     more than _CALL_CELLS cells."""
     chunk, rows = [], 0
     for k in sorted(ks, key=lambda k: len(nodes[k][0])):
-        m, n_cols = len(nodes[k][0]), len(nodes[k][1])
+        m, n_cols = len(nodes[k][0]), len(nodes[k][2])
         if chunk and (
             (len(chunk) + 1) * m * n_cols > _SPLIT_BLOCK
             or len(chunk) * (m - rows) * n_cols > _CALL_CELLS
@@ -322,32 +367,48 @@ def _column_winners(cost, left, right, valid):
     whether it has a valid candidate, its first lowest-cost candidate and
     that cost."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(valid, cost(left, right), np.inf)
+        scores = cost(left, right)
+    np.copyto(scores, np.inf, where=~valid)
     # min gives the argmin's bits: a cost's zeros all have one sign
     return valid.any(axis=2), scores.argmin(axis=2), scores.min(axis=2)
 
 
+# the costs return a new array and build it in place, in the operation
+# order of the expression each names, to hold few temporaries at once
+
+
 def _gini_cost(total_w):
-    """Weighted Gini impurity of a split from sums of (w, w * y)."""
+    """Weighted Gini impurity of a split from sums of (w, w * y):
+    wl * pl * (1 - pl) + wr * pr * (1 - pr)."""
 
     def cost(left, right):
-        wl = left[0]
+        wl, wyl = left
         wr = total_w - wl
-        pl = left[1] / wl
+        pl = wyl / wl
         pr = right[1] / wr
-        return wl * pl * (1 - pl) + wr * pr * (1 - pr)
+        out = wl * pl
+        out *= np.subtract(1, pl, out=pl)
+        wr *= pr
+        wr *= np.subtract(1, pr, out=pr)
+        out += wr
+        return out
 
     return cost
 
 
 def _newton_cost(left, right):
-    """Negated Newton gain sl^2 / nl + sr^2 / nr from sums of (r, 1)."""
+    """Negated Newton gain -(sl^2 / nl + sr^2 / nr) from sums of (r, 1)."""
     sl, nl = left
     sr, nr = right
-    return -(sl**2 / nl + sr**2 / nr)
+    out = np.square(sl)
+    out /= nl
+    gain_right = np.square(sr)
+    gain_right /= nr
+    out += gain_right
+    return np.negative(out, out=out)
 
 
-class DecisionTree:
+class DecisionTree(_Learner):
     """CART classifier with Gini splits and optional feature subsampling."""
 
     def __init__(
@@ -364,16 +425,17 @@ class DecisionTree:
         self.tree: _Tree | None = None
 
     def fit(self, X, y, sample_weight=None):
-        X, y = _check_xy(X, y)
-        w = (
-            np.full(len(y), 1.0 / len(y))
-            if sample_weight is None
-            else np.asarray(sample_weight, dtype=float)
-        )
-        stats = np.stack((w, w * y))
-        visits, roots = [self._visit(X.shape[1], stats)], [np.arange(len(y))]
-        (self.tree,) = _grow_trees(X, stats, roots, self.max_depth, visits, _gini_cost)
+        weights = None if sample_weight is None else [sample_weight]
+        self.fit_folds(X, y, [np.arange(len(y))], weights)
         return self
+
+    def fit_folds(self, X, y, sets, weights=None):
+        """One tree per set, all grown together; weights[j], when given,
+        weighs set j's rows in order (uniform otherwise)."""
+        X, y, sets = _check_sets(X, y, sets)
+        trees = self._copies(len(sets))
+        _grow_gini_trees(X, y, sets, weights, trees, sets, range(len(sets)))
+        return trees
 
     def _visit(self, d, stats):
         """This tree's node visit for _grow_trees, over d columns whose rows
@@ -408,7 +470,29 @@ class DecisionTree:
         return self
 
 
-class _Forest:
+def _grow_gini_trees(X, y, sets, weights, trees, roots, set_of):
+    """Grow DecisionTrees together over X: tree t from rows roots[t], on
+    the statistics (w, w * y) of training set set_of[t], where set j's rows
+    weigh weights[j] in order, or uniformly when weights is None."""
+    columns = []
+    for j, rows in enumerate(sets):
+        w = (
+            np.full(len(rows), 1.0 / len(rows))
+            if weights is None
+            else np.asarray(weights[j], dtype=float)
+        )
+        columns.append(np.stack((w, w * y[rows])))
+    stats, set_offsets = _stacked(len(y), sets, columns)
+    offsets = [set_offsets[j] for j in set_of]
+    n, d = X.shape
+    visits = [t._visit(d, stats[:, o : o + n]) for t, o in zip(trees, offsets)]
+    max_depth = trees[0].max_depth
+    grown = _grow_trees(X, stats, roots, offsets, max_depth, visits, _gini_cost)
+    for tree, grown_tree in zip(trees, grown):
+        tree.tree = grown_tree
+
+
+class _Forest(_Learner):
     """Shared machinery for bagged (RF) and extremely randomized (ERT) trees."""
 
     bootstrap = True
@@ -420,34 +504,35 @@ class _Forest:
         self.seed = seed
         self.trees: list[DecisionTree] = []
 
-    def fit(self, X, y, sample_weight=None):
-        """Grow every tree together over X; each tree's root holds its
-        bootstrap row ids in draw order, so its splits are those of a fit
-        on X[ids]."""
-        X, y = _check_xy(X, y)
-        n = len(y)
-        w = np.full(n, 1.0 / n)
-        stats = np.stack((w, w * y))
-        self.trees, roots, visits = [], [], []
-        for seq in np.random.SeedSequence(self.seed).spawn(self.n_trees):
-            rng = np.random.default_rng(seq.spawn(1)[0])
-            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            if np.unique(y[idx]).size < 2:
-                # degenerate bootstrap: fall back to the full sample
-                idx = np.arange(n)
-            tree = DecisionTree(
-                max_depth=self.max_depth,
-                max_features="sqrt",
-                random_thresholds=self.random_thresholds,
-                seed_seq=seq,
-            )
-            self.trees.append(tree)
-            roots.append(idx)
-            visits.append(tree._visit(X.shape[1], stats))
-        grown = _grow_trees(X, stats, roots, self.max_depth, visits, _gini_cost)
-        for tree, grown_tree in zip(self.trees, grown):
-            tree.tree = grown_tree
-        return self
+    def fit_folds(self, X, y, sets):
+        """Grow every set's trees together over X; each tree's root holds
+        its bootstrap row ids in draw order, so its splits are those of a
+        fit on X[rows[boot]]."""
+        X, y, sets = _check_sets(X, y, sets)
+        forests = self._copies(len(sets))
+        trees, roots, set_of = [], [], []
+        for j, (forest, rows) in enumerate(zip(forests, sets)):
+            n, y_set = len(rows), y[rows]
+            forest.trees = []
+            for seq in np.random.SeedSequence(self.seed).spawn(self.n_trees):
+                rng = np.random.default_rng(seq.spawn(1)[0])
+                idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+                if np.unique(y_set[idx]).size < 2:
+                    # degenerate bootstrap: fall back to the full sample
+                    idx = np.arange(n)
+                forest.trees.append(
+                    DecisionTree(
+                        max_depth=self.max_depth,
+                        max_features="sqrt",
+                        random_thresholds=self.random_thresholds,
+                        seed_seq=seq,
+                    )
+                )
+                roots.append(rows[idx])
+                set_of.append(j)
+            trees += forest.trees
+        _grow_gini_trees(X, y, sets, None, trees, roots, set_of)
+        return forests
 
     def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -478,28 +563,14 @@ class ExtraTrees(_Forest):
     random_thresholds = True
 
 
-def _regression_tree(X, r, h, max_depth) -> _Tree:
-    """Squared-error regression tree, the boosting weak learner; each leaf
-    holds the Newton step for the logistic loss."""
-    features = np.arange(X.shape[1])
-    stats = np.stack((r, np.ones(len(r))))
-
-    def visit(idx, may_split):
-        step = np.add.reduce(r[idx]) / max(np.add.reduce(h[idx]), 1e-12)
-        if not may_split:
-            return step, None
-        return step, (features, 0.0, None)
-
-    roots = [np.arange(X.shape[0])]
-    return _grow_trees(X, stats, roots, max_depth, [visit], lambda _: _newton_cost)[0]
-
-
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
-class GradientBoosting:
-    """Additive depth-limited trees on the logistic loss."""
+class GradientBoosting(_Learner):
+    """Additive depth-limited trees on the logistic loss.  The weak learner
+    is a squared-error regression tree whose leaves hold the Newton step for
+    the logistic loss."""
 
     def __init__(self, n_rounds: int = 200, max_depth: int = 3, learning_rate: float = 0.1):
         self.n_rounds = n_rounds
@@ -508,20 +579,36 @@ class GradientBoosting:
         self.f0 = 0.0
         self.stages: list[_Tree] = []
 
-    def fit(self, X, y, sample_weight=None):
-        X, y = _check_xy(X, y)
-        p0 = np.clip(y.mean(), 1e-6, 1 - 1e-6)
-        self.f0 = float(np.log(p0 / (1 - p0)))
-        f = np.full(len(y), self.f0)
-        self.stages = []
+    def fit_folds(self, X, y, sets):
+        """Round r of every set grows together, one regression tree each."""
+        X, y, sets = _check_sets(X, y, sets)
+        models = self._copies(len(sets))
+        scores = []  # per set: the ensemble's score of each of its rows
+        for model, rows in zip(models, sets):
+            p0 = np.clip(y[rows].mean(), 1e-6, 1 - 1e-6)
+            model.f0 = float(np.log(p0 / (1 - p0)))
+            model.stages = []
+            scores.append(np.full(len(rows), model.f0))
+        n, features = len(y), np.arange(X.shape[1])
         for _ in range(self.n_rounds):
-            p = _sigmoid(f)
-            residual = y - p
-            hessian = p * (1 - p)
-            tree = _regression_tree(X, residual, hessian, self.max_depth)
-            f = f + self.learning_rate * tree.predict(X)
-            self.stages.append(tree)
-        return self
+            columns, hessians = [], []
+            for rows, f in zip(sets, scores):
+                p = _sigmoid(f)
+                columns.append(np.stack((y[rows] - p, np.ones(len(rows)))))
+                hessians.append((p * (1 - p))[None])
+            stats, offsets = _stacked(n, sets, columns)
+            (h,), _ = _stacked(n, sets, hessians)
+            visits = [
+                _newton_visit(stats[0, o : o + n], h[o : o + n], features)
+                for o in offsets
+            ]
+            trees = _grow_trees(
+                X, stats, sets, offsets, self.max_depth, visits, lambda _: _newton_cost
+            )
+            for j, (model, rows, tree) in enumerate(zip(models, sets, trees)):
+                scores[j] = scores[j] + self.learning_rate * tree.predict(X)[rows]
+                model.stages.append(tree)
+        return models
 
     def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -539,56 +626,86 @@ class GradientBoosting:
         return self
 
 
-class KNearest:
+def _newton_visit(r, h, features):
+    """A regression tree's node visit for _grow_trees over rows with
+    residuals r and hessians h: each node holds the Newton step."""
+
+    def visit(idx, may_split):
+        step = np.add.reduce(r[idx]) / max(np.add.reduce(h[idx]), 1e-12)
+        if not may_split:
+            return step, None
+        return step, (features, 0.0, None)
+
+    return visit
+
+
+class KNearest(_Learner):
     """k-NN with probability = toxic fraction among the k nearest rows.
 
-    Distance ties resolve by training-row index via a stable sort.
+    The model keeps X, y and the ids of its training rows; a set's learner
+    reads its rows of the shared X when it predicts.  Distance ties resolve
+    by training-row index via a stable sort.
     """
 
     def __init__(self, k: int = 5):
         self.k = k
         self.X = None
         self.y = None
+        self.rows = None
 
-    def fit(self, X, y, sample_weight=None):
-        X, y = _check_xy(X, y)
-        if len(y) < self.k:
+    def fit_folds(self, X, y, sets):
+        X, y, sets = _check_sets(X, y, sets)
+        if min(len(rows) for rows in sets) < self.k:
             raise DataError(f"need at least k={self.k} training rows")
-        self.X = X
-        self.y = y
-        return self
+        models = self._copies(len(sets))
+        for model, rows in zip(models, sets):
+            model.X, model.y, model.rows = X, y, rows
+        return models
+
+    def _training_rows(self):
+        return _take_rows(self.X, self.rows), self.y[self.rows]
 
     def predict_proba(self, Xq, *, rowwise: bool = False) -> np.ndarray:
         Xq = np.asarray(Xq, dtype=float)
+        X, y = self._training_rows()
         out = np.empty(Xq.shape[0])
         # chunked to bound the distance-matrix footprint
-        step = max(1, int(2e7 // max(self.X.shape[0], 1)))
+        step = max(1, int(2e7 // max(X.shape[0], 1)))
         for s in range(0, Xq.shape[0], step):
             block = Xq[s : s + step]
             if rowwise:  # a stack of one-row products, each rounded alone
-                cross = (2 * block[:, None] @ self.X.T)[:, 0]
+                cross = (2 * block[:, None] @ X.T)[:, 0]
             else:
-                cross = 2 * block @ self.X.T
+                cross = 2 * block @ X.T
             d2 = (
                 (block**2).sum(axis=1)[:, None]
                 - cross
-                + (self.X**2).sum(axis=1)[None, :]
+                + (X**2).sum(axis=1)[None, :]
             )
             idx = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-            out[s : s + step] = self.y[idx].mean(axis=1)
+            out[s : s + step] = y[idx].mean(axis=1)
         return out
 
     def to_state(self) -> dict:
-        return {"X": self.X.tolist(), "y": self.y.tolist(), "k": self.k}
+        X, y = self._training_rows()
+        return {"X": X.tolist(), "y": y.tolist(), "k": self.k}
 
     def from_state(self, state: dict):
         self.X = np.asarray(state["X"], dtype=float)
         self.y = np.asarray(state["y"], dtype=np.int64)
+        self.rows = np.arange(len(self.y))
         self.k = int(state["k"])
         return self
 
 
-class LogisticRegressionGD:
+# cells (sets x rows x columns) of X one gradient loop stacks (2 MB): ten
+# folds of a narrow X share a loop, and a set wider than this (DPC or TPC
+# at reference scale) descends alone, holding one copy of its rows as a
+# fold-by-fold fit would
+_LR_STACK_CELLS = 1 << 18
+
+
+class LogisticRegressionGD(_Learner):
     """L2-regularized logistic regression fitted by plain gradient descent.
 
     The step size is 1 / L for the logistic-loss Lipschitz bound
@@ -604,45 +721,91 @@ class LogisticRegressionGD:
         self.intercept = 0.0
         self.n_iter = 0  # gradient steps the last fit took
 
-    def fit(self, X, y, sample_weight=None):
-        X, y = _check_xy(X, y)
-        n, d = X.shape
-        y = y.astype(float)
-        w = np.zeros(d)
-        b = 0.0
-        # spectral-norm upper bound via the Frobenius norm
-        lipschitz = (np.linalg.norm(X) ** 2 + n) / (4.0 * n) + self.l2
-        step = 1.0 / lipschitz
+    def fit_folds(self, X, y, sets):
+        """Sets of equal size descend together, up to _LR_STACK_CELLS cells
+        of their rows at a time."""
+        X, y, sets = _check_sets(X, y, sets)
+        models = self._copies(len(sets))
+        by_size = {}
+        for rows, model in zip(sets, models):
+            by_size.setdefault(len(rows), []).append((rows, model))
+        for n, group in by_size.items():
+            per = max(1, _LR_STACK_CELLS // max(1, n * X.shape[1]))
+            for start in range(0, len(group), per):
+                chunk = group[start : start + per]
+                self._descend(X, y, [rows for rows, _ in chunk], [m for _, m in chunk])
+        return models
+
+    def _descend(self, X, y, sets, models):
+        """Gradient descent for k training sets of n rows each, over one
+        (k, n, d) stack of their rows; a set leaves the stack at the step
+        it converges."""
+        if len(sets) == 1:  # one set reads X itself when its rows are a run
+            stack = _take_rows(X, sets[0])[None]
+        else:
+            stack = X[np.array(sets)]
+        k, n, d = stack.shape
+        targets = y[np.array(sets)].astype(float)
+        # spectral-norm upper bounds via the Frobenius norm
+        steps = np.array(
+            [1.0 / ((np.linalg.norm(x) ** 2 + n) / (4.0 * n) + self.l2) for x in stack]
+        )
+        w, b = np.zeros((k, d)), np.zeros(k)
         # every pass works in these buffers, in the operation order of
         # p = _sigmoid(X @ w + b), gw = X.T @ err / n + l2 * w and
-        # gb = err.mean(), so the fit keeps those expressions' bits
-        z, err = np.empty(n), np.empty(n)
-        gw, scratch = np.empty(d), np.empty(d)
-        self.n_iter = self.max_iter
+        # gb = err.mean(), so each set keeps those expressions' bits; the
+        # stacked products are one matrix-vector product per set
+        z, err = np.empty((k, n)), np.empty((k, n))
+        gw, scratch = np.empty((k, d)), np.empty((k, d))
+        live = list(models)  # the model of each stacked set
+        arrays = (stack, targets, steps, w, b, z, err, gw, scratch)
+        m, held = k, 0
         for it in range(self.max_iter):
-            np.matmul(X, w, out=z)
-            z += b
-            np.maximum(z, -500, out=z)
-            np.minimum(z, 500, out=z)
-            np.negative(z, out=z)
-            np.exp(z, out=z)
-            z += 1.0
-            np.divide(1.0, z, out=z)
-            np.subtract(z, y, out=err)
-            np.matmul(X.T, err, out=gw)
-            gw /= n
-            np.multiply(w, self.l2, out=scratch)
-            gw += scratch
-            gb = np.add.reduce(err) / n
-            if max(np.abs(gw, out=scratch).max(), abs(gb)) < self.tol:
-                self.n_iter = it
-                break
-            np.multiply(gw, step, out=scratch)
-            w -= scratch
-            b -= step * gb
-        self.coef = w
-        self.intercept = float(b)
-        return self
+            if m != held:  # the first m sets' arrays and the products' views
+                xs, ts, ss, ws, bs, zs, es, gs, cs = (a[:m] for a in arrays)
+                xts, ws3, zs3, es3, gs3 = (
+                    xs.transpose(0, 2, 1), ws[..., None], zs[..., None],
+                    es[..., None], gs[..., None],
+                )
+                held = m
+            np.matmul(xs, ws3, out=zs3)
+            zs += bs[:, None]
+            np.maximum(zs, -500, out=zs)
+            np.minimum(zs, 500, out=zs)
+            np.negative(zs, out=zs)
+            np.exp(zs, out=zs)
+            zs += 1.0
+            np.divide(1.0, zs, out=zs)
+            np.subtract(zs, ts, out=es)
+            np.matmul(xts, es3, out=gs3)
+            gs /= n
+            np.multiply(ws, self.l2, out=cs)
+            gs += cs
+            gb = np.add.reduce(es, axis=1)
+            gb /= n
+            top = np.maximum.reduce(np.abs(gs, out=cs), axis=1)
+            gb_abs = np.abs(gb)
+            # max(top, |gb|) < tol as Python's max takes it
+            converged = np.where(gb_abs > top, gb_abs, top) < self.tol
+            done = np.flatnonzero(converged) if np.logical_or.reduce(converged) else ()
+            for i in done:
+                live[i].n_iter = it
+                live[i].coef, live[i].intercept = ws[i].copy(), float(bs[i])
+            np.multiply(gs, ss[:, None], out=cs)
+            ws -= cs
+            bs -= ss * gb
+            for i in done[::-1]:  # a converged set leaves; the last takes its place
+                m -= 1
+                if i != m:  # never so for a stack that is a view of X
+                    for a in arrays:
+                        a[i] = a[m]
+                    live[i] = live[m]
+            del live[m:]
+            if not live:
+                return
+        for model, coef, intercept in zip(live, w, b):
+            model.n_iter = self.max_iter
+            model.coef, model.intercept = coef.copy(), float(intercept)
 
     def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -660,7 +823,7 @@ class LogisticRegressionGD:
         return self
 
 
-class AdaBoostStumps:
+class AdaBoostStumps(_Learner):
     """Discrete two-class boosting over depth-1 stumps.
 
     Stump weights are ln((1 - err) / err); the predicted probability is
@@ -672,34 +835,49 @@ class AdaBoostStumps:
         self.stumps: list[DecisionTree] = []
         self.alphas: list[float] = []
 
-    def fit(self, X, y, sample_weight=None):
-        X, y = _check_xy(X, y)
-        n = len(y)
-        w = np.full(n, 1.0 / n)
-        self.stumps, self.alphas = [], []
+    def fit_folds(self, X, y, sets):
+        """Round r of every set still boosting grows its stump together; a
+        set stops at its own round."""
+        X, y, sets = _check_sets(X, y, sets)
+        models = self._copies(len(sets))
+        weights = []
+        for model, rows in zip(models, sets):
+            model.stumps, model.alphas = [], []
+            weights.append(np.full(len(rows), 1.0 / len(rows)))
+        boosting = list(range(len(sets)))
         for _ in range(self.n_stumps):
-            stump = DecisionTree(max_depth=1)
-            stump.fit(X, y, sample_weight=w)
-            pred = (stump.predict_proba(X) >= 0.5).astype(np.int64)
-            miss = pred != y
-            err = float(w[miss].sum())
-            if err >= 0.5:
+            if not boosting:
                 break
-            err = max(err, 1e-10)
-            alpha = float(np.log((1 - err) / err))
-            self.stumps.append(stump)
-            self.alphas.append(alpha)
-            w = w * np.exp(alpha * miss)
-            w /= w.sum()
-            if err <= 1e-10:
-                break
-        if not self.stumps:
-            # no stump beat chance: keep a single majority-vote stump
-            stump = DecisionTree(max_depth=1)
-            stump.fit(X, y)
-            self.stumps = [stump]
-            self.alphas = [1.0]
-        return self
+            stumps = DecisionTree(max_depth=1).fit_folds(
+                X, y, [sets[j] for j in boosting], [weights[j] for j in boosting]
+            )
+            still = []
+            for j, stump in zip(boosting, stumps):
+                rows, w, model = sets[j], weights[j], models[j]
+                pred = (stump.predict_proba(X)[rows] >= 0.5).astype(np.int64)
+                miss = pred != y[rows]
+                err = float(w[miss].sum())
+                if err >= 0.5:
+                    continue
+                err = max(err, 1e-10)
+                alpha = float(np.log((1 - err) / err))
+                model.stumps.append(stump)
+                model.alphas.append(alpha)
+                w = w * np.exp(alpha * miss)
+                w /= w.sum()
+                weights[j] = w
+                if err > 1e-10:
+                    still.append(j)
+            boosting = still
+        # no stump beat chance: keep a single majority-vote stump
+        chance = [j for j, model in enumerate(models) if not model.stumps]
+        if chance:
+            stumps = DecisionTree(max_depth=1).fit_folds(
+                X, y, [sets[j] for j in chance]
+            )
+            for j, stump in zip(chance, stumps):
+                models[j].stumps, models[j].alphas = [stump], [1.0]
+        return models
 
     def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -102,15 +102,22 @@ def forward_select(
     return SelectionResult(current, current_mcc, trace)
 
 
-def enumerate_weight_vectors(n_members: int, step: float = 0.1) -> list[tuple[float, ...]]:
-    """Every non-negative weight vector on the step-grid simplex summing to 1,
-    in lexicographic order."""
+def weight_grid_units(n_members: int, step: float) -> int:
+    """Grid steps per unit weight of the weight search over n_members
+    members; rejects a step that does not divide 1 and a member count
+    outside 2-5."""
     units = round(1.0 / step)
     if abs(units * step - 1.0) > 1e-9:
         raise ConfigError(f"step {step} must divide 1 evenly")
     if not 2 <= n_members <= 5:
         raise ConfigError(f"member count must be between 2 and 5, got {n_members}")
+    return units
 
+
+def enumerate_weight_vectors(n_members: int, step: float = 0.1) -> list[tuple[float, ...]]:
+    """Every non-negative weight vector on the step-grid simplex summing to 1,
+    in lexicographic order."""
+    units = weight_grid_units(n_members, step)
     out = []
 
     def rec(prefix, left):

@@ -64,12 +64,10 @@ def compute_metrics(tp: int, fp: int, tn: int, fn: int) -> MetricReport:
 
 
 def confusion_counts(y_true, y_pred) -> tuple[int, int, int, int]:
+    """(TP, FP, TN, FN) of 0/1 labels and calls, counted in one pass."""
     y_true = np.asarray(y_true).astype(np.int64)
     y_pred = np.asarray(y_pred).astype(np.int64)
-    tp = int(((y_true == 1) & (y_pred == 1)).sum())
-    fp = int(((y_true == 0) & (y_pred == 1)).sum())
-    tn = int(((y_true == 0) & (y_pred == 0)).sum())
-    fn = int(((y_true == 1) & (y_pred == 0)).sum())
+    tn, fp, fn, tp = np.bincount(2 * y_true + y_pred, minlength=4).tolist()
     return tp, fp, tn, fn
 
 
@@ -99,15 +97,17 @@ def stratified_fold_ids(y, folds: int, seed: int = 0) -> np.ndarray:
 
 def cross_val_probas(factory, X, y, folds: int = 10, seed: int = 0) -> np.ndarray:
     """Out-of-fold probabilities: each sample predicted by the model fitted
-    on the other folds.  factory() must build a fresh unfitted learner."""
+    on the other folds.  factory() must build a fresh unfitted learner,
+    whose fit_folds fits every fold's model in one call."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y).astype(np.int64)
     fold_of = stratified_fold_ids(y, folds, seed)
+    models = factory().fit_folds(
+        X, y, [np.flatnonzero(fold_of != f) for f in range(folds)]
+    )
     out = np.empty(len(y))
-    for f in range(folds):
+    for f, model in enumerate(models):
         test = fold_of == f
-        model = factory()
-        model.fit(X[~test], y[~test])
         out[test] = model.predict_proba(X[test])
     return out
 

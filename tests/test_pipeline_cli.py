@@ -10,7 +10,7 @@ import pytest
 from peptaste import pipeline, vae
 from peptaste.cli import build_parser, design_run, main, toxtrain_options
 from peptaste.descriptors import encode_matrix
-from peptaste.errors import DataError, NumericError, ParseError, TrainingDiverged
+from peptaste.errors import ConfigError, DataError, NumericError, ParseError, TrainingDiverged
 from peptaste.pipeline import (
     CANDIDATE_COLUMNS,
     DesignRun,
@@ -382,6 +382,18 @@ class TestToxTrainPipeline:
         assert rows[1]["probability"] is None and "X" in rows[1]["error"]
         assert rows[2]["error"] == ""
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"member_names": ("rf",)}, "member count must be between 2 and 5, got 1"),
+            ({"weight_step": 0.3}, "step 0.3 must divide 1 evenly"),
+        ],
+    )
+    def test_options_reject_a_bad_weight_grid(self, fields, message):
+        # the weight search would find it only after forward selection
+        with pytest.raises(ConfigError, match=message):
+            ToxTrainOptions(**fields)
+
     def test_toxtrain_deterministic_for_fixed_seed(self, tox_corpus_files, tmp_path):
         pos, neg = tox_corpus_files
         options = ToxTrainOptions(
@@ -704,6 +716,28 @@ class TestCli:
         argv += ["--descriptors", "AAC,GAAC", "--folds", "3", "--epsilon", value]
         assert main(argv) == 2
         assert f"epsilon must be >= 0 and not NaN, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--member-trees", "0"], "trees must be >= 1"),
+            (["--selector-trees", "0"], "trees must be >= 1"),
+            (["--selector", "foo"], "unknown classifier preset 'foo'"),
+            (["--folds", "1"], "folds must be >= 2, got 1"),
+            (["--epsilon", "nan"], "epsilon must be >= 0 and not NaN, got nan"),
+        ],
+    )
+    def test_toxtrain_rejects_bad_options_before_reading(
+        self, tmp_path, capsys, flags, message
+    ):
+        # the input files do not exist: reading them would exit 3
+        missing = str(tmp_path / "missing.txt")
+        out = tmp_path / "model.json"
+        argv = ["toxtrain", "--pos", missing, "--neg", missing, "--model-out", str(out)]
+        assert main(argv + flags) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert main(argv) == 3
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["toxtrain", "encode"])

@@ -99,8 +99,8 @@ class TestFolds:
         X, y = separable_data(40, 4, seed=2)
 
         class Constant:
-            def fit(self, X, y):
-                return self
+            def fit_folds(self, X, y, sets):
+                return [self for _ in sets]
 
             def predict_proba(self, X):
                 return np.ones(len(X))

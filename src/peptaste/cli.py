@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, descriptors, physchem, pipeline, similarity, vae
+from . import __version__, descriptors, physchem, pipeline, similarity, textio, vae
 from . import corpus as corpus_mod
 from .errors import ConfigError, PeptasteError
 from .sequences import PatternMode, Peptide, parse_pattern
@@ -156,14 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path):
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def design_run(args) -> pipeline.DesignRun:
     """The run a parsed `design` command line asks for."""
     values = pipeline.field_values(pipeline.DesignRun, args)
@@ -195,50 +187,51 @@ def _cmd_toxtrain(args) -> int:
     result = pipeline.run_toxtrain(args.pos, args.neg, args.model_out, options)
     text = pipeline.toxtrain_report_text(result)
     if args.report_out:
-        _emit(text, args.report_out)
+        textio.write_text(args.report_out, text)
     if args.trace_out:
-        lines = ["stage\tdescriptors\tmcc"]
-        for row in result.selection.trace:
-            lines.append(f"{row.stage}\t{'+'.join(row.ids)}\t{row.mcc!r}")
-        _emit("\n".join(lines) + "\n", args.trace_out)
+        textio.write_table(
+            args.trace_out,
+            ("stage", "descriptors", "mcc"),
+            [(row.stage, "+".join(row.ids), row.mcc) for row in result.selection.trace],
+        )
     sys.stdout.write(text)
     return 0
 
 
 def _cmd_toxpredict(args) -> int:
     rows = pipeline.run_toxpredict(args.model, args.input)
-    _emit(ens.predict_rows_tsv(rows), args.out)
+    textio.write_table(
+        args.out, ens.PREDICT_COLUMNS, [[r[c] for c in ens.PREDICT_COLUMNS] for r in rows]
+    )
     return 0
 
 
 def _cmd_toxbench(args) -> int:
     report, excluded = pipeline.run_toxbench(args.model, args.pos, args.neg)
-    lines = ["metric\tvalue"]
-    for key, value in report.as_dict().items():
-        lines.append(f"{key}\t{value!r}" if isinstance(value, float) else f"{key}\t{value}")
-    lines.append(f"excluded\t{excluded}")  # rows the model could not score
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = list(report.as_dict().items())
+    rows.append(("excluded", excluded))  # rows the model could not score
+    textio.write_table(args.out, ("metric", "value"), rows)
     return 0
 
 
 def _cmd_physchem(args) -> int:
-    lines = ["sequence\t" + "\t".join(physchem.PROFILE_FIELDS)]
-    for seq in pipeline.read_sequences(args.input):
-        prof = physchem.profile(Peptide(seq))
-        values = "\t".join(repr(v) for v in prof.as_dict().values())
-        lines.append(f"{seq}\t{values}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = (
+        (seq, *physchem.profile(Peptide(seq)).as_dict().values())
+        for seq in pipeline.read_sequences(args.input)
+    )
+    textio.write_table(args.out, ("sequence", *physchem.PROFILE_FIELDS), rows)
     return 0
 
 
 def _cmd_encode(args) -> int:
     peptides = [Peptide(s) for s in pipeline.read_sequences(args.input)]
     matrix = descriptors.encode_matrix(args.descriptors, peptides)
-    names = descriptors.column_names(args.descriptors)
-    lines = ["sequence\t" + "\t".join(names)]
-    for pep, row in zip(peptides, matrix):
-        lines.append(str(pep) + "\t" + "\t".join(repr(v) for v in row.tolist()))
-    _emit("\n".join(lines) + "\n", args.out)
+    textio.write_table(
+        args.out,
+        ("sequence", *descriptors.column_names(args.descriptors)),
+        # one row of Python floats at a time, not the whole matrix
+        ((str(pep), *row.tolist()) for pep, row in zip(peptides, matrix)),
+    )
     return 0
 
 
@@ -269,7 +262,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_census(args) -> int:
     census = corpus_mod.taste_census(pipeline.read_taste_corpus(args.corpus))
-    _emit(census.to_tsv(), args.out)
+    textio.write_table(args.out, corpus_mod.CENSUS_COLUMNS, census.rows())
     if args.out:
         print(census.summary())
     return 0

@@ -174,6 +174,9 @@ def balance_and_split(pos: Corpus, neg: Corpus, spec: SplitSpec) -> Split:
     return Split(train_pos, train_neg, test_pos, test_neg)
 
 
+CENSUS_COLUMNS = ("section", "key", "value")
+
+
 @dataclass
 class Census:
     multiplicity: dict[int, int]
@@ -182,19 +185,20 @@ class Census:
     per_taste_aa_freq: dict[str, dict[str, float]]
     n_records: int
 
-    def to_tsv(self) -> str:
-        lines = ["section\tkey\tvalue"]
-        for k in sorted(self.multiplicity):
-            lines.append(f"multiplicity\t{k}\t{self.multiplicity[k]}")
-        for combo in sorted(self.combinations):
-            lines.append(f"combination\t{'-'.join(combo)}\t{self.combinations[combo]}")
-        for taste in TASTES:
-            lines.append(f"taste_total\t{taste}\t{self.per_taste_totals[taste]}")
-        for taste in TASTES:
-            freqs = self.per_taste_aa_freq[taste]
-            for aa in AMINO_ACIDS:
-                lines.append(f"aa_freq\t{taste}.{aa}\t{freqs[aa]!r}")
-        return "\n".join(lines) + "\n"
+    def rows(self) -> list[tuple]:
+        """The census table: (section, key, value) rows, as CENSUS_COLUMNS names."""
+        rows = [("multiplicity", k, n) for k, n in sorted(self.multiplicity.items())]
+        rows += [
+            ("combination", "-".join(combo), n)
+            for combo, n in sorted(self.combinations.items())
+        ]
+        rows += [("taste_total", t, self.per_taste_totals[t]) for t in TASTES]
+        rows += [
+            ("aa_freq", f"{t}.{aa}", self.per_taste_aa_freq[t][aa])
+            for t in TASTES
+            for aa in AMINO_ACIDS
+        ]
+        return rows
 
     def summary(self) -> str:
         total_multi = sum(self.multiplicity.values())

@@ -12,13 +12,12 @@ import contextlib
 import hashlib
 import json
 import os
-import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import corpus as corpus_mod
-from . import descriptors, latent, physchem, similarity, vae
+from . import descriptors, latent, physchem, similarity, textio, vae
 from .errors import (
     ConfigError,
     DataError,
@@ -77,28 +76,6 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        # repr of a numpy scalar reads np.float64(...) under numpy 2
-        return repr(float(value))
-    return str(value)
-
-
-def _write_tsv(path, header, rows):
-    """Write the table to path, or to stdout when path is None."""
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 @contextlib.contextmanager
 def _parsing(path):
     """Name the file in front of the line a ParseError reports."""
@@ -110,8 +87,7 @@ def _parsing(path):
 
 def read_taste_corpus(path) -> corpus_mod.Corpus:
     """Load an annotated corpus from FASTA ('>abcde' headers) or TSV."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = textio.read_text(path)
     with _parsing(path):
         if text.lstrip().startswith(">"):
             records = parse_taste_fasta(text)
@@ -126,8 +102,7 @@ def read_sequences(path) -> list[str]:
     """Read bare sequences: FASTA bodies, or one sequence per line, or the
     first column of a TSV.  '#' comments and blank lines are skipped
     outside FASTA; a FASTA header with no sequence is a ParseError."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = textio.read_text(path)
     out: list[str] = []
     if text.lstrip().startswith(">"):
         with _parsing(path):
@@ -160,7 +135,7 @@ def write_clusters(path, seqs, clusters, reps):
         for cid, members in enumerate(clusters)
         for m in members
     ]
-    _write_tsv(path, CLUSTER_COLUMNS, rows)
+    textio.write_table(path, CLUSTER_COLUMNS, rows)
 
 
 # --- design workflow ---------------------------------------------------------
@@ -315,7 +290,7 @@ def run_design(run: DesignRun) -> DesignReport:
                 )
     finally:
         if trained:
-            _write_tsv(
+            textio.write_table(
                 out("loss_history.tsv"),
                 ("model", "epoch", "loss_tol", "loss_rec", "loss_kl", "l1_penalty"),
                 [
@@ -339,7 +314,7 @@ def run_design(run: DesignRun) -> DesignReport:
             fit_points = np.vstack([fit_points, latents["negative"]])
         projection = latent.pca2(fit_points)
         plane = {role: projection.project(z) for role, z in latents.items()}
-        _write_tsv(
+        textio.write_table(
             out("latent_coords.tsv"),
             ("role", "sequence", "pc1", "pc2"),
             [
@@ -382,7 +357,7 @@ def run_design(run: DesignRun) -> DesignReport:
                 (str(pep), d, None, None, None, i in kept)
                 for i, (pep, d) in enumerate(zip(candidates, dists.tolist()))
             ]
-        _write_tsv(out("filter_scores.tsv"), SCORE_COLUMNS, score_rows)
+        textio.write_table(out("filter_scores.tsv"), SCORE_COLUMNS, score_rows)
         if not kept_order:
             raise DataError(
                 "latent filtering rejected every candidate; relax the filter "
@@ -411,7 +386,7 @@ def run_design(run: DesignRun) -> DesignReport:
             )
             row.update(physchem.profile(candidates[rep]).as_dict())
             candidate_rows.append(row)
-        _write_tsv(
+        textio.write_table(
             out("candidates.tsv"),
             CANDIDATE_COLUMNS,
             [[row[c] for c in CANDIDATE_COLUMNS] for row in candidate_rows],
@@ -451,11 +426,10 @@ def _write_manifest(run: DesignRun, counts: dict):
             name: _sha256(os.path.join(run.out_dir, name)) for name in DESIGN_OUTPUTS
         },
     }
-    with open(
-        os.path.join(run.out_dir, MANIFEST), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    textio.write_text(
+        os.path.join(run.out_dir, MANIFEST),
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+    )
 
 
 # --- toxicity model lifecycle -------------------------------------------------

@@ -233,11 +233,6 @@ def parse_taste_tsv(text: str) -> list[tuple[Peptide, TasteLabel]]:
     return records
 
 
-def format_taste_tsv(records) -> str:
-    lines = [f"{pep.sequence}\t{label.code}" for pep, label in records]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def one_hot_encode(peptide: Peptide, max_len: int) -> np.ndarray:
     """Encode as a (max_len, 21) one-hot matrix; channel 20 pads the suffix."""
     if len(peptide) > max_len:

@@ -16,7 +16,6 @@ from .ensemble import (
     fit_members,
     forward_select,
     load_model,
-    predict_rows_tsv,
     save_model,
     weight_grid_search,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "load_model",
     "make_classifier",
     "metrics_from_probas",
-    "predict_rows_tsv",
     "preset_spec",
     "save_model",
     "stratified_fold_ids",

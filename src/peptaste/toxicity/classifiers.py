@@ -99,7 +99,7 @@ def _take_rows(X, rows):
 
 
 class _Learner:
-    def fit(self, X, y, sample_weight=None):
+    def fit(self, X, y):
         """Fit on every row of X: the one-set case of fit_folds."""
         self.fit_folds(X, y, [np.arange(len(y))])
         return self
@@ -333,14 +333,6 @@ def _best_splits(X, stats, nodes, cost_of):
     return best
 
 
-def _best_split(X, idx, feat_ids, stats, cost, rng=None):
-    """Best (cost, feature, threshold) of one node, rows idx of X with
-    statistics stats (rows x s), scored as _best_splits scores it; cost maps
-    the node's left and right sums to the quantity to minimize."""
-    node = (np.arange(len(idx)), 0, feat_ids, 0.0, rng)
-    return _best_splits(X[idx], stats.T, [node], lambda _: cost)[0]
-
-
 def _node_chunks(nodes, ks):
     """The nodes ks, smallest first, in chunks of at most _SPLIT_BLOCK
     (nodes x columns x padded rows) cells; a node over the budget on its
@@ -423,11 +415,6 @@ class DecisionTree(_Learner):
         self.random_thresholds = random_thresholds
         self.seed_seq = seed_seq or np.random.SeedSequence(0)
         self.tree: _Tree | None = None
-
-    def fit(self, X, y, sample_weight=None):
-        weights = None if sample_weight is None else [sample_weight]
-        self.fit_folds(X, y, [np.arange(len(y))], weights)
-        return self
 
     def fit_folds(self, X, y, sets, weights=None):
         """One tree per set, all grown together; weights[j], when given,

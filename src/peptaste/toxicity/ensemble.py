@@ -15,14 +15,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .. import descriptors
-from ..errors import ConfigError, ValidationError
+from .. import descriptors, textio
+from ..errors import ConfigError, PeptasteError, ValidationError
 from ..sequences import Peptide
 from . import metrics
 from .classifiers import ClassifierSpec, make_classifier
 
 FORMAT_NAME = "peptaste-toxicity-ensemble"
 FORMAT_VERSION = 1
+# the keys of each EnsembleModel.predict row, and the toxpredict table's columns
+PREDICT_COLUMNS = ("sequence", "probability", "call", "error")
 
 
 @dataclass
@@ -272,48 +274,44 @@ def save_model(model: EnsembleModel, path):
         "cv_mcc": model.cv_mcc,
         "metadata": model.metadata,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    textio.write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_model(path) -> EnsembleModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT_NAME:
-        raise ValidationError(f"not a {FORMAT_NAME} file: {path}")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported model version {doc.get('version')}")
-    member_specs = {
-        name: ClassifierSpec(**spec) for name, spec in doc["member_specs"].items()
-    }
-    members = {}
-    for name in doc["member_names"]:
-        members[name] = make_classifier(member_specs[name]).from_state(
-            doc["members"][name]
+    """The model saved at path.  A file that is not one (not JSON, of
+    another format or version, or with a field missing or of the wrong
+    type) raises ValidationError naming it."""
+    text = textio.read_text(path)
+    try:
+        doc = json.loads(text)
+        if doc.get("format") != FORMAT_NAME:
+            raise ValidationError(f"format is not {FORMAT_NAME}")
+        if doc.get("version") != FORMAT_VERSION:
+            raise ValidationError(f"unsupported model version {doc.get('version')}")
+        member_specs = {
+            name: ClassifierSpec(**spec) for name, spec in doc["member_specs"].items()
+        }
+        members = {
+            name: make_classifier(member_specs[name]).from_state(doc["members"][name])
+            for name in doc["member_names"]
+        }
+        config = descriptors.DescriptorConfig(**doc["descriptor_config"])
+        scaler = descriptors.FeatureScaler(
+            np.asarray(doc["scaler"]["mean"], dtype=float),
+            np.asarray(doc["scaler"]["scale"], dtype=float),
         )
-    config = descriptors.DescriptorConfig(**doc["descriptor_config"])
-    scaler = descriptors.FeatureScaler(
-        np.asarray(doc["scaler"]["mean"], dtype=float),
-        np.asarray(doc["scaler"]["scale"], dtype=float),
-    )
-    return EnsembleModel(
-        member_names=tuple(doc["member_names"]),
-        member_specs=member_specs,
-        members=members,
-        weights=tuple(doc["weights"]),
-        descriptor_ids=tuple(doc["descriptor_ids"]),
-        config=config,
-        scaler=scaler,
-        cv_mcc=float(doc["cv_mcc"]),
-        metadata=doc.get("metadata", {}),
-    )
-
-
-def predict_rows_tsv(rows) -> str:
-    lines = ["sequence\tprobability\tcall\terror"]
-    for r in rows:
-        prob = "" if r["probability"] is None else repr(r["probability"])
-        call = r["call"] or ""
-        lines.append(f"{r['sequence']}\t{prob}\t{call}\t{r['error']}")
-    return "\n".join(lines) + "\n"
+        return EnsembleModel(
+            member_names=tuple(doc["member_names"]),
+            member_specs=member_specs,
+            members=members,
+            weights=tuple(doc["weights"]),
+            descriptor_ids=tuple(doc["descriptor_ids"]),
+            config=config,
+            scaler=scaler,
+            cv_mcc=float(doc["cv_mcc"]),
+            metadata=doc.get("metadata", {}),
+        )
+    except KeyError as exc:
+        raise ValidationError(f"{path}: model file lacks {exc}") from exc
+    except (TypeError, AttributeError, ValueError, PeptasteError) as exc:
+        raise ValidationError(f"{path}: not a valid model file: {exc}") from exc

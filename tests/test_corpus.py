@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from peptaste.corpus import (
+    CENSUS_COLUMNS,
     Corpus,
     CorpusRecord,
     SplitSpec,
@@ -14,6 +15,7 @@ from peptaste.corpus import (
 )
 from peptaste.errors import ConfigError, DataError
 from peptaste.sequences import Peptide, TasteLabel
+from peptaste.textio import write_table
 
 
 def make_corpus(items):
@@ -208,8 +210,9 @@ class TestCensus:
         assert census.per_taste_aa_freq["sour"]["K"] == pytest.approx(0.25)
         assert census.per_taste_aa_freq["sweet"]["A"] == 0.0
 
-    def test_tsv_emission(self):
+    def test_tsv_emission(self, capsys):
         c = make_corpus([("ACDE", "1xxxx")])
-        text = taste_census(c).to_tsv()
+        write_table(None, CENSUS_COLUMNS, taste_census(c).rows())
+        text = capsys.readouterr().out
         assert text.startswith("section\tkey\tvalue")
         assert "multiplicity\t1\t1" in text

@@ -25,6 +25,20 @@ from peptaste.pipeline import (
 from peptaste.sequences import PatternMode, parse_pattern
 
 
+MISSING = object()
+
+
+def _edited(text, **fields):
+    """The JSON document text with fields set, or deleted where MISSING."""
+    doc = json.loads(text)
+    for key, value in fields.items():
+        if value is MISSING:
+            del doc[key]
+        else:
+            doc[key] = value
+    return json.dumps(doc)
+
+
 def toy_design_run(corpus_path, tox_model, out_dir, **overrides):
     # toy-scale runs need a few thousand optimizer steps before the decoder
     # emits non-pad openings, hence the small batches and epoch count; the
@@ -778,6 +792,72 @@ class TestCli:
     def test_data_error_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")
         assert main(["physchem", "--input", missing]) == 3
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("physchem", "--input"),
+            ("cluster", "--input"),
+            ("encode", "--input"),
+            ("toxpredict", "--input"),
+            ("toxpredict", "--model"),
+            ("toxbench", "--pos"),
+            ("toxtrain", "--pos"),
+            ("design", "--corpus"),
+            ("census", "--corpus"),
+        ],
+    )
+    def test_input_that_is_not_utf8_is_a_data_error(
+        self, small_tox_model, tox_corpus_files, tmp_path, capsys, command, flag
+    ):
+        pos, neg = tox_corpus_files
+        args = {
+            "physchem": ["--input", pos],
+            "cluster": ["--input", pos],
+            "encode": ["--input", pos, "--descriptors", "AAC"],
+            "toxpredict": ["--model", small_tox_model[0], "--input", pos],
+            "toxbench": ["--model", small_tox_model[0], "--pos", pos, "--neg", neg],
+            "toxtrain": ["--pos", pos, "--neg", neg, "--model-out",
+                         str(tmp_path / "m.json"), "--descriptors", "AAC"],
+            "design": ["--pattern", "x1xxx", "--corpus", pos, "--tox-model",
+                       small_tox_model[0], "--out", str(tmp_path / "run")],
+            "census": ["--corpus", pos],
+        }[command]
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(b"\xff\xfe" + "KRCW\n".encode("utf-16-le"))
+        args[args.index(flag) + 1] = str(bad)
+        assert main([command, *args]) == 3
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["toxpredict", "toxbench"])
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda text: text[: len(text) // 2], "not a valid model file"),
+            (lambda text: _edited(text, member_specs=MISSING), "lacks 'member_specs'"),
+            (lambda text: _edited(text, scaler=MISSING), "lacks 'scaler'"),
+            (lambda text: _edited(text, member_specs=[]), "not a valid model file"),
+            (lambda text: _edited(text, cv_mcc="high"), "not a valid model file"),
+            (lambda text: _edited(text, weights="0.5"), "not a valid model file"),
+            (lambda text: _edited(text, members={}), "lacks 'rf'"),
+        ],
+        ids=["truncated", "no-member-specs", "no-scaler", "specs-a-list",
+             "mcc-a-string", "weights-a-string", "no-member-state"],
+    )
+    def test_malformed_model_file_is_a_data_error(
+        self, small_tox_model, tox_corpus_files, tmp_path, capsys, command, damage,
+        message,
+    ):
+        model = tmp_path / "model.json"
+        model.write_text(damage(open(small_tox_model[0]).read()))
+        pos, neg = tox_corpus_files
+        if command == "toxpredict":
+            inputs = ["--input", pos]
+        else:
+            inputs = ["--pos", pos, "--neg", neg]
+        assert main([command, "--model", str(model), *inputs]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and message in err
 
     def test_numeric_error_exit_code(self, toy_corpus_path, small_tox_model, tmp_path, capsys):
         # a half-trained model sits in the regime where every decode opens

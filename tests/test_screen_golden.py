@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from peptaste import corpus as corpus_mod
-from peptaste import descriptors, latent
+from peptaste import descriptors, latent, textio
 from peptaste.cli import main
 from peptaste.sequences import AMINO_ACIDS, Peptide
 from peptaste.toxicity import classifiers as clf
@@ -124,10 +124,13 @@ def all_learners_model():
     )
 
 
-def test_all_learners_rows():
+def test_all_learners_rows(capsys):
     model = all_learners_model()
     rows = model.predict([Peptide(s) for s in screen_library() if _is_valid(s)])
-    assert _sha(ens.predict_rows_tsv(rows)) == GOLDEN["all_learners_rows"]
+    textio.write_table(
+        None, ens.PREDICT_COLUMNS, [[r[c] for c in ens.PREDICT_COLUMNS] for r in rows]
+    )
+    assert _sha(capsys.readouterr().out) == GOLDEN["all_learners_rows"]
 
 
 def _is_valid(seq: str) -> bool:

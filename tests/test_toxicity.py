@@ -135,6 +135,17 @@ class TestBaseClassifiers:
         model = DecisionTree(max_depth=3).fit(X, y)
         assert model.predict_proba(X).round().tolist() == [0.0, 1.0]
 
+    @pytest.mark.parametrize(
+        "cls",
+        [RandomForest, ExtraTrees, GradientBoosting, KNearest, LogisticRegressionGD,
+         AdaBoostStumps, DecisionTree],
+    )
+    def test_fit_takes_no_sample_weights(self, cls):
+        # weights only reach a tree through fit_folds (AdaBoost's rounds)
+        X, y = separable_data(20, 2)
+        with pytest.raises(TypeError):
+            cls().fit(X, y, np.full(len(y), 1 / len(y)))
+
     def test_knn_self_label(self):
         X, y = separable_data(30, 3, seed=5)
         model = KNearest(k=1).fit(X, y)

@@ -189,10 +189,18 @@ def bits(split):
     return float(score).hex(), int(f), float(thr).hex()
 
 
+def best_split(X, idx, feat_ids, stats, cost, rng=None):
+    """Best (cost, feature, threshold) of one node, rows idx of X with
+    statistics stats (rows x s), scored by clf._best_splits; cost maps the
+    node's left and right sums to the quantity to minimize."""
+    node = (np.arange(len(idx)), 0, feat_ids, 0.0, rng)
+    return clf._best_splits(X[idx], stats.T, [node], lambda _: cost)[0]
+
+
 def gini_split(X, y, w, feat_ids, rng=None):
     stats = np.column_stack((w, w * y))
     rows = np.arange(len(y))
-    return clf._best_split(X, rows, feat_ids, stats, clf._gini_cost(w.sum()), rng)
+    return best_split(X, rows, feat_ids, stats, clf._gini_cost(w.sum()), rng)
 
 
 @st.composite
@@ -267,7 +275,7 @@ def test_newton_scorer_matches_per_feature_loop(node):
     expected = bits(reference_newton_split(X, r))
     for block in BLOCKS:
         with mock.patch.object(clf, "_SPLIT_BLOCK", block):
-            split = clf._best_split(X, rows, features, stats, clf._newton_cost)
+            split = best_split(X, rows, features, stats, clf._newton_cost)
         negated = None if split is None else (-split[0], split[1], split[2])
         assert bits(negated) == expected
 

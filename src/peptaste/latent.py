@@ -94,10 +94,20 @@ def _gram_axes(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(eigvals[order], 0.0), np.vstack([first, second])
 
 
-def _knn_distances(query: np.ndarray, reference: np.ndarray, k: int) -> np.ndarray:
-    ref = np.asarray(reference, dtype=float)
+def check_k(k: int):
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+
+
+def check_fraction(name: str, value: float):
+    """Reject a value outside (0, 1], NaN included."""
+    if not 0 < value <= 1:
+        raise ConfigError(f"{name} must be in (0, 1], got {value}")
+
+
+def _knn_distances(query: np.ndarray, reference: np.ndarray, k: int) -> np.ndarray:
+    ref = np.asarray(reference, dtype=float)
+    check_k(k)
     if ref.shape[0] < k:
         raise DataError(f"reference set has {ref.shape[0]} points, needs >= k={k}")
     dists = np.sqrt(((ref - np.asarray(query, dtype=float)) ** 2).sum(axis=1))
@@ -179,8 +189,7 @@ def select_standard(
     cands = np.asarray(candidates, dtype=float)
     if cands.ndim != 2 or cands.shape[0] == 0:
         raise DataError("no candidates to filter")
-    if not 0 < keep_fraction <= 1:
-        raise ConfigError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
+    check_fraction("keep_fraction", keep_fraction)
     dists = np.array([knn_mean_dist(c, training, k) for c in cands])
     order = sorted(range(len(dists)), key=lambda i: (dists[i], i))
     n_keep = math.ceil(keep_fraction * len(dists))
@@ -207,8 +216,7 @@ def select_avoidance(
     cands = np.asarray(candidates, dtype=float)
     if cands.ndim != 2 or cands.shape[0] == 0:
         raise DataError("no candidates to filter")
-    if not 0 < alpha <= 1:
-        raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
+    check_fraction("alpha", alpha)
     scores = []
     for i, c in enumerate(cands):
         near_pos = _knn_distances(c, positives, k)

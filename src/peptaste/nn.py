@@ -4,9 +4,7 @@ Everything runs in 64-bit floats so finite-difference gradient checks have
 numerical headroom.  Layers cache their forward inputs; backward() must be
 called once per forward() and writes each gradient into the layer's
 existing grads array, so a ParameterBuffer can gather every parameter and
-gradient of a model into one contiguous array each.  The L1 penalty applies
-to dense weights only, contributing lambda * sign(W) to their gradients and
-lambda * sum|W| to the recorded total loss.
+gradient of a model into one contiguous array each.
 """
 
 from __future__ import annotations
@@ -46,23 +44,17 @@ class Layer:
     def backward(self, grad):
         raise NotImplementedError
 
-    def penalty(self) -> float:
-        return 0.0
-
 
 class Dense(Layer):
-    def __init__(self, n_in: int, n_out: int, l1_lambda: float = 0.0, rng=None):
+    def __init__(self, n_in: int, n_out: int, rng=None):
         super().__init__()
         if n_in < 1 or n_out < 1:
             raise ConfigError("dense layer sizes must be >= 1")
-        if l1_lambda < 0:
-            raise ConfigError("l1_lambda must be >= 0")
         rng = rng or np.random.default_rng(0)
         limit = np.sqrt(1.0 / n_in)
         self.params["W"] = rng.uniform(-limit, limit, (n_in, n_out))
         self.params["b"] = np.zeros(n_out)
         self.grads = {name: np.zeros_like(p) for name, p in self.params.items()}
-        self.l1_lambda = l1_lambda
         self._x = None
 
     def forward(self, x, train=False, rng=None):
@@ -75,17 +67,9 @@ class Dense(Layer):
         return x @ self.params["W"] + self.params["b"]
 
     def backward(self, grad):
-        W, dW = self.params["W"], self.grads["W"]
-        np.matmul(self._x.T, grad, out=dW)
-        if self.l1_lambda:
-            dW += self.l1_lambda * np.sign(W)
+        np.matmul(self._x.T, grad, out=self.grads["W"])
         np.sum(grad, axis=0, out=self.grads["b"])
-        return grad @ W.T
-
-    def penalty(self) -> float:
-        if not self.l1_lambda:
-            return 0.0
-        return self.l1_lambda * float(np.abs(self.params["W"]).sum())
+        return grad @ self.params["W"].T
 
 
 class Conv1D(Layer):
@@ -211,9 +195,6 @@ class Stack:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
-
-    def penalty(self) -> float:
-        return sum(layer.penalty() for layer in self.layers)
 
     def param_slots(self, prefix=""):
         """(name, layer, key) for every parameter, in layer order."""

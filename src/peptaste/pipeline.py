@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -27,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .sequences import (
-    Assignment,
     PatternMode,
     Peptide,
     TastePattern,
@@ -177,7 +177,14 @@ class DesignRun:
             raise ConfigError(
                 f"distance_space must be 'pca2' or 'latent', got {self.distance_space!r}"
             )
-        _vae_config(self, "vae-positive")  # rejects bad training settings up front
+        # rejects bad settings before run_design reads any input
+        _vae_config(self, "vae-positive")
+        latent.check_k(self.k)
+        latent.check_fraction("keep_fraction", self.keep_fraction)
+        latent.check_fraction("alpha", self.alpha)
+        similarity.check_threshold(self.cluster_threshold)
+        if not math.isfinite(self.tau):
+            raise ConfigError(f"tau must be finite, got {self.tau}")
 
 
 # DesignRun fields the manifest leaves out: the inputs are recorded by
@@ -224,9 +231,12 @@ def _vae_config(run: DesignRun, stage: str) -> vae.VaeConfig:
 
 def run_design(run: DesignRun) -> DesignReport:
     """Execute assign -> filter -> dedup -> train -> generate -> screen ->
-    cluster -> toxicity -> profile.  Each stage writes its artifact under
-    out_dir when it finishes and run_manifest.json comes last, so a
-    directory without a manifest holds an incomplete run."""
+    cluster -> toxicity -> profile.  The toxicity model is read first, so a
+    bad model file fails the run before any work.  Each stage writes its
+    artifact under out_dir when it finishes and run_manifest.json comes
+    last, so a directory without a manifest holds an incomplete run."""
+    with _stage("toxicity"):
+        tox_model = ens.load_model(run.tox_model_path)
     os.makedirs(run.out_dir, exist_ok=True)
 
     def out(name):
@@ -238,55 +248,47 @@ def run_design(run: DesignRun) -> DesignReport:
         full = read_taste_corpus(run.corpus_path)
 
     avoidance = run.pattern.avoidance_mode
+    roles = ("positive", "negative") if avoidance else ("positive",)
     with _stage("assign"):
-        positives, negatives = [], []
+        assigned = {role: [] for role in roles}
         for rec in full:
-            result = assign_record(rec.label, run.pattern, run.mode)
-            if result is Assignment.POSITIVE:
-                positives.append(rec)
-            elif result is Assignment.NEGATIVE:
-                negatives.append(rec)
-        if not positives:
+            role = assign_record(rec.label, run.pattern, run.mode).value
+            if role in assigned:
+                assigned[role].append(rec)
+        if not assigned["positive"]:
             raise DataError(
                 f"no positive records match pattern {('>' + run.pattern.code)!r} "
                 f"in {run.mode.value} mode"
             )
-        if avoidance and not negatives:
+        if not all(assigned.values()):
             raise DataError(
                 f"avoidance pattern {('>' + run.pattern.code)!r} found no "
                 "negative records"
             )
 
-    def prepare(records, tag):
+    def prepare(records, role):
         c = corpus_mod.Corpus(list(records))
         c, _ = corpus_mod.length_filter(c, run.max_len)
         c = corpus_mod.dedup_greedy(c, run.dedup_threshold)
-        if len(c) == 0:
-            raise DataError(f"{tag} set is empty after length filtering at {run.max_len}")
+        if len(c) < run.k:
+            raise DataError(
+                f"{role} set has {len(c)} peptides after length filtering at "
+                f"{run.max_len} and dedup, needs >= k={run.k}"
+            )
         return c
 
     with _stage("prepare"):
-        pos_corpus = prepare(positives, "positive")
-        neg_corpus = prepare(negatives, "negative") if avoidance else None
+        prepared = {role: prepare(records, role) for role, records in assigned.items()}
 
     # the loss history is written even when training or generation fails
-    trained = {}
+    trained, outcomes = {}, {}
     try:
-        with _stage("train-positive"):
-            pos_model = vae.SequenceVae(_vae_config(run, "vae-positive"))
-            trained["positive"] = pos_model
-            pos_data = encode_batch(pos_corpus.peptides(), run.max_len)
-            outcome_pos = vae.train_la(
-                pos_model, pos_data, generation_mode=run.generation_mode, tau=run.tau
-            )
-        outcome_neg = None
-        if avoidance:
-            with _stage("train-negative"):
-                neg_model = vae.SequenceVae(_vae_config(run, "vae-negative"))
-                trained["negative"] = neg_model
-                neg_data = encode_batch(neg_corpus.peptides(), run.max_len)
-                outcome_neg = vae.train_la(
-                    neg_model, neg_data, generation_mode=run.generation_mode, tau=run.tau
+        for role in roles:
+            with _stage(f"train-{role}"):
+                model = trained[role] = vae.SequenceVae(_vae_config(run, f"vae-{role}"))
+                data = encode_batch(prepared[role].peptides(), run.max_len)
+                outcomes[role] = vae.train_la(
+                    model, data, generation_mode=run.generation_mode, tau=run.tau
                 )
     finally:
         if trained:
@@ -294,25 +296,21 @@ def run_design(run: DesignRun) -> DesignReport:
                 out("loss_history.tsv"),
                 ("model", "epoch", "loss_tol", "loss_rec", "loss_kl", "l1_penalty"),
                 [
-                    (tag, epoch, r.loss_tol, r.loss_rec, r.loss_kl, r.l1_penalty)
-                    for tag, model in trained.items()
+                    (role, epoch, r.loss_tol, r.loss_rec, r.loss_kl, r.l1_penalty)
+                    for role, model in trained.items()
                     for epoch, r in enumerate(model.history, start=1)
                 ],
             )
 
-    candidates = outcome_pos.generated
+    candidates = outcomes["positive"].generated
     with _stage("latent-projection"):
         # all latent coordinates come from the positive model's encoder so
         # Euclidean comparison happens in one shared space
-        peptides = {"positive": pos_corpus.peptides()}
-        if avoidance:
-            peptides["negative"] = neg_corpus.peptides()
+        peptides = {role: prepared[role].peptides() for role in roles}
         peptides["candidate"] = candidates
-        latents = {role: pos_model.encode(peps) for role, peps in peptides.items()}
-        fit_points = latents["positive"]
-        if avoidance:
-            fit_points = np.vstack([fit_points, latents["negative"]])
-        projection = latent.pca2(fit_points)
+        latents = {r: trained["positive"].encode(p) for r, p in peptides.items()}
+        fit_points = [latents[role] for role in roles]
+        projection = latent.pca2(np.vstack(fit_points) if avoidance else fit_points[0])
         plane = {role: projection.project(z) for role, z in latents.items()}
         textio.write_table(
             out("latent_coords.tsv"),
@@ -371,7 +369,6 @@ def run_design(run: DesignRun) -> DesignReport:
     reps = [kept_order[r] for r in local_reps]  # candidate indices
 
     with _stage("toxicity"):
-        tox_model = ens.load_model(run.tox_model_path)
         tox_rows = tox_model.predict([candidates[i] for i in reps])
     with _stage("physchem"):
         candidate_rows = []
@@ -394,15 +391,17 @@ def run_design(run: DesignRun) -> DesignReport:
 
     counts = {
         "corpus_records": len(full),
-        "positives": len(pos_corpus),
-        "negatives": len(neg_corpus) if avoidance else 0,
+        "positives": len(prepared["positive"]),
+        "negatives": len(prepared.get("negative", ())),
         "generated": len(candidates),
         "filtered": len(kept_order),
         "clusters": len(clusters),
         "representatives": len(reps),
     }
     _write_manifest(run, counts)
-    return DesignReport(candidate_rows, outcome_pos, outcome_neg, counts, run.out_dir)
+    return DesignReport(
+        candidate_rows, outcomes["positive"], outcomes.get("negative"), counts, run.out_dir
+    )
 
 
 def _write_manifest(run: DesignRun, counts: dict):

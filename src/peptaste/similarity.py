@@ -280,6 +280,11 @@ def similarity_matrix(seqs, params: AlignParams = DEFAULT_PARAMS) -> np.ndarray:
     return sim
 
 
+def check_threshold(threshold: float):
+    if not 0 < threshold <= 1:
+        raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
+
+
 def build_components(
     seqs, params: AlignParams = DEFAULT_PARAMS, threshold: float = 0.70
 ) -> tuple[list[list[int]], dict[tuple[int, int], float]]:
@@ -291,8 +296,7 @@ def build_components(
     so each similarity equals the matrix's bit for bit.  Clusters are
     ordered by their smallest member index; members ascend.
     """
-    if not 0 < threshold <= 1:
-        raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
+    check_threshold(threshold)
     scorer = Scorer(seqs, params)
     n = len(scorer.seqs)
     root = list(range(n))

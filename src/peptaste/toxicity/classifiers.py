@@ -832,12 +832,15 @@ class AdaBoostStumps(_Learner):
             model.stumps, model.alphas = [], []
             weights.append(np.full(len(rows), 1.0 / len(rows)))
         boosting = list(range(len(sets)))
-        for _ in range(self.n_stumps):
+        # round 1 fits every set on uniform weights
+        first = stumps = DecisionTree(max_depth=1).fit_folds(X, y, sets)
+        for r in range(self.n_stumps):
             if not boosting:
                 break
-            stumps = DecisionTree(max_depth=1).fit_folds(
-                X, y, [sets[j] for j in boosting], [weights[j] for j in boosting]
-            )
+            if r:
+                stumps = DecisionTree(max_depth=1).fit_folds(
+                    X, y, [sets[j] for j in boosting], [weights[j] for j in boosting]
+                )
             still = []
             for j, stump in zip(boosting, stumps):
                 rows, w, model = sets[j], weights[j], models[j]
@@ -856,14 +859,11 @@ class AdaBoostStumps(_Learner):
                 if err > 1e-10:
                     still.append(j)
             boosting = still
-        # no stump beat chance: keep a single majority-vote stump
-        chance = [j for j, model in enumerate(models) if not model.stumps]
-        if chance:
-            stumps = DecisionTree(max_depth=1).fit_folds(
-                X, y, [sets[j] for j in chance]
-            )
-            for j, stump in zip(chance, stumps):
-                models[j].stumps, models[j].alphas = [stump], [1.0]
+        # no stump beat chance, so round 1's failed: keep it as a single
+        # majority-vote stump
+        for model, stump in zip(models, first):
+            if not model.stumps:
+                model.stumps, model.alphas = [stump], [1.0]
         return models
 
     def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:

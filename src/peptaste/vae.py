@@ -1,5 +1,9 @@
 """Sequence variational autoencoder with loss-supervised phased training.
 
+The training loss is reconstruction cross-entropy plus KL divergence to
+N(0, I) plus an L1 penalty lambda * sum|W| on the dense weights only, whose
+subgradient lambda * sign(W) joins those weights' gradients.
+
 Training is split into an exploration phase that tracks the best total
 loss, a convergence phase whose trigger demands a simultaneous strict
 improvement in total loss, reconstruction loss, and KL divergence over
@@ -12,6 +16,7 @@ candidate sequences.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -172,27 +177,27 @@ class SequenceVae:
                 nn.ReLU(),
                 nn.Dropout(c.dropout_rate),
                 nn.Flatten(),
-                nn.Dense(flat, c.hidden_units, l1_lambda=c.l1_lambda, rng=rng),
+                nn.Dense(flat, c.hidden_units, rng=rng),
                 nn.ReLU(),
             ]
         )
-        self.head_mean = nn.Dense(
-            c.hidden_units, c.latent_dim, l1_lambda=c.l1_lambda, rng=rng
-        )
-        self.head_logvar = nn.Dense(
-            c.hidden_units, c.latent_dim, l1_lambda=c.l1_lambda, rng=rng
-        )
+        self.head_mean = nn.Dense(c.hidden_units, c.latent_dim, rng=rng)
+        self.head_logvar = nn.Dense(c.hidden_units, c.latent_dim, rng=rng)
         self.decoder = nn.Stack(
             [
-                nn.Dense(c.latent_dim, c.hidden_units, l1_lambda=c.l1_lambda, rng=rng),
+                nn.Dense(c.latent_dim, c.hidden_units, rng=rng),
                 nn.ReLU(),
-                nn.Dense(c.hidden_units, flat, l1_lambda=c.l1_lambda, rng=rng),
+                nn.Dense(c.hidden_units, flat, rng=rng),
                 nn.ReLU(),
                 nn.Reshape((c.max_len, c.conv_filters)),
                 nn.Conv1D(c.conv_filters, NUM_CHANNELS, c.conv_kernel, rng=rng),
                 nn.Sigmoid(),
             ]
         )
+        # the L1 penalty's dense layers: the encoder's, then the decoder's
+        layers = self.trunk.layers + self.decoder.layers
+        first, *decoder = [d for d in layers if isinstance(d, nn.Dense)]
+        self._l1_groups = ([first, self.head_mean, self.head_logvar], decoder)
         self.buffer = nn.ParameterBuffer(self._registry())
         self.optimizer = nn.Adam(
             self.buffer.values, nn.AdamConfig(learning_rate=c.learning_rate)
@@ -223,14 +228,6 @@ class SequenceVae:
     def load_weights(self, weights: dict[str, np.ndarray]):
         np.concatenate(
             [weights[name].ravel() for name in self.buffer.shapes], out=self.buffer.values
-        )
-
-    def l1_penalty(self) -> float:
-        return (
-            self.trunk.penalty()
-            + self.head_mean.penalty()
-            + self.head_logvar.penalty()
-            + self.decoder.penalty()
         )
 
     # --- forward / training ----------------------------------------------
@@ -279,13 +276,23 @@ class SequenceVae:
 
         rec, drec = nn.bce_loss(out, x)
         kl, dmu_kl, dlogvar_kl = nn.kl_loss(mu, logvar)
-        l1 = self.l1_penalty()
 
         dz = self.decoder.backward(drec)
         dmu = dz + dmu_kl
         dlogvar = dz * eps * 0.5 * sigma + dlogvar_kl
         dh = self.head_mean.backward(dmu) + self.head_logvar.backward(dlogvar)
         self.trunk.backward(dh)
+
+        l1 = 0.0
+        if lam := self.config.l1_lambda:
+            # lam * sum|W| per layer, the encoder's and the decoder's terms
+            # summed apart, then added: tests/test_l1_golden.py pins the bits
+            l1 = sum(
+                sum(lam * float(np.abs(layer.params["W"]).sum()) for layer in group)
+                for group in self._l1_groups
+            )
+            for layer in itertools.chain(*self._l1_groups):
+                layer.grads["W"] += lam * np.sign(layer.params["W"])
 
         record = LossRecord(rec + kl + l1, rec, kl, l1)
         return record, self.buffer.views(self.buffer.grads)

@@ -136,6 +136,19 @@ def test_adaboost_folds_stop_at_their_own_round():
     assert models[2].alphas == [1.0]
 
 
+def test_adaboost_without_rounds_keeps_a_majority_vote_stump():
+    # no boosting round: every set keeps its uniform-weight stump, weight 1
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(40, 3))
+    y = rng.integers(0, 2, size=40)
+    sets = [np.arange(0, 25), np.arange(10, 40)]
+    models = assert_same_models(lambda: clf.AdaBoostStumps(0), X, y, sets)
+    for model, rows in zip(models, sets):
+        stump = clf.DecisionTree(max_depth=1).fit(X[rows], y[rows])
+        assert model.alphas == [1.0]
+        assert states(model.stumps) == states([stump])
+
+
 def test_lr_fold_stack_stays_under_its_cell_budget():
     # ten folds of 1,800 x 60 rows would take 8.6 MB stacked; the budget
     # lets two share a loop, and no fold-by-fold copy is made besides

@@ -195,7 +195,7 @@ class TestAdam:
 class TestGradCheck:
     def test_dense_bce_gradients(self):
         rng = np.random.default_rng(7)
-        layer = nn.Dense(3, 2, l1_lambda=0.01, rng=rng)
+        layer = nn.Dense(3, 2, rng=rng)
         layer.params["b"][...] = rng.normal(scale=0.1, size=2)
         sig = nn.Sigmoid()
         x = rng.random((4, 3))
@@ -204,7 +204,6 @@ class TestGradCheck:
         def loss_fn():
             out = sig.forward(layer.forward(x))
             loss, grad = nn.bce_loss(out, target)
-            loss += layer.penalty()
             layer.backward(sig.backward(grad))
             return loss, {"W": layer.grads["W"], "b": layer.grads["b"]}
 
@@ -225,28 +224,15 @@ class TestGradCheck:
 
         assert nn.grad_check(loss_fn, {"w": w}).ok(1e-6)
 
-    def test_in_place_l1_gradient_matches_allocating_form(self):
-        # oracle: x.T @ grad + lambda * sign(W) with temporaries, on a weight
-        # matrix larger than one chunk and with exact zeros in it
+    def test_in_place_dense_gradient_matches_allocating_form(self):
         rng = np.random.default_rng(10)
-        layer = nn.Dense(300, 130, l1_lambda=0.01, rng=rng)
-        layer.params["W"][::7] = 0.0
+        layer = nn.Dense(300, 130, rng=rng)
         x = rng.normal(size=(4, 300))
         grad = rng.normal(size=(4, 130))
         layer.forward(x)
         layer.backward(grad)
-        expected = x.T @ grad + 0.01 * np.sign(layer.params["W"])
-        assert np.array_equal(layer.grads["W"], expected)
+        assert np.array_equal(layer.grads["W"], x.T @ grad)
         assert np.array_equal(layer.grads["b"], grad.sum(axis=0))
-
-    def test_l1_subgradient_signs(self):
-        layer = nn.Dense(2, 2, l1_lambda=0.5)
-        layer.params["W"][...] = np.array([[1.0, -1.0], [2.0, -0.5]])
-        layer.forward(np.zeros((1, 2)))
-        layer.backward(np.zeros((1, 2)))
-        assert np.array_equal(
-            layer.grads["W"], 0.5 * np.sign(layer.params["W"])
-        )
 
     def test_conv_gradients(self):
         rng = np.random.default_rng(8)

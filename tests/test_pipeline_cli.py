@@ -249,6 +249,18 @@ class TestDesignPipeline:
         with pytest.raises(DataError, match="11111"):
             run_design(run)
 
+    def test_k_above_a_prepared_set_fails_before_training(
+        self, toy_corpus_path, small_tox_model, tmp_path
+    ):
+        out = tmp_path / "bigk"
+        run = toy_design_run(
+            toy_corpus_path, small_tox_model[0], out, k=10_000, epochs=2
+        )
+        message = r"stage prepare: positive set has \d+ peptides .* needs >= k=10000"
+        with pytest.raises(DataError, match=message):
+            run_design(run)
+        assert list(out.iterdir()) == []
+
     def test_failed_generation_keeps_loss_history(
         self, toy_corpus_path, small_tox_model, tmp_path, monkeypatch, capsys
     ):
@@ -722,6 +734,33 @@ class TestCli:
         assert flag.removeprefix("--").replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "0"], "k must be >= 1, got 0"),
+            (["--keep-fraction", "2"], "keep_fraction must be in (0, 1], got 2.0"),
+            (["--keep-fraction", "0"], "keep_fraction must be in (0, 1], got 0.0"),
+            (["--alpha", "0"], "alpha must be in (0, 1], got 0.0"),
+            (["--alpha", "nan"], "alpha must be in (0, 1], got nan"),
+            (["--cluster-threshold", "0"], "threshold must be in (0, 1], got 0.0"),
+            (["--cluster-threshold", "1.5"], "threshold must be in (0, 1], got 1.5"),
+            (["--tau", "nan", "--generation-mode", "jitter"], "tau must be finite, got nan"),
+            (["--tau", "inf"], "tau must be finite, got inf"),
+        ],
+    )
+    def test_design_rejects_bad_settings_before_reading(
+        self, tmp_path, capsys, flags, message
+    ):
+        # the input files do not exist: reading them would exit 3
+        missing = str(tmp_path / "missing.tsv")
+        out = tmp_path / "run"
+        argv = ["design", "--pattern", "x1xxx", "--corpus", missing]
+        argv += ["--tox-model", missing, "--out", str(out)]
+        assert main(argv + flags) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert main(argv) == 3
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "-0.5"])
     def test_toxtrain_rejects_bad_epsilon(self, tox_corpus_files, tmp_path, capsys, value):
         pos, neg = tox_corpus_files
@@ -829,7 +868,7 @@ class TestCli:
         assert main([command, *args]) == 3
         assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["toxpredict", "toxbench"])
+    @pytest.mark.parametrize("command", ["toxpredict", "toxbench", "design"])
     @pytest.mark.parametrize(
         "damage, message",
         [
@@ -845,19 +884,29 @@ class TestCli:
              "mcc-a-string", "weights-a-string", "no-member-state"],
     )
     def test_malformed_model_file_is_a_data_error(
-        self, small_tox_model, tox_corpus_files, tmp_path, capsys, command, damage,
-        message,
+        self, small_tox_model, tox_corpus_files, toy_corpus_path, tmp_path, capsys,
+        command, damage, message,
     ):
         model = tmp_path / "model.json"
         model.write_text(damage(open(small_tox_model[0]).read()))
         pos, neg = tox_corpus_files
+        out = tmp_path / "run"
+        prefix = "error: "
         if command == "toxpredict":
-            inputs = ["--input", pos]
+            argv = [command, "--model", str(model), "--input", pos]
+        elif command == "toxbench":
+            argv = [command, "--model", str(model), "--pos", pos, "--neg", neg]
         else:
-            inputs = ["--pos", pos, "--neg", neg]
-        assert main([command, "--model", str(model), *inputs]) == 3
+            # design reads the model before the corpus: nothing is trained
+            # and no artifact is written
+            argv = [command, "--tox-model", str(model), "--pattern", "x1xxx"]
+            argv += ["--corpus", toy_corpus_path, "--out", str(out)]
+            argv += ["--epochs", "2", "--latent-dim", "2", "--hidden-units", "4"]
+            prefix = "error: stage toxicity: "
+        assert main(argv) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {model}: ") and message in err
+        assert err.startswith(f"{prefix}{model}: ") and message in err
+        assert not out.exists()
 
     def test_numeric_error_exit_code(self, toy_corpus_path, small_tox_model, tmp_path, capsys):
         # a half-trained model sits in the regime where every decode opens

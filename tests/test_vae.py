@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from peptaste import vae
+from peptaste import nn, vae
 from peptaste.errors import ConfigError, NumericError, TrainingDiverged
 from peptaste.sequences import Peptide, encode_batch
 from peptaste.vae import (
@@ -98,6 +98,66 @@ class TestBuild:
             + (K * F * 21 + 21)       # decoder conv
         )
         assert model.parameter_count() == expected
+
+
+DENSE_WEIGHTS = ("enc.4.Dense.W", "mean.W", "logvar.W", "dec.0.Dense.W", "dec.2.Dense.W")
+
+
+def l1_twins(l1_lambda):
+    """(loss record, gradient copies, parameters) of one model at l1_lambda
+    0 and at l1_lambda, from the same weights, with every third row of each
+    dense weight exactly 0."""
+    _, x = toy_data(n=4)
+    out = []
+    for lam in (0.0, l1_lambda):
+        model = SequenceVae(tiny_config(l1_lambda=lam))
+        params = model.named_params()
+        for name in DENSE_WEIGHTS:
+            params[name][::3] = 0.0
+        eps = np.random.default_rng(1).standard_normal((4, 4))
+        record, grads = model.loss_and_grads(x, eps, rng=np.random.default_rng(2))
+        out.append((record, {n: g.copy() for n, g in grads.items()}, params))
+    return out
+
+
+class TestL1Penalty:
+    def test_penalty_is_part_of_a_checked_loss(self):
+        rng = np.random.default_rng(7)
+        model = SequenceVae(tiny_config(l1_lambda=0.5, dropout_rate=0.0))
+        for arr in model.named_params().values():
+            arr += 0.05 * rng.standard_normal(arr.shape)
+        _, x = toy_data(n=2)
+        eps = rng.standard_normal((2, 4))
+
+        def loss_fn():
+            record, grads = model.loss_and_grads(x, eps)
+            return record.loss_tol, grads
+
+        record, _ = model.loss_and_grads(x, eps)
+        params = model.named_params()
+        weights = sum(float(np.abs(params[n]).sum()) for n in DENSE_WEIGHTS)
+        assert record.l1_penalty == pytest.approx(0.5 * weights, rel=1e-12)
+        assert record.l1_penalty > record.loss_rec
+        assert nn.grad_check(loss_fn, params).ok(1e-6)
+
+    def test_gradient_is_the_unpenalized_one_plus_lambda_sign(self):
+        # oracle: at l1_lambda 0 a dense weight's gradient is its matmul alone
+        (plain, g0, params), (penalized, g1, _) = l1_twins(0.01)
+        for name in g0:
+            expected = g0[name]
+            if name in DENSE_WEIGHTS:
+                expected = expected + 0.01 * np.sign(params[name])
+            assert np.array_equal(g1[name], expected), name
+        assert penalized.loss_rec == plain.loss_rec
+        assert penalized.loss_kl == plain.loss_kl
+        assert plain.l1_penalty == 0.0
+
+    def test_subgradient_signs(self):
+        (_, g0, params), (_, g1, _) = l1_twins(0.5)
+        for name in DENSE_WEIGHTS:
+            W = params[name]
+            assert (W > 0).any() and (W < 0).any() and (W == 0).any()
+            assert np.array_equal(np.sign(g1[name] - g0[name]), np.sign(W)), name
 
 
 class TestController:

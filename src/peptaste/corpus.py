@@ -82,10 +82,14 @@ def ingest_unlabeled(peptides, source: str = "") -> Corpus:
     return Corpus(out)
 
 
-def length_filter(corpus: Corpus, max_len: int) -> tuple[Corpus, int]:
-    """Keep records of length <= max_len; also return how many were dropped."""
+def check_max_len(max_len: int):
     if max_len < 2:
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
+
+
+def length_filter(corpus: Corpus, max_len: int) -> tuple[Corpus, int]:
+    """Keep records of length <= max_len; also return how many were dropped."""
+    check_max_len(max_len)
     kept = [r for r in corpus if len(r.peptide) <= max_len]
     if not kept and len(corpus) > 0:
         warnings.warn(
@@ -105,10 +109,7 @@ def dedup_greedy(
     kept only if its normalized alignment similarity to every record kept
     so far stays below the threshold.  Deterministic and idempotent.
     """
-    if not 0 < identity_threshold <= 1:
-        raise ConfigError(
-            f"identity_threshold must be in (0, 1], got {identity_threshold}"
-        )
+    similarity.check_threshold(identity_threshold)
     records = list(corpus.records)
     order = sorted(
         range(len(records)),

@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
+PROJECTION_MIN_POINTS = 3
+
 
 @dataclass
 class ProjectedSpace:
@@ -42,8 +44,8 @@ def pca2(points: np.ndarray) -> ProjectedSpace:
     rank-deficient.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 3:
-        raise DataError("projection needs at least 3 points")
+    if pts.ndim != 2 or pts.shape[0] < PROJECTION_MIN_POINTS:
+        raise DataError(f"projection needs at least {PROJECTION_MIN_POINTS} points")
     if pts.shape[1] < 2:
         raise DataError("projection needs dimension >= 2")
     mean = pts.mean(axis=0)

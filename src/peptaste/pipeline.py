@@ -179,10 +179,14 @@ class DesignRun:
             )
         # rejects bad settings before run_design reads any input
         _vae_config(self, "vae-positive")
+        if self.candidates < 1:
+            raise ConfigError(f"candidates must be >= 1, got {self.candidates}")
+        vae.check_generation_mode(self.generation_mode)
         latent.check_k(self.k)
         latent.check_fraction("keep_fraction", self.keep_fraction)
         latent.check_fraction("alpha", self.alpha)
         similarity.check_threshold(self.cluster_threshold)
+        similarity.check_threshold(self.dedup_threshold)
         if not math.isfinite(self.tau):
             raise ConfigError(f"tau must be finite, got {self.tau}")
 
@@ -225,7 +229,7 @@ def field_values(cls, source) -> dict:
 
 def _vae_config(run: DesignRun, stage: str) -> vae.VaeConfig:
     shared = field_values(vae.VaeConfig, run)
-    shared.update(seed=derive_seed(run.seed, stage), generation_count=run.candidates)
+    shared.update(seed=derive_seed(run.seed, stage))
     return vae.VaeConfig(**shared)
 
 
@@ -279,17 +283,22 @@ def run_design(run: DesignRun) -> DesignReport:
 
     with _stage("prepare"):
         prepared = {role: prepare(records, role) for role, records in assigned.items()}
+        # the latent projection is fitted on every role's prepared peptides
+        if (n := sum(map(len, prepared.values()))) < latent.PROJECTION_MIN_POINTS:
+            raise DataError(
+                f"the projection needs >= {latent.PROJECTION_MIN_POINTS} prepared "
+                f"peptides, got {n} ({' + '.join(roles)})"
+            )
 
-    # the loss history is written even when training or generation fails
-    trained, outcomes = {}, {}
+    # the loss history is written even when training fails, and before
+    # any sampling
+    trained, outcomes, data = {}, {}, {}
     try:
         for role in roles:
             with _stage(f"train-{role}"):
                 model = trained[role] = vae.SequenceVae(_vae_config(run, f"vae-{role}"))
-                data = encode_batch(prepared[role].peptides(), run.max_len)
-                outcomes[role] = vae.train_la(
-                    model, data, generation_mode=run.generation_mode, tau=run.tau
-                )
+                data[role] = encode_batch(prepared[role].peptides(), run.max_len)
+                outcomes[role] = vae.train_la(model, data[role])
     finally:
         if trained:
             textio.write_table(
@@ -302,15 +311,22 @@ def run_design(run: DesignRun) -> DesignReport:
                 ],
             )
 
-    candidates = outcomes["positive"].generated
+    # all latent coordinates come from the positive model's encoder so
+    # Euclidean comparison happens in one shared space
+    positive = trained["positive"]
+    with _stage("generate"):
+        latents = {role: positive.encode_matrix(x) for role, x in data.items()}
+        candidates = positive.generate(
+            run.candidates,
+            mode=run.generation_mode,
+            tau=run.tau,
+            source_mu=latents["positive"],
+        )
     with _stage("latent-projection"):
-        # all latent coordinates come from the positive model's encoder so
-        # Euclidean comparison happens in one shared space
+        latents["candidate"] = positive.encode(candidates)
         peptides = {role: prepared[role].peptides() for role in roles}
         peptides["candidate"] = candidates
-        latents = {r: trained["positive"].encode(p) for r, p in peptides.items()}
-        fit_points = [latents[role] for role in roles]
-        projection = latent.pca2(np.vstack(fit_points) if avoidance else fit_points[0])
+        projection = latent.pca2(np.vstack([latents[role] for role in roles]))
         plane = {role: projection.project(z) for role, z in latents.items()}
         textio.write_table(
             out("latent_coords.tsv"),
@@ -458,6 +474,9 @@ class ToxTrainOptions:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if not self.epsilon >= 0:
             raise ConfigError(f"epsilon must be >= 0 and not NaN, got {self.epsilon}")
+        corpus_mod.check_max_len(self.max_len)
+        corpus_mod.SplitSpec(train_fraction=self.train_fraction)
+        similarity.check_threshold(self.dedup_threshold)
         self.selector_spec()
         self.member_specs()
         ens.weight_grid_units(len(self.member_names), self.weight_step)

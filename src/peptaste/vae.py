@@ -9,8 +9,7 @@ loss, a convergence phase whose trigger demands a simultaneous strict
 improvement in total loss, reconstruction loss, and KL divergence over
 the stored best, and an elastic extension entered when convergence never
 triggers.  If the extension also fails, the exploration-phase best weights
-are restored and generation runs from them, so a run always emits
-candidate sequences.
+are restored, so training always leaves a model to sample from.
 """
 
 from __future__ import annotations
@@ -29,6 +28,11 @@ from .sequences import NUM_CHANNELS, Peptide, decode_argmax, encode_batch
 GENERATION_MODES = ("prior", "jitter")
 
 
+def check_generation_mode(mode: str):
+    if mode not in GENERATION_MODES:
+        raise ConfigError(f"unknown generation mode {mode!r}")
+
+
 @dataclass(frozen=True)
 class VaeConfig:
     max_len: int
@@ -43,7 +47,6 @@ class VaeConfig:
     learning_rate: float = 0.001
     batch_size: int = 32
     seed: int = 0
-    generation_count: int = 100
 
     def __post_init__(self):
         if self.max_len < 2:
@@ -58,8 +61,8 @@ class VaeConfig:
             raise ConfigError("conv_kernel must be a positive odd number")
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError("dropout_rate must be in [0, 1)")
-        if self.batch_size < 1 or self.generation_count < 1:
-            raise ConfigError("batch_size and generation_count must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.l1_lambda) and self.l1_lambda >= 0):
             raise ConfigError(
                 f"l1_lambda must be finite and >= 0, got {self.l1_lambda}"
@@ -152,7 +155,6 @@ class PhasedController:
 class TrainOutcome:
     phase_reached: Phase
     trigger_epoch: int | None
-    generated: list[Peptide]
     history: list[LossRecord]
     best_epoch: int | None
     best: LossRecord | None
@@ -311,22 +313,25 @@ class SequenceVae:
         n: int,
         mode: str = "prior",
         tau: float = 0.5,
-        seed: int | object = 0,
+        seed=None,
         source_mu: np.ndarray | None = None,
     ) -> list[Peptide]:
         """Sample decoded peptides, rejecting decodes shorter than 2 residues.
 
         Prior mode draws z from the standard normal; jitter mode perturbs
         the latent mean of a random source row by tau-scaled noise.  The
-        rejection budget is 100 * n attempts.
+        rejection budget is 100 * n attempts.  The draws come from the
+        model's generation stream, [config.seed, 2], unless seed is given;
+        training uses [config.seed, 1].
         """
         if n < 1:
             raise ConfigError(f"generation count must be >= 1, got {n}")
-        if mode not in GENERATION_MODES:
-            raise ConfigError(f"unknown generation mode {mode!r}")
+        check_generation_mode(mode)
         if mode == "jitter":
             if source_mu is None or len(source_mu) == 0:
                 raise ConfigError("jitter mode needs source latent means")
+        if seed is None:
+            seed = [self.config.seed, 2]
         rng = np.random.default_rng(seed)
         out: list[Peptide] = []
         attempts = 0
@@ -357,17 +362,12 @@ class SequenceVae:
         return out
 
 
-def train_la(
-    model: SequenceVae,
-    data: np.ndarray,
-    generation_mode: str = "prior",
-    tau: float = 0.5,
-) -> TrainOutcome:
+def train_la(model: SequenceVae, data: np.ndarray) -> TrainOutcome:
     """Run the three-phase loss-supervised schedule on one model.
 
     Each epoch's record is the mean of its minibatch training losses.
     Divergence aborts with the history attached.  The returned outcome
-    carries the generated peptides and the full loss history.
+    carries the phase reached and the full loss history.
     """
     if data.ndim != 3 or data.shape[0] == 0:
         raise ValidationError("training data must be a non-empty (n, len, 21) array")
@@ -375,16 +375,6 @@ def train_la(
     controller = PhasedController(cfg.epochs, cfg.extension)
     rng = np.random.default_rng([cfg.seed, 1])
     n = data.shape[0]
-
-    def run_generation() -> list[Peptide]:
-        source = model.encode_matrix(data) if generation_mode == "jitter" else None
-        return model.generate(
-            cfg.generation_count,
-            mode=generation_mode,
-            tau=tau,
-            seed=[cfg.seed, 2],
-            source_mu=source,
-        )
 
     for epoch in range(1, controller.max_epochs + 1):
         perm = rng.permutation(n)
@@ -418,21 +408,14 @@ def train_la(
                 "weights": model.copy_weights(),
             }
         if action is Action.TRIGGER:
-            return TrainOutcome(
-                phase_reached=controller.phase_of(epoch),
-                trigger_epoch=epoch,
-                generated=run_generation(),
-                history=list(model.history),
-                best_epoch=controller.best_epoch,
-                best=controller.best,
-            )
-    # no trigger anywhere: restore the exploration-phase best and generate
-    if model.snapshot is not None:
+            break
+    else:
+        # no trigger anywhere: restore the exploration-phase best
         model.load_weights(model.snapshot["weights"])
+    trigger = controller.trigger_epoch
     return TrainOutcome(
-        phase_reached=Phase.FALLBACK,
-        trigger_epoch=None,
-        generated=run_generation(),
+        phase_reached=Phase.FALLBACK if trigger is None else controller.phase_of(trigger),
+        trigger_epoch=trigger,
         history=list(model.history),
         best_epoch=controller.best_epoch,
         best=controller.best,

@@ -3,11 +3,11 @@
 The design goldens all train at l1_lambda 0, so they cannot see the L1
 term.  These digests pin `vae.train_la` on 20 fixed random peptides with a
 tiny model, at l1_lambda 0 and 0.01: the sha256 covers the repr of every
-epoch's LossRecord, the bytes of the final parameter buffer and the
-generated sequences.  Both runs trigger convergence at epoch 7.  They were
-recorded while each dense layer still added its own L1 subgradient and
-penalty, and gave the same digests with one and with two BLAS threads on a
-2-core x86-64 machine (OpenBLAS).
+epoch's LossRecord, the bytes of the final parameter buffer and the 8
+sequences the trained model then generates.  Both runs trigger convergence
+at epoch 7.  They were recorded while each dense layer still added its own
+L1 subgradient and penalty, and gave the same digests with one and with two
+BLAS threads on a 2-core x86-64 machine (OpenBLAS).
 """
 
 import hashlib
@@ -39,15 +39,15 @@ def training_digest(l1_lambda: float) -> str:
         batch_size=4,
         l1_lambda=l1_lambda,
         seed=3,
-        generation_count=8,
     )
     model = vae.SequenceVae(cfg)
-    outcome = vae.train_la(model, encode_batch(peptides, cfg.max_len))
+    vae.train_la(model, encode_batch(peptides, cfg.max_len))
+    generated = model.generate(8)
     h = hashlib.sha256()
     for record in model.history:
         h.update(repr(record).encode())
     h.update(model.buffer.values.tobytes())
-    h.update("\n".join(str(p) for p in outcome.generated).encode())
+    h.update("\n".join(str(p) for p in generated).encode())
     return h.hexdigest()
 
 

@@ -29,7 +29,9 @@ def hooked():
         similarity.build_components,
         similarity.pick_representatives,
         corpus.dedup_greedy,
+        vae.train_la,
         vae.SequenceVae.train_step,
+        vae.SequenceVae.generate,
         classifiers.RandomForest.fit,
     )
 

@@ -22,7 +22,7 @@ from peptaste.pipeline import (
     run_toxpredict,
     run_toxtrain,
 )
-from peptaste.sequences import PatternMode, parse_pattern
+from peptaste.sequences import PatternMode, Peptide, parse_pattern
 
 
 MISSING = object()
@@ -261,6 +261,59 @@ class TestDesignPipeline:
             run_design(run)
         assert list(out.iterdir()) == []
 
+    def test_too_few_points_to_project_fails_before_training(
+        self, small_tox_model, tmp_path
+    ):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("GGAAC\tx1xxx\nKLLKK\tx1xxx\nEEDDE\t1xxxx\nWWFFY\txx1xx\n")
+        out = tmp_path / "few"
+        run = toy_design_run(str(corpus), small_tox_model[0], out, k=1, epochs=2)
+        message = r"stage prepare: the projection needs >= 3 prepared peptides, got 2 \("
+        with pytest.raises(DataError, match=message):
+            run_design(run)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"generation_mode": "bogus"}, "unknown generation mode 'bogus'"),
+            ({"dedup_threshold": 0.0}, r"threshold must be in \(0, 1\], got 0.0"),
+        ],
+    )
+    def test_bad_settings_fail_when_the_run_is_built(self, tmp_path, fields, message):
+        missing = str(tmp_path / "missing")
+        with pytest.raises(ConfigError, match=message):
+            toy_design_run(missing, missing, tmp_path / "run", **fields)
+
+    def test_avoidance_run_samples_once_from_the_positive_model(
+        self, toy_corpus_path, small_tox_model, tmp_path, monkeypatch
+    ):
+        class Stop(Exception):
+            pass
+
+        calls = []
+
+        def record(self, n, **kwargs):
+            calls.append((self.config.seed, n))
+            return [Peptide("ACDEF")] * n
+
+        def stop(points):
+            raise Stop
+
+        # every model has trained and sampled by the time the projection is fitted
+        monkeypatch.setattr(vae.SequenceVae, "generate", record)
+        monkeypatch.setattr(pipeline.latent, "pca2", stop)
+        run = toy_design_run(
+            toy_corpus_path,
+            small_tox_model[0],
+            tmp_path / "once",
+            pattern=parse_pattern(">x1x00"),
+            epochs=2,
+        )
+        with pytest.raises(Stop):
+            run_design(run)
+        assert calls == [(derive_seed(run.seed, "vae-positive"), run.candidates)]
+
     def test_failed_generation_keeps_loss_history(
         self, toy_corpus_path, small_tox_model, tmp_path, monkeypatch, capsys
     ):
@@ -417,6 +470,20 @@ class TestToxTrainPipeline:
     )
     def test_options_reject_a_bad_weight_grid(self, fields, message):
         # the weight search would find it only after forward selection
+        with pytest.raises(ConfigError, match=message):
+            ToxTrainOptions(**fields)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"train_fraction": 1.0}, r"train_fraction must be in \(0, 1\), got 1.0"),
+            ({"train_fraction": 0.0}, r"train_fraction must be in \(0, 1\), got 0.0"),
+            ({"dedup_threshold": 0.0}, r"threshold must be in \(0, 1\], got 0.0"),
+            ({"dedup_threshold": 1.5}, r"threshold must be in \(0, 1\], got 1.5"),
+        ],
+    )
+    def test_options_reject_bad_preparation_settings(self, fields, message):
+        # the corpus preparation would find them only after reading both inputs
         with pytest.raises(ConfigError, match=message):
             ToxTrainOptions(**fields)
 
@@ -746,6 +813,7 @@ class TestCli:
             (["--cluster-threshold", "1.5"], "threshold must be in (0, 1], got 1.5"),
             (["--tau", "nan", "--generation-mode", "jitter"], "tau must be finite, got nan"),
             (["--tau", "inf"], "tau must be finite, got inf"),
+            (["--candidates", "0"], "candidates must be >= 1, got 0"),
         ],
     )
     def test_design_rejects_bad_settings_before_reading(
@@ -779,6 +847,7 @@ class TestCli:
             (["--selector", "foo"], "unknown classifier preset 'foo'"),
             (["--folds", "1"], "folds must be >= 2, got 1"),
             (["--epsilon", "nan"], "epsilon must be >= 0 and not NaN, got nan"),
+            (["--max-len", "1"], "max_len must be >= 2, got 1"),
         ],
     )
     def test_toxtrain_rejects_bad_options_before_reading(

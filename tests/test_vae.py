@@ -26,7 +26,6 @@ def tiny_config(**overrides):
         dropout_rate=0.1,
         batch_size=4,
         seed=0,
-        generation_count=5,
     )
     base.update(overrides)
     return VaeConfig(**base)
@@ -317,7 +316,7 @@ class TestEncodeGenerate:
 
     def test_jitter_zero_reproduces_reconstructions(self):
         peps, data = toy_data()
-        model = SequenceVae(tiny_config(generation_count=20))
+        model = SequenceVae(tiny_config())
         vae.train_la(model, data)
         mu = model.encode(peps)
         recon = model.reconstruct(peps)

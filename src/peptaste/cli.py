@@ -215,22 +215,17 @@ def _cmd_toxbench(args) -> int:
 
 
 def _cmd_physchem(args) -> int:
-    rows = (
-        (seq, *physchem.profile(Peptide(seq)).as_dict().values())
-        for seq in pipeline.read_sequences(args.input)
-    )
-    textio.write_table(args.out, ("sequence", *physchem.PROFILE_FIELDS), rows)
+    seqs = pipeline.read_sequences(args.input)
+    matrix = physchem.profiles(seqs)  # validates every sequence before writing
+    textio.write_matrix(args.out, ("sequence", *physchem.PROFILE_FIELDS), seqs, matrix)
     return 0
 
 
 def _cmd_encode(args) -> int:
-    peptides = [Peptide(s) for s in pipeline.read_sequences(args.input)]
-    matrix = descriptors.encode_matrix(args.descriptors, peptides)
-    textio.write_table(
-        args.out,
-        ("sequence", *descriptors.column_names(args.descriptors)),
-        # one row of Python floats at a time, not the whole matrix
-        ((str(pep), *row.tolist()) for pep, row in zip(peptides, matrix)),
+    seqs = pipeline.read_sequences(args.input)
+    matrix = descriptors.encode_matrix(args.descriptors, [Peptide(s) for s in seqs])
+    textio.write_matrix(
+        args.out, ("sequence", *descriptors.column_names(args.descriptors)), seqs, matrix
     )
     return 0
 

@@ -109,7 +109,7 @@ def dedup_greedy(
     kept only if its normalized alignment similarity to every record kept
     so far stays below the threshold.  Deterministic and idempotent.
     """
-    similarity.check_threshold(identity_threshold)
+    similarity.check_threshold("identity_threshold", identity_threshold)
     records = list(corpus.records)
     order = sorted(
         range(len(records)),

@@ -185,8 +185,8 @@ class DesignRun:
         latent.check_k(self.k)
         latent.check_fraction("keep_fraction", self.keep_fraction)
         latent.check_fraction("alpha", self.alpha)
-        similarity.check_threshold(self.cluster_threshold)
-        similarity.check_threshold(self.dedup_threshold)
+        similarity.check_threshold("cluster_threshold", self.cluster_threshold)
+        similarity.check_threshold("dedup_threshold", self.dedup_threshold)
         if not math.isfinite(self.tau):
             raise ConfigError(f"tau must be finite, got {self.tau}")
 
@@ -387,8 +387,9 @@ def run_design(run: DesignRun) -> DesignReport:
     with _stage("toxicity"):
         tox_rows = tox_model.predict([candidates[i] for i in reps])
     with _stage("physchem"):
+        profiles = physchem.profiles([candidates[i] for i in reps]).tolist()
         candidate_rows = []
-        for cluster_id, (rep, tox_row) in enumerate(zip(reps, tox_rows)):
+        for cluster_id, (rep, tox_row, prof) in enumerate(zip(reps, tox_rows, profiles)):
             row = dict(zip(SCORE_COLUMNS[:-1], score_rows[rep]))
             row.update(
                 cluster_id=cluster_id,
@@ -397,7 +398,7 @@ def run_design(run: DesignRun) -> DesignReport:
                 tox_call=tox_row["call"],
                 tox_error=tox_row["error"],
             )
-            row.update(physchem.profile(candidates[rep]).as_dict())
+            row.update(zip(physchem.PROFILE_FIELDS, prof))
             candidate_rows.append(row)
         textio.write_table(
             out("candidates.tsv"),
@@ -476,7 +477,7 @@ class ToxTrainOptions:
             raise ConfigError(f"epsilon must be >= 0 and not NaN, got {self.epsilon}")
         corpus_mod.check_max_len(self.max_len)
         corpus_mod.SplitSpec(train_fraction=self.train_fraction)
-        similarity.check_threshold(self.dedup_threshold)
+        similarity.check_threshold("dedup_threshold", self.dedup_threshold)
         self.selector_spec()
         self.member_specs()
         ens.weight_grid_units(len(self.member_names), self.weight_step)

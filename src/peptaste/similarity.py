@@ -280,9 +280,10 @@ def similarity_matrix(seqs, params: AlignParams = DEFAULT_PARAMS) -> np.ndarray:
     return sim
 
 
-def check_threshold(threshold: float):
+def check_threshold(name: str, threshold: float):
+    """Reject a similarity threshold outside (0, 1], NaN included."""
     if not 0 < threshold <= 1:
-        raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
+        raise ConfigError(f"{name} must be in (0, 1], got {threshold}")
 
 
 def build_components(
@@ -296,7 +297,7 @@ def build_components(
     so each similarity equals the matrix's bit for bit.  Clusters are
     ordered by their smallest member index; members ascend.
     """
-    check_threshold(threshold)
+    check_threshold("threshold", threshold)
     scorer = Scorer(seqs, params)
     n = len(scorer.seqs)
     root = list(range(n))

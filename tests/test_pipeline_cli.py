@@ -11,6 +11,7 @@ from peptaste import pipeline, vae
 from peptaste.cli import build_parser, design_run, main, toxtrain_options
 from peptaste.descriptors import encode_matrix
 from peptaste.errors import ConfigError, DataError, NumericError, ParseError, TrainingDiverged
+from peptaste.physchem import profile
 from peptaste.pipeline import (
     CANDIDATE_COLUMNS,
     DesignRun,
@@ -22,7 +23,7 @@ from peptaste.pipeline import (
     run_toxpredict,
     run_toxtrain,
 )
-from peptaste.sequences import PatternMode, Peptide, parse_pattern
+from peptaste.sequences import AMINO_ACIDS, PatternMode, Peptide, parse_pattern
 
 
 MISSING = object()
@@ -277,7 +278,12 @@ class TestDesignPipeline:
         "fields, message",
         [
             ({"generation_mode": "bogus"}, "unknown generation mode 'bogus'"),
-            ({"dedup_threshold": 0.0}, r"threshold must be in \(0, 1\], got 0.0"),
+            # explicit ids keep these cases' names from before the message named the setting
+            pytest.param(
+                {"dedup_threshold": 0.0},
+                r"^dedup_threshold must be in \(0, 1\], got 0.0",
+                id=r"fields1-threshold must be in \(0, 1\], got 0.0",
+            ),
         ],
     )
     def test_bad_settings_fail_when_the_run_is_built(self, tmp_path, fields, message):
@@ -478,8 +484,17 @@ class TestToxTrainPipeline:
         [
             ({"train_fraction": 1.0}, r"train_fraction must be in \(0, 1\), got 1.0"),
             ({"train_fraction": 0.0}, r"train_fraction must be in \(0, 1\), got 0.0"),
-            ({"dedup_threshold": 0.0}, r"threshold must be in \(0, 1\], got 0.0"),
-            ({"dedup_threshold": 1.5}, r"threshold must be in \(0, 1\], got 1.5"),
+            # explicit ids keep these cases' names from before the message named the setting
+            pytest.param(
+                {"dedup_threshold": 0.0},
+                r"^dedup_threshold must be in \(0, 1\], got 0.0",
+                id=r"fields2-threshold must be in \(0, 1\], got 0.0",
+            ),
+            pytest.param(
+                {"dedup_threshold": 1.5},
+                r"^dedup_threshold must be in \(0, 1\], got 1.5",
+                id=r"fields3-threshold must be in \(0, 1\], got 1.5",
+            ),
         ],
     )
     def test_options_reject_bad_preparation_settings(self, fields, message):
@@ -665,6 +680,32 @@ class TestCli:
         expected = encode_matrix(["AAC", "CTDD"], ["ACDE", "KR"])
         assert [[float(v) for v in row[1:]] for row in rows] == expected.tolist()
 
+    def test_physchem_profiles_single_residues(self, tmp_path, capsys):
+        # physchem enforces the alphabet only, not Peptide's two-residue minimum
+        src = tmp_path / "seqs.txt"
+        src.write_text("K\nGG\nW\n")
+        assert main(["physchem", "--input", str(src)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["K", "GG", "W"]
+        for row in rows:
+            assert [float(v) for v in row[1:]] == list(dataclasses.astuple(profile(row[0])))
+
+    @pytest.mark.parametrize(
+        "command", [["physchem"], ["encode", "--descriptors", "AAC,CTDD"]]
+    )
+    def test_bad_last_line_writes_nothing(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(4)
+        seqs = ["".join(rng.choice(list(AMINO_ACIDS), size=8)) for _ in range(39)]
+        src = tmp_path / "seqs.txt"
+        src.write_text("\n".join(seqs + ["ACDXK"]) + "\n")
+        out = tmp_path / "out.tsv"
+        argv = [command[0], "--input", str(src), *command[1:]]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "'ACDXK'" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
+
     def test_toxtrain_rejects_peptide_too_short_for_universe(
         self, tox_corpus_files, tmp_path, capsys
     ):
@@ -809,8 +850,17 @@ class TestCli:
             (["--keep-fraction", "0"], "keep_fraction must be in (0, 1], got 0.0"),
             (["--alpha", "0"], "alpha must be in (0, 1], got 0.0"),
             (["--alpha", "nan"], "alpha must be in (0, 1], got nan"),
-            (["--cluster-threshold", "0"], "threshold must be in (0, 1], got 0.0"),
-            (["--cluster-threshold", "1.5"], "threshold must be in (0, 1], got 1.5"),
+            # explicit ids keep these cases' names from before the message named the setting
+            pytest.param(
+                ["--cluster-threshold", "0"],
+                "cluster_threshold must be in (0, 1], got 0.0",
+                id="flags5-threshold must be in (0, 1], got 0.0",
+            ),
+            pytest.param(
+                ["--cluster-threshold", "1.5"],
+                "cluster_threshold must be in (0, 1], got 1.5",
+                id="flags6-threshold must be in (0, 1], got 1.5",
+            ),
             (["--tau", "nan", "--generation-mode", "jitter"], "tau must be finite, got nan"),
             (["--tau", "inf"], "tau must be finite, got inf"),
             (["--candidates", "0"], "candidates must be >= 1, got 0"),

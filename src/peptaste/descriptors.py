@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _tables
 from .errors import ValidationError
-from .sequences import AA_TO_INDEX, AMINO_ACIDS, MIN_LENGTH, Peptide
+from .sequences import AA_TO_INDEX, AMINO_ACIDS, MIN_LENGTH, Peptide, residue_codes
 
 GROUP_NAMES = ("aliphatic", "aromatic", "positive", "negative", "uncharged")
 
@@ -38,18 +38,6 @@ class DescriptorConfig:
 
 
 DEFAULT_CONFIG = DescriptorConfig()
-
-
-_RESIDUE_INDEX = bytes.maketrans(
-    AMINO_ACIDS.encode(), bytes(range(len(AMINO_ACIDS)))
-)
-
-
-def _codes(p) -> np.ndarray:
-    """The peptide's residues as indices into AMINO_ACIDS."""
-    seq = p.sequence if isinstance(p, Peptide) else Peptide(str(p)).sequence
-    indices = seq.encode().translate(_RESIDUE_INDEX)
-    return np.frombuffer(indices, np.uint8).astype(np.intp)
 
 
 def _classes(groups) -> np.ndarray:
@@ -380,10 +368,6 @@ def _bounded_entry(descriptor_id: str, n: int, config: DescriptorConfig) -> _Des
     return entry
 
 
-def _encode_codes(descriptor_id: str, codes: np.ndarray, config: DescriptorConfig):
-    return _bounded_entry(descriptor_id, len(codes), config).encode(codes, config)
-
-
 def check_length(ids, n: int, config: DescriptorConfig = DEFAULT_CONFIG) -> None:
     """Raise the error encode_matrix raises for a peptide of length n: that
     of the first descriptor in ids whose length bounds exclude n."""
@@ -393,7 +377,7 @@ def check_length(ids, n: int, config: DescriptorConfig = DEFAULT_CONFIG) -> None
 
 def encode(descriptor_id: str, peptide, config: DescriptorConfig = DEFAULT_CONFIG):
     """Encode one peptide with one descriptor; returns a fixed-length vector."""
-    return _encode_codes(descriptor_id, _codes(peptide), config)
+    return encode_matrix([descriptor_id], [peptide], config)[0]
 
 
 def min_length(
@@ -429,12 +413,17 @@ def encode_matrix(ids, peptides, config: DescriptorConfig = DEFAULT_CONFIG):
         raise ValidationError("descriptor list must be non-empty")
     if len(set(ids)) != len(ids):
         raise ValidationError("descriptor list contains duplicates")
+    seqs = [p.sequence if isinstance(p, Peptide) else Peptide(str(p)).sequence
+            for p in peptides]
+    if not seqs:
+        return np.zeros((0, len(column_names(ids, config))))
+    codes = residue_codes(seqs).astype(np.intp)
     rows = []
-    for p in peptides:
-        codes = _codes(p)
-        row = [_encode_codes(did, codes, config) for did in ids]
-        rows.append(np.concatenate(row))
-    return np.stack(rows) if rows else np.zeros((0, len(column_names(ids, config))))
+    for seq, row in zip(seqs, codes):
+        n = len(seq)
+        parts = [_bounded_entry(did, n, config).encode(row[:n], config) for did in ids]
+        rows.append(np.concatenate(parts))
+    return np.stack(rows)
 
 
 @dataclass

@@ -6,12 +6,13 @@ is reproducible bit-exactly from this package alone.  Masses are average
 (not monoisotopic); the hydrophobic moment is computed over the full
 sequence rather than a sliding window.
 
-Profiles are computed a batch of peptides at a time (profiles); profile,
-net_charge, isoelectric_point and the other scalar functions are its
-one-row case.  Every sum over residues runs left to right in residue
-order, one position at a time across the batch, so a peptide's values do
-not depend on the rest of its batch, nor on the Python version (from 3.12
-the builtin sum compensates float rounding).
+Profiles are computed a batch of peptides at a time (profiles); profile is
+its one-row case.  net_charge and isoelectric_point give one peptide's
+charge at any pH and its pI at any bisection setting.  Every sum over
+residues runs left to right in residue order, one position at a time across
+the batch, so a peptide's values do not depend on the rest of its batch,
+nor on the Python version (from 3.12 the builtin sum compensates float
+rounding).
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ import numpy as np
 
 from . import _tables
 from .errors import ConfigError, ValidationError
-from .sequences import AA_TO_INDEX, AMINO_ACIDS, Peptide
+from .sequences import (
+    AA_TO_INDEX,
+    AMINO_ACIDS,
+    NUM_CHANNELS,
+    Peptide,
+    residue_codes,
+    residue_counts,
+)
 
 WATER_MASS = 18.02
 
@@ -67,44 +75,30 @@ class PhyschemProfile:
 
 PROFILE_FIELDS = tuple(f.name for f in fields(PhyschemProfile))
 
-# the code of the positions past a sequence's end: every residue table maps
-# it to 0.0, which leaves a left-to-right sum's bits unchanged
-_PAD = len(AMINO_ACIDS)
-_TO_CODE = bytes.maketrans((AMINO_ACIDS + "-").encode(), bytes(range(_PAD + 1)))
-_DROP_RESIDUES = str.maketrans("", "", AMINO_ACIDS)
-
 
 def _seq(p) -> str:
     # single residues are chemically meaningful here, so unlike Peptide
-    # only the alphabet is enforced, not the two-residue minimum
+    # the two-residue minimum is not enforced; residue_codes checks the alphabet
     seq = p.sequence if isinstance(p, Peptide) else str(p)
     if not seq:
         raise ValidationError("cannot profile an empty sequence")
-    bad = seq.translate(_DROP_RESIDUES)
-    if bad:
-        raise ValidationError(f"invalid residue {bad[0]!r} in sequence {seq!r}")
     return seq
 
 
 class _Batch(NamedTuple):
-    """Validated peptides as a padded residue-code matrix."""
+    """Validated peptides as a padded residue-code matrix.  Every residue
+    table maps the pad code to 0.0, which leaves a left-to-right sum's bits
+    unchanged."""
 
-    codes: np.ndarray  # (longest length, n) uint8, position-major, _PAD past each end
-    counts: np.ndarray  # (n, _PAD + 1) residue counts, indexed like AMINO_ACIDS
+    codes: np.ndarray  # (longest length, n) uint8, position-major, pad past each end
+    counts: np.ndarray  # (n, 20) residue counts, indexed like AMINO_ACIDS
     lengths: np.ndarray  # (n,) float64
 
 
 def _batch(peptides) -> _Batch:
-    seqs = [_seq(p) for p in peptides]
-    n = len(seqs)
-    width = max(map(len, seqs), default=0)
-    raw = "".join(s.ljust(width, "-") for s in seqs).encode().translate(_TO_CODE)
-    codes = np.frombuffer(raw, np.uint8).reshape(n, width).T.copy()
-    offsets = np.arange(n) * (_PAD + 1)
-    counts = np.bincount(
-        (codes + offsets).ravel(), minlength=n * (_PAD + 1)
-    ).reshape(n, _PAD + 1)
-    return _Batch(codes, counts, counts[:, :_PAD].sum(axis=1).astype(np.float64))
+    codes = residue_codes([_seq(p) for p in peptides])
+    counts = residue_counts(codes)
+    return _Batch(codes.T.copy(), counts, counts.sum(axis=1).astype(np.float64))
 
 
 def _count(batch: _Batch, residues: str) -> np.ndarray:
@@ -126,8 +120,8 @@ class _Scales(NamedTuple):
 @functools.cache
 def _scales() -> _Scales:
     diwv = _tables.matrix_table("instability_diwv.tsv")
-    instability = np.zeros((_PAD + 1, _PAD + 1))
-    instability[:_PAD, :_PAD] = [[diwv[a][b] for b in AMINO_ACIDS] for a in AMINO_ACIDS]
+    instability = np.zeros((NUM_CHANNELS, NUM_CHANNELS))
+    instability[:-1, :-1] = [[diwv[a][b] for b in AMINO_ACIDS] for a in AMINO_ACIDS]
     return _Scales(
         _padded_scale("kyte_doolittle.tsv"),
         _padded_scale("residue_masses.tsv"),
@@ -166,7 +160,7 @@ def _pka() -> _Pka:
 def _titration(batch: _Batch) -> _Titration:
     n = len(batch.lengths)
     width = len(batch.codes)
-    first = np.full((_PAD + 1, n), width)  # first position of each residue
+    first = np.full((NUM_CHANNELS, n), width)  # first position of each residue
     peptides = np.arange(n)
     for i in range(width - 1, -1, -1):
         first[batch.codes[i], peptides] = i
@@ -221,8 +215,8 @@ def _isoelectric_points(titration: _Titration, tol: float, max_iter: int) -> np.
 
 def profiles(peptides) -> np.ndarray:
     """The (n, 15) float64 profiles of the peptides, columns in
-    PROFILE_FIELDS order.  Raises ValidationError naming the first
-    sequence that is empty or holds a non-canonical residue."""
+    PROFILE_FIELDS order.  Raises ValidationError naming the first empty
+    sequence, else the first that holds a non-canonical residue."""
     batch = _batch(peptides)
     n = batch.lengths.size
     if not n:
@@ -298,26 +292,3 @@ def isoelectric_point(peptide, tol: float = _PI_TOL, max_iter: int = _PI_MAX_ITE
     """
     return float(_isoelectric_points(_titration(_batch([peptide])), tol, max_iter)[0])
 
-
-def molecular_weight(peptide) -> float:
-    return profile(peptide).molecular_weight
-
-
-def gravy(peptide) -> float:
-    return profile(peptide).gravy
-
-
-def instability_index(peptide) -> float:
-    """(10 / L) * sum of dipeptide instability weights over adjacent pairs."""
-    return profile(peptide).instability_index
-
-
-def aliphatic_index(peptide) -> float:
-    """100 * (xA + 2.9 xV + 3.9 (xI + xL)) over mole fractions."""
-    return profile(peptide).aliphatic_index
-
-
-def hydrophobic_moment(peptide) -> float:
-    """Magnitude of the per-residue hydrophobicity vector sum at 100 degrees
-    per residue, divided by the length."""
-    return profile(peptide).hydrophobic_moment

@@ -1,4 +1,10 @@
-"""Peptide sequences, taste annotations, request patterns, and one-hot encoding.
+"""Peptide sequences, taste annotations, request patterns, and the residue codec.
+
+The residue codec is the one place where residues become integer codes:
+check_residues is the alphabet rule, residue_codes lays sequences into a
+padded code matrix (a residue's index in AMINO_ACIDS, PAD_CHANNEL past each
+end), and residue_counts counts each residue per row.  One-hot matrices,
+descriptors, physicochemical profiles and alignment all read these codes.
 
 Corpus records carry a five-slot annotation over {0, 1, x} in the fixed
 slot order (sour, sweet, bitter, salty, umami); 'x' marks an unconfirmed
@@ -24,6 +30,47 @@ MIN_LENGTH = 2
 TASTES = ("sour", "sweet", "bitter", "salty", "umami")
 
 
+# '-' stands for the pad while rows are laid out; check_residues keeps it
+# out of every sequence
+_TO_CODE = bytes.maketrans((AMINO_ACIDS + "-").encode(), bytes(range(NUM_CHANNELS)))
+_DROP_RESIDUES = str.maketrans("", "", AMINO_ACIDS)
+
+
+def check_residues(seq: str) -> str:
+    """Return seq; raise ValidationError naming its first character that is
+    not one of the 20 canonical one-letter codes."""
+    bad = seq.translate(_DROP_RESIDUES)
+    if bad:
+        raise ValidationError(f"invalid residue {bad[0]!r} in sequence {seq!r}")
+    return seq
+
+
+def residue_codes(seqs, width: int | None = None) -> np.ndarray:
+    """(n, width) uint8 matrix: row i holds the index in AMINO_ACIDS of each
+    residue of seqs[i], then PAD_CHANNEL.  width defaults to the longest
+    sequence; a longer one raises ValidationError, as does a bad residue."""
+    seqs = [check_residues(str(s)) for s in seqs]
+    longest = max(map(len, seqs), default=0)
+    if width is None:
+        width = longest
+    elif longest > width:
+        seq = next(s for s in seqs if len(s) > width)
+        raise ValidationError(
+            f"sequence {seq!r} has length {len(seq)}, exceeding max_len {width}"
+        )
+    raw = "".join(s.ljust(width, "-") for s in seqs).encode().translate(_TO_CODE)
+    return np.frombuffer(raw, np.uint8).reshape(len(seqs), width)
+
+
+def residue_counts(codes: np.ndarray) -> np.ndarray:
+    """(n, 20) count of each residue, indexed like AMINO_ACIDS, in each row
+    of a residue_codes matrix."""
+    n = len(codes)
+    offsets = np.arange(n)[:, None] * NUM_CHANNELS
+    flat = np.bincount((codes + offsets).ravel(), minlength=n * NUM_CHANNELS)
+    return flat.reshape(n, NUM_CHANNELS)[:, :PAD_CHANNEL]
+
+
 @dataclass(frozen=True, order=True)
 class Peptide:
     """A validated sequence of canonical one-letter amino-acid codes."""
@@ -31,11 +78,7 @@ class Peptide:
     sequence: str
 
     def __post_init__(self):
-        for ch in self.sequence:
-            if ch not in AA_TO_INDEX:
-                raise ValidationError(
-                    f"invalid residue {ch!r} in sequence {self.sequence!r}"
-                )
+        check_residues(self.sequence)
         if len(self.sequence) < MIN_LENGTH:
             raise ValidationError(
                 f"sequence {self.sequence!r} has length {len(self.sequence)}, "
@@ -233,20 +276,6 @@ def parse_taste_tsv(text: str) -> list[tuple[Peptide, TasteLabel]]:
     return records
 
 
-def one_hot_encode(peptide: Peptide, max_len: int) -> np.ndarray:
-    """Encode as a (max_len, 21) one-hot matrix; channel 20 pads the suffix."""
-    if len(peptide) > max_len:
-        raise ValidationError(
-            f"sequence {peptide.sequence!r} has length {len(peptide)}, "
-            f"exceeding max_len {max_len}"
-        )
-    mat = np.zeros((max_len, NUM_CHANNELS), dtype=np.float64)
-    for i, aa in enumerate(peptide.sequence):
-        mat[i, AA_TO_INDEX[aa]] = 1.0
-    mat[len(peptide):, PAD_CHANNEL] = 1.0
-    return mat
-
-
 def decode_argmax(matrix: np.ndarray) -> Peptide:
     """Decode a (L, 21) matrix by per-row argmax, truncating at the first pad.
 
@@ -269,4 +298,5 @@ def decode_argmax(matrix: np.ndarray) -> Peptide:
 
 
 def encode_batch(peptides, max_len: int) -> np.ndarray:
-    return np.stack([one_hot_encode(p, max_len) for p in peptides])
+    """(n, max_len, 21) one-hot matrices; channel PAD_CHANNEL pads each suffix."""
+    return np.eye(NUM_CHANNELS)[residue_codes(peptides, max_len)]

@@ -5,7 +5,9 @@ where a gap of length g costs gap_open + (g-1) * gap_extend; switching
 directly between gap states opens a new gap.  End gaps are penalized like
 internal ones.  Normalized similarity divides the pair score by the larger
 self-alignment score, so identical sequences score exactly 1 and values
-are clamped into [0, 1].  The redundancy sweep and the similarity graph
+are clamped into [0, 1].  Scores compare residue codes, so every scorer
+takes the 20 canonical residues only; nw_align, the traceback reference,
+compares any characters.  The redundancy sweep and the similarity graph
 align only the pairs whose exact score bound can reach their threshold, and
 representatives reuse the graph's similarities; all three ask one Scorer.
 """
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from .sequences import residue_codes, residue_counts
 
 NEG_INF = -1e30
 
@@ -146,16 +149,13 @@ def nw_score_block(
     seqs = [_as_seq(r) for r in refs]
     if not seqs:
         return np.zeros(0)
-    kmax = max(len(s) for s in seqs)
-    n = len(seqs)
+    query_codes = residue_codes([sq])[0].tolist()
+    # references as residue codes; the pad code never matches a query residue
+    codes = residue_codes(seqs)
+    n, kmax = codes.shape
     lens = np.array([len(s) for s in seqs])
-    # references as byte codes, padded with a sentinel that never matches
-    codes = np.full((n, kmax), -1, dtype=np.int16)
-    for r, s in enumerate(seqs):
-        codes[r, : len(s)] = np.frombuffer(s.encode("ascii"), dtype=np.uint8)
 
     op, ext = params.gap_open, params.gap_extend
-    la = len(sq)
 
     m_prev = np.full((n, kmax + 1), NEG_INF)
     x_prev = np.full((n, kmax + 1), NEG_INF)
@@ -164,8 +164,7 @@ def nw_score_block(
     js = np.arange(1, kmax + 1)
     y_prev[:, 1:] = op + (js - 1) * ext
 
-    for i in range(1, la + 1):
-        qc = ord(sq[i - 1])
+    for i, qc in enumerate(query_codes, start=1):
         sub = np.where(codes == qc, params.match, params.mismatch)
         m_row = np.full((n, kmax + 1), NEG_INF)
         x_row = np.full((n, kmax + 1), NEG_INF)
@@ -206,17 +205,6 @@ def normalized_similarity(a, b, params: AlignParams = DEFAULT_PARAMS) -> float:
 BOUND_SLACK = 1e-9
 
 
-def residue_counts(seqs) -> np.ndarray:
-    """(n, symbols) count of each symbol that occurs in any of the sequences."""
-    codes = [np.frombuffer(_as_seq(s).encode("ascii"), dtype=np.uint8) for s in seqs]
-    if not codes:
-        return np.zeros((0, 0), dtype=np.int64)
-    symbols, column = np.unique(np.concatenate(codes), return_inverse=True)
-    row = np.repeat(np.arange(len(codes)), [len(c) for c in codes])
-    flat = np.bincount(row * len(symbols) + column, minlength=len(codes) * len(symbols))
-    return flat.reshape(len(codes), len(symbols))
-
-
 def reachable(query, refs, counts, threshold, params: AlignParams = DEFAULT_PARAMS):
     """The refs (row indices into counts) whose normalized similarity to the
     query row may reach the threshold; the others provably cannot.
@@ -250,7 +238,7 @@ class Scorer:
         self.seqs = [_as_seq(s) for s in seqs]
         self.params = params
         self.selfs = np.array([self_score(s, params) for s in self.seqs])
-        self.counts = residue_counts(self.seqs)
+        self.counts = residue_counts(residue_codes(self.seqs))
 
     def similarities(self, i, refs) -> np.ndarray:
         """Normalized similarity of seqs[i] to each of seqs[refs]."""

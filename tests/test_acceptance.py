@@ -637,7 +637,7 @@ def test_12_physchem_sanity():
         pi_ok = pi_ok and abs(
             physchem.net_charge(seq, physchem.isoelectric_point(seq))
         ) < 1e-3
-    aliphatic = physchem.aliphatic_index("VVVV")
+    aliphatic = physchem.profile("VVVV").aliphatic_index
     ai_ok = abs(aliphatic - 290.0) <= 1e-9
     report(
         12,

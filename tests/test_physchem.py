@@ -11,12 +11,7 @@ from peptaste.errors import ValidationError
 from peptaste.physchem import (
     PROFILE_FIELDS,
     WATER_MASS,
-    aliphatic_index,
-    gravy,
-    hydrophobic_moment,
-    instability_index,
     isoelectric_point,
-    molecular_weight,
     net_charge,
     profile,
     profiles,
@@ -237,9 +232,9 @@ class TestProfileValues:
         assert profile("AAAA").aromaticity == 0.0
 
     def test_aliphatic_index(self):
-        assert aliphatic_index("AAAA") == pytest.approx(100.0)
-        assert aliphatic_index("VVVV") == pytest.approx(290.0, abs=1e-9)
-        assert aliphatic_index("IILL") == pytest.approx(390.0)
+        assert profile("AAAA").aliphatic_index == pytest.approx(100.0)
+        assert profile("VVVV").aliphatic_index == pytest.approx(290.0, abs=1e-9)
+        assert profile("IILL").aliphatic_index == pytest.approx(390.0)
 
     def test_extinction(self):
         assert profile("W").extinction_reduced == 5500.0
@@ -250,20 +245,20 @@ class TestProfileValues:
 
     def test_mw_additivity(self):
         a, b = "ACDE", "KLMN"
-        assert molecular_weight(a + b) == pytest.approx(
-            molecular_weight(a) + molecular_weight(b) - WATER_MASS
+        assert profile(a + b).molecular_weight == pytest.approx(
+            profile(a).molecular_weight + profile(b).molecular_weight - WATER_MASS
         )
 
     def test_gravy_homopolymer_is_table_value(self):
         kd = _tables.scalar_table("kyte_doolittle.tsv")
         for aa in AMINO_ACIDS:
-            assert gravy(aa * 5) == pytest.approx(kd[aa], abs=1e-12)
+            assert profile(aa * 5).gravy == pytest.approx(kd[aa], abs=1e-12)
 
     def test_instability_from_table(self):
         diwv = _tables.matrix_table("instability_diwv.tsv")
         seq = "GLPW"
         expected = 10.0 / 4 * (diwv["G"]["L"] + diwv["L"]["P"] + diwv["P"]["W"])
-        assert instability_index(seq) == pytest.approx(expected, abs=1e-12)
+        assert profile(seq).instability_index == pytest.approx(expected, abs=1e-12)
 
     def test_hydrophobic_moment_homopolymer(self):
         # oracle: complex-arithmetic evaluation of the vector sum
@@ -271,7 +266,7 @@ class TestProfileValues:
         h = scale["L"]
         total = sum(np.exp(1j * k * math.radians(100.0)) for k in range(4))
         expected = abs(h) * abs(total) / 4
-        assert hydrophobic_moment("LLLL") == pytest.approx(expected, abs=1e-12)
+        assert profile("LLLL").hydrophobic_moment == pytest.approx(expected, abs=1e-12)
 
     def test_moment_random_against_complex_sum(self):
         scale = _tables.scalar_table("eisenberg.tsv")
@@ -281,7 +276,7 @@ class TestProfileValues:
                 scale[aa] * np.exp(1j * k * math.radians(100.0))
                 for k, aa in enumerate(seq)
             )
-            assert hydrophobic_moment(seq) == pytest.approx(
+            assert profile(seq).hydrophobic_moment == pytest.approx(
                 abs(total) / len(seq), abs=1e-12
             )
 

@@ -653,6 +653,17 @@ class TestCli:
         assert "score: 5.0" in out
         assert "normalized similarity: 0.625" in out
 
+    @pytest.mark.parametrize(
+        "pair, residue",
+        [(("AC", "AÉ"), "É"), (("AÉ", "AC"), "É"), (("acde", "ACDE"), "a"),
+         (("ACDE", "acde"), "a")],
+    )
+    def test_align_rejects_non_canonical_residues(self, capsys, pair, residue):
+        assert main(["align", *pair]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid residue {residue!r}" in captured.err
+
     def test_physchem_tsv(self, tmp_path, capsys):
         src = tmp_path / "seqs.txt"
         src.write_text("VVVV\n")

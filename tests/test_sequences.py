@@ -1,13 +1,18 @@
+import collections
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import peptaste
 from peptaste.errors import ConfigError, ParseError, ValidationError
 from peptaste.sequences import (
+    AA_TO_INDEX,
     AMINO_ACIDS,
+    NUM_CHANNELS,
     PAD_CHANNEL,
     Assignment,
     PatternMode,
@@ -15,15 +20,33 @@ from peptaste.sequences import (
     TasteLabel,
     TastePattern,
     assign_record,
+    check_residues,
     decode_argmax,
+    encode_batch,
     format_pattern,
-    one_hot_encode,
     parse_pattern,
     parse_taste_fasta,
     parse_taste_tsv,
+    residue_codes,
+    residue_counts,
 )
 
 peptide_strategy = st.text(alphabet=AMINO_ACIDS, min_size=2, max_size=14)
+
+
+def ref_one_hot(peptide: Peptide, max_len: int) -> np.ndarray:
+    """Reference: the per-character (max_len, 21) one-hot loop that
+    encode_batch replaced; channel 20 pads the suffix."""
+    if len(peptide) > max_len:
+        raise ValidationError(
+            f"sequence {peptide.sequence!r} has length {len(peptide)}, "
+            f"exceeding max_len {max_len}"
+        )
+    mat = np.zeros((max_len, NUM_CHANNELS), dtype=np.float64)
+    for i, aa in enumerate(peptide.sequence):
+        mat[i, AA_TO_INDEX[aa]] = 1.0
+    mat[len(peptide):, PAD_CHANNEL] = 1.0
+    return mat
 
 
 class TestPeptide:
@@ -164,7 +187,7 @@ class TestAssignRecord:
 
 class TestOneHot:
     def test_encode_example(self):
-        mat = one_hot_encode(Peptide("AC"), 4)
+        mat = encode_batch([Peptide("AC")], 4)[0]
         assert mat.shape == (4, 21)
         assert mat[0, 0] == 1.0 and mat[1, 1] == 1.0
         assert mat[2, PAD_CHANNEL] == 1.0 and mat[3, PAD_CHANNEL] == 1.0
@@ -172,7 +195,10 @@ class TestOneHot:
 
     def test_too_long(self):
         with pytest.raises(ValidationError, match="max_len"):
-            one_hot_encode(Peptide("ACDEF"), 4)
+            encode_batch([Peptide("AC"), Peptide("ACDEF")], 4)
+
+    def test_empty_batch(self):
+        assert encode_batch([], 8).shape == (0, 8, 21)
 
     def test_decode_all_pad_errors(self):
         mat = np.zeros((3, 21))
@@ -184,7 +210,7 @@ class TestOneHot:
     @given(peptide_strategy)
     def test_round_trip(self, seq):
         p = Peptide(seq)
-        assert decode_argmax(one_hot_encode(p, 14)).sequence == seq
+        assert decode_argmax(encode_batch([p], 14)[0]).sequence == seq
 
     def test_decode_matches_row_scan_oracle(self):
         # independent oracle: explicit per-row maximum scan with low-index ties
@@ -212,3 +238,58 @@ class TestOneHot:
         mat[:, 3] = 1.0
         mat[:, 7] = 1.0  # tie: channel 3 must win
         assert decode_argmax(mat).sequence == AMINO_ACIDS[3] * 2
+
+
+residue_seqs = st.lists(st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30), max_size=12)
+
+
+class TestResidueCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(alphabet=AMINO_ACIDS, min_size=2, max_size=30), max_size=12),
+           st.integers(0, 5))
+    def test_encode_batch_matches_reference(self, seqs, extra):
+        peptides = [Peptide(s) for s in seqs]
+        max_len = max(map(len, seqs), default=2) + extra
+        got = encode_batch(peptides, max_len)
+        assert got.shape == (len(seqs), max_len, NUM_CHANNELS)
+        for row, p in zip(got, peptides):
+            np.testing.assert_array_equal(row, ref_one_hot(p, max_len))
+
+    @settings(max_examples=200, deadline=None)
+    @given(residue_seqs)
+    def test_codes_and_counts_match_per_character_lookup(self, seqs):
+        codes = residue_codes(seqs)
+        width = max(map(len, seqs), default=0)
+        assert codes.shape == (len(seqs), width) and codes.dtype == np.uint8
+        for row, seq in zip(codes.tolist(), seqs):
+            assert row == [AA_TO_INDEX[aa] for aa in seq] + [PAD_CHANNEL] * (width - len(seq))
+        counts = residue_counts(codes)
+        assert counts.shape == (len(seqs), len(AMINO_ACIDS))
+        for row, seq in zip(counts.tolist(), seqs):
+            tally = collections.Counter(seq)
+            assert row == [tally[aa] for aa in AMINO_ACIDS]
+
+    def test_width_pads_and_bounds_rows(self):
+        assert residue_codes(["AC"], 4).tolist() == [[0, 1, PAD_CHANNEL, PAD_CHANNEL]]
+        with pytest.raises(ValidationError, match="'ACDEF' has length 5, exceeding max_len 4"):
+            residue_codes(["AC", "ACDEF", "ACDEFG"], 4)
+
+    @pytest.mark.parametrize("seq, bad", [("AÉ", "É"), ("acde", "a"), ("AC-D", "-"),
+                                          ("ACBXZ", "B"), ("A C", " ")])
+    def test_bad_residue_names_first_character(self, seq, bad):
+        message = f"invalid residue {bad!r} in sequence {seq!r}"
+        for call in (check_residues, lambda s: residue_codes(["AC", s]), Peptide):
+            with pytest.raises(ValidationError) as exc:
+                call(seq)
+            assert str(exc.value) == message
+
+    def test_codec_lives_in_sequences_only(self):
+        # residues become codes in one module; another translate table would
+        # be a second copy of the alphabet rule
+        package = Path(peptaste.__file__).parent
+        others = [
+            path.relative_to(package).as_posix()
+            for path in sorted(package.rglob("*.py"))
+            if path.name != "sequences.py" and "maketrans" in path.read_text("utf-8")
+        ]
+        assert others == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from peptaste.corpus import Corpus, CorpusRecord, dedup_greedy
 from peptaste.errors import ConfigError
-from peptaste.sequences import Peptide
+from peptaste.sequences import Peptide, residue_codes, residue_counts
 from peptaste.similarity import (
     DEFAULT_PARAMS,
     AlignParams,
@@ -17,7 +17,6 @@ from peptaste.similarity import (
     nw_score_block,
     pick_representatives,
     reachable,
-    residue_counts,
     self_score,
     similarity_matrix,
 )
@@ -324,7 +323,7 @@ class TestBoundPruning:
         # to the pair's similarity, the pair is always aligned
         sim = normalized_similarity(a, b, params)
         if sim > 0:
-            counts = residue_counts([a, b])
+            counts = residue_counts(residue_codes([a, b]))
             assert list(reachable(0, [1], counts, sim, params)) == [1]
 
     @settings(max_examples=150, deadline=None)

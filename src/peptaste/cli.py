@@ -12,7 +12,7 @@ import sys
 
 from . import __version__, descriptors, physchem, pipeline, similarity, textio, vae
 from . import corpus as corpus_mod
-from .errors import ConfigError, PeptasteError
+from .errors import ConfigError, PeptasteError, ValidationError
 from .sequences import PatternMode, Peptide, parse_pattern
 from .toxicity import ensemble as ens
 
@@ -26,9 +26,7 @@ def _descriptor_ids(text: str) -> tuple[str, ...]:
     ids = tuple(s.strip() for s in text.split(",") if s.strip())
     if not ids:
         raise ConfigError("--descriptors names no descriptor")
-    for d in ids:
-        if d not in descriptors.DESCRIPTOR_IDS:
-            raise ConfigError(f"unknown descriptor {d!r}")
+    descriptors.check_ids(ids)
     return ids
 
 
@@ -223,7 +221,10 @@ def _cmd_physchem(args) -> int:
 
 def _cmd_encode(args) -> int:
     seqs = pipeline.read_sequences(args.input)
-    matrix = descriptors.encode_matrix(args.descriptors, [Peptide(s) for s in seqs])
+    try:
+        matrix = descriptors.encode_matrix(args.descriptors, seqs)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.input}: {exc}") from exc
     textio.write_matrix(
         args.out, ("sequence", *descriptors.column_names(args.descriptors)), seqs, matrix
     )

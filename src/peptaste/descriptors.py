@@ -7,8 +7,9 @@ group partitions, and matrices load from the bundled data tables, once,
 on first use.
 
 Each descriptor is declared once, in _REGISTRY: its encoder, its column
-names and its length bounds.  Encoders take the sequence as residue
-indices into AMINO_ACIDS; every count is an exact integer.
+names and its length bounds.  Encoders take a (rows, n) block of
+equal-length peptides as residue indices into AMINO_ACIDS; every count is
+an exact integer, and every float sum runs along one row.
 """
 
 from __future__ import annotations
@@ -22,8 +23,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _tables
-from .errors import ValidationError
-from .sequences import AA_TO_INDEX, AMINO_ACIDS, MIN_LENGTH, Peptide, residue_codes
+from .errors import ConfigError, ValidationError
+from .sequences import (
+    AA_TO_INDEX,
+    AMINO_ACIDS,
+    MIN_LENGTH,
+    Peptide,
+    residue_codes,
+    residue_counts,
+    row_counts,
+)
 
 GROUP_NAMES = ("aliphatic", "aromatic", "positive", "negative", "uncharged")
 
@@ -83,12 +92,12 @@ def _triad_groups() -> _Alphabet:
 
 
 def _kmer_counts(classes: np.ndarray, k: int, base: int) -> np.ndarray:
-    """Counts of all base**k class k-mers, in lexicographic order."""
-    m = len(classes) - k + 1
-    idx = classes[:m]
+    """Per row, counts of all base**k class k-mers, in lexicographic order."""
+    m = classes.shape[1] - k + 1
+    idx = classes[:, :m]
     for j in range(1, k):
-        idx = idx * base + classes[j : j + m]
-    return np.bincount(idx, minlength=base**k)
+        idx = idx * base + classes[:, j : j + m]
+    return row_counts(idx, base**k)
 
 
 class _Descriptor(NamedTuple):
@@ -104,7 +113,7 @@ def _composition(alphabet: Callable[[], _Alphabet], k: int) -> _Descriptor:
     def encode(codes, cfg):
         a = alphabet()
         counts = _kmer_counts(a.classes[codes], k, len(a.labels))
-        return counts / (len(codes) - k + 1)
+        return counts / (codes.shape[1] - k + 1)
 
     return _Descriptor(encode, lambda cfg: alphabet().kmers(k), lambda cfg: k)
 
@@ -118,10 +127,10 @@ def _gapped(alphabet: Callable[[], _Alphabet]) -> _Descriptor:
         classes, base = a.classes[codes], len(a.labels)
         blocks = []
         for g in range(cfg.k_max + 1):
-            m = max(len(codes) - g - 1, 0)
-            pairs = classes[:m] * base + classes[g + 1 : g + 1 + m]
-            blocks.append(np.bincount(pairs, minlength=base * base) / max(m, 1))
-        return np.concatenate(blocks)
+            m = max(codes.shape[1] - g - 1, 0)
+            pairs = classes[:, :m] * base + classes[:, g + 1 : g + 1 + m]
+            blocks.append(row_counts(pairs, base * base) / max(m, 1))
+        return np.hstack(blocks)
 
     def names(cfg):
         pairs = alphabet().kmers(2)
@@ -138,10 +147,10 @@ def _windowed(alphabet: Callable[[], _Alphabet]) -> _Descriptor:
         a = alphabet()
         classes, base = a.classes[codes], len(a.labels)
         counts = [
-            np.bincount(classes[w : w + cfg.window], minlength=base)
+            row_counts(classes[:, w : w + cfg.window], base)
             for w in range(cfg.pad_len - cfg.window + 1)
         ]
-        return np.concatenate(counts) / cfg.window
+        return np.hstack(counts) / cfg.window
 
     def names(cfg):
         nw = cfg.pad_len - cfg.window + 1
@@ -158,9 +167,10 @@ def _positional(
 
     def encode(codes, cfg):
         values = table()[0]
-        out = np.zeros((cfg.pad_len, values.shape[1]))
-        out[: len(codes)] = values[codes]
-        return out.ravel()
+        rows, n = codes.shape
+        out = np.zeros((rows, cfg.pad_len, values.shape[1]))
+        out[:, :n] = values[codes]
+        return out.reshape(rows, -1)
 
     def names(cfg):
         return [f"p{i + 1}.{c}" for i in range(cfg.pad_len) for c in table()[1]]
@@ -196,9 +206,9 @@ def _ctd() -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def _ctd_members(codes) -> np.ndarray:
-    """(property, class, position) membership of each residue."""
-    classes = _ctd()[0][:, codes]
-    return classes[:, None, :] == np.arange(3)[:, None]
+    """(row, property, class, position) membership of each residue."""
+    classes = _ctd()[0][:, codes].transpose(1, 0, 2)
+    return classes[:, :, None, :] == np.arange(3)[:, None]
 
 
 def _ctd_names(suffixes) -> Callable[[DescriptorConfig], list[str]]:
@@ -206,20 +216,20 @@ def _ctd_names(suffixes) -> Callable[[DescriptorConfig], list[str]]:
 
 
 def _ctdc(codes, cfg):
-    return (_ctd_members(codes).sum(axis=2) / len(codes)).ravel()
+    return (_ctd_members(codes).sum(axis=3) / codes.shape[1]).reshape(len(codes), -1)
 
 
 _TRANSITIONS = ((0, 1), (0, 2), (1, 2))
 
 
 def _ctdt(codes, cfg):
-    classes = _ctd()[0][:, codes]
-    x, y = classes[:, :-1], classes[:, 1:]
+    classes = _ctd()[0][:, codes].transpose(1, 0, 2)
+    x, y = classes[..., :-1], classes[..., 1:]
     trans = [
-        ((x == a) & (y == b) | (x == b) & (y == a)).sum(axis=1)
+        ((x == a) & (y == b) | (x == b) & (y == a)).sum(axis=2)
         for a, b in _TRANSITIONS
     ]
-    return (np.stack(trans, axis=1) / (len(codes) - 1)).ravel()
+    return (np.stack(trans, axis=2) / (codes.shape[1] - 1)).reshape(len(codes), -1)
 
 
 _QUANTILES = np.array([0.0, 0.25, 0.50, 0.75, 1.0])
@@ -229,18 +239,20 @@ def _ctdd(codes, cfg):
     """Per property and class: the 1-based position of the first, 25%, 50%,
     75% and last member, as a percentage of the length; 0 for no member."""
     members = _ctd_members(codes)
-    total = members.sum(axis=2)[..., None]
+    total = members.sum(axis=3)[..., None]
     rank = np.maximum(1, np.floor(_QUANTILES * total))
     # the running member count first reaches rank at the rank-th member
-    seen = members.cumsum(axis=2)[..., None, :]
-    position = (seen < rank[..., None]).sum(axis=3) + 1
-    return np.where(total > 0, position / len(codes) * 100.0, 0.0).ravel()
+    seen = members.cumsum(axis=3)[..., None, :]
+    position = (seen < rank[..., None]).sum(axis=4) + 1
+    ctdd = np.where(total > 0, position / codes.shape[1] * 100.0, 0.0)
+    return ctdd.reshape(len(codes), -1)
 
 
 def _ctriad(codes, cfg):
     a = _triad_groups()
     counts = _kmer_counts(a.classes[codes], 3, len(a.labels))
-    return (counts - counts.min()) / counts.max()
+    lo, hi = counts.min(axis=1, keepdims=True), counts.max(axis=1, keepdims=True)
+    return (counts - lo) / hi
 
 
 @functools.cache
@@ -257,9 +269,9 @@ def _dde_expected() -> np.ndarray:
 
 
 def _dde(codes, cfg):
-    dc = _kmer_counts(codes, 2, len(AMINO_ACIDS)) / (len(codes) - 1)
+    dc = _kmer_counts(codes, 2, len(AMINO_ACIDS)) / (codes.shape[1] - 1)
     tm = _dde_expected()
-    tv = tm * (1 - tm) / (len(codes) - 1)
+    tv = tm * (1 - tm) / (codes.shape[1] - 1)
     return (dc - tm) / np.sqrt(tv)
 
 
@@ -279,28 +291,30 @@ def _paac_properties() -> np.ndarray:
 
 def _pseudo(codes, factors, cfg):
     """Residue counts and the sequence-order factors, each divided by
-    1 + weight * sum(factors)."""
-    denom = 1.0 + cfg.weight * sum(factors)
-    counts = np.bincount(codes, minlength=len(AMINO_ACIDS))
-    return np.concatenate([counts / denom, cfg.weight * np.array(factors) / denom])
+    1 + weight * sum(factors), the sum being Python's, row by row."""
+    sums = np.array([sum(row) for row in factors.tolist()])
+    denom = (1.0 + cfg.weight * sums)[:, None]
+    counts = residue_counts(codes)
+    return np.hstack([counts / denom, cfg.weight * factors / denom])
 
 
 def _paac(codes, cfg):
-    props = _paac_properties()
+    values = _paac_properties()[:, codes]  # (property, row, position)
     thetas = []
     for n in range(1, cfg.lam + 1):
-        diffs = props[:, codes[:-n]] - props[:, codes[n:]]
-        thetas.append(float((diffs ** 2).mean(axis=0).mean()))
-    return _pseudo(codes, thetas, cfg)
+        diffs = values[:, :, :-n] - values[:, :, n:]
+        thetas.append((diffs ** 2).mean(axis=0).mean(axis=1))
+    return _pseudo(codes, np.stack(thetas, axis=1), cfg)
 
 
 def _apaac(codes, cfg):
-    props = _paac_properties()[:2]
-    taus = []
-    for n in range(1, cfg.lam + 1):
-        for p in range(props.shape[0]):
-            taus.append(float((props[p, codes[:-n]] * props[p, codes[n:]]).mean()))
-    return _pseudo(codes, taus, cfg)
+    values = _paac_properties()[:2, codes]  # (property, row, position)
+    taus = [
+        (values[p, :, :-n] * values[p, :, n:]).mean(axis=1)
+        for n in range(1, cfg.lam + 1)
+        for p in range(len(values))
+    ]
+    return _pseudo(codes, np.stack(taus, axis=1), cfg)
 
 
 def _pseudo_min_len(cfg) -> int:
@@ -358,44 +372,43 @@ def _entry(descriptor_id: str) -> _Descriptor:
     return _REGISTRY[descriptor_id]
 
 
-def _bounded_entry(descriptor_id: str, n: int, config: DescriptorConfig) -> _Descriptor:
-    entry = _entry(descriptor_id)
-    lo, hi = entry.min_len(config), entry.max_len(config)
-    if n < lo:
-        raise ValidationError(f"{descriptor_id} requires length >= {lo}, got {n}")
-    if n > hi:
-        raise ValidationError(f"{descriptor_id} requires length <= {hi}, got {n}")
-    return entry
-
-
 def check_length(ids, n: int, config: DescriptorConfig = DEFAULT_CONFIG) -> None:
-    """Raise the error encode_matrix raises for a peptide of length n: that
-    of the first descriptor in ids whose length bounds exclude n."""
+    """Raise ValidationError for a peptide of length n if a descriptor in ids
+    excludes it, naming the first such descriptor."""
     for did in ids:
-        _bounded_entry(did, n, config)
+        entry = _entry(did)
+        lo, hi = entry.min_len(config), entry.max_len(config)
+        if n < lo:
+            raise ValidationError(f"{did} requires length >= {lo}, got {n}")
+        if n > hi:
+            raise ValidationError(f"{did} requires length <= {hi}, got {n}")
+
+
+def check_lengths(ids, seqs, config: DescriptorConfig = DEFAULT_CONFIG) -> None:
+    """Raise ValidationError naming the first of seqs that a descriptor in ids
+    cannot encode, and the first such descriptor."""
+    first = {}  # the first sequence of each length
+    for seq in seqs:
+        first.setdefault(len(seq), seq)
+    for n, seq in first.items():
+        try:
+            check_length(ids, n, config)
+        except ValidationError as exc:
+            raise ValidationError(f"sequence {seq!r}: {exc}") from exc
+
+
+def check_ids(ids) -> None:
+    """Raise ConfigError for the first ID in ids that is unknown or repeated."""
+    for i, did in enumerate(ids):
+        if did not in _REGISTRY:
+            raise ConfigError(f"unknown descriptor {did!r}")
+        if did in ids[:i]:
+            raise ConfigError(f"duplicate descriptor {did!r}")
 
 
 def encode(descriptor_id: str, peptide, config: DescriptorConfig = DEFAULT_CONFIG):
     """Encode one peptide with one descriptor; returns a fixed-length vector."""
     return encode_matrix([descriptor_id], [peptide], config)[0]
-
-
-def min_length(
-    ids, config: DescriptorConfig = DEFAULT_CONFIG
-) -> tuple[str | None, int]:
-    """The first descriptor in ids with the largest minimum peptide length,
-    and that length; (None, MIN_LENGTH) for no ids."""
-    bounds = ((did, _entry(did).min_len(config)) for did in ids)
-    return max(bounds, key=lambda b: b[1], default=(None, MIN_LENGTH))
-
-
-def max_length(
-    ids, config: DescriptorConfig = DEFAULT_CONFIG
-) -> tuple[str | None, float]:
-    """The first descriptor in ids with the smallest maximum peptide length,
-    and that length; (None, math.inf) for no ids."""
-    bounds = ((did, _entry(did).max_len(config)) for did in ids)
-    return min(bounds, key=lambda b: b[1], default=(None, math.inf))
 
 
 def descriptor_dims(config: DescriptorConfig = DEFAULT_CONFIG) -> dict[str, int]:
@@ -408,22 +421,24 @@ def column_names(ids, config: DescriptorConfig = DEFAULT_CONFIG) -> list[str]:
 
 
 def encode_matrix(ids, peptides, config: DescriptorConfig = DEFAULT_CONFIG):
-    """Raw (un-normalized) concatenated descriptor rows for many peptides."""
+    """Raw (un-normalized) concatenated descriptor rows for many peptides;
+    each encoder runs once per distinct length, on all peptides of that
+    length.  A length error names the first peptide out of bounds."""
     if not ids:
         raise ValidationError("descriptor list must be non-empty")
     if len(set(ids)) != len(ids):
         raise ValidationError("descriptor list contains duplicates")
     seqs = [p.sequence if isinstance(p, Peptide) else Peptide(str(p)).sequence
             for p in peptides]
-    if not seqs:
-        return np.zeros((0, len(column_names(ids, config))))
+    out = np.empty((len(seqs), len(column_names(ids, config))))
+    check_lengths(ids, seqs, config)
     codes = residue_codes(seqs).astype(np.intp)
-    rows = []
-    for seq, row in zip(seqs, codes):
-        n = len(seq)
-        parts = [_bounded_entry(did, n, config).encode(row[:n], config) for did in ids]
-        rows.append(np.concatenate(parts))
-    return np.stack(rows)
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    for n in dict.fromkeys(lengths.tolist()):
+        rows = np.flatnonzero(lengths == n)
+        block = codes[rows, :n]
+        out[rows] = np.hstack([_REGISTRY[did].encode(block, config) for did in ids])
+    return out
 
 
 @dataclass

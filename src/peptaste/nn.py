@@ -334,48 +334,3 @@ class Adam:
             b += cfg.epsilon
             a /= b
             p -= a
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    worst_param: str
-    n_checked: int
-
-    def ok(self, tolerance: float) -> bool:
-        return self.max_rel_error < tolerance
-
-
-def grad_check(loss_fn, named_params, h: float = 1e-5) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    loss_fn() must recompute the loss and return (loss, grads) where grads
-    maps each name in named_params to the analytic gradient array.  The
-    analytic gradients are copied before any parameter is perturbed, since
-    loss_fn may return arrays it overwrites on its next call.  The relative
-    error denominator is floored at 1e-3 so near-zero gradients are compared
-    absolutely.
-    """
-    _, grads = loss_fn()
-    analytic_grads = {name: np.array(grads[name], dtype=float) for name in named_params}
-    worst = 0.0
-    worst_name = ""
-    n = 0
-    for name, arr in named_params.items():
-        analytic = analytic_grads[name]
-        flat = arr.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up, _ = loss_fn()
-            flat[i] = orig - h
-            down, _ = loss_fn()
-            flat[i] = orig
-            fd = (up - down) / (2 * h)
-            a = analytic.ravel()[i]
-            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-3)
-            n += 1
-            if rel > worst:
-                worst = rel
-                worst_name = f"{name}[{i}]"
-    return GradCheckReport(worst, worst_name, n)

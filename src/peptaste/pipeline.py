@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -465,12 +465,10 @@ class ToxTrainOptions:
     member_trees: int | None = None
     universe: tuple[str, ...] = descriptors.DESCRIPTOR_IDS
     weight_step: float = 0.1
-    descriptor_config: descriptors.DescriptorConfig = field(
-        default_factory=descriptors.DescriptorConfig
-    )
 
     def __post_init__(self):
         # rejects bad settings before run_toxtrain reads any input
+        descriptors.check_ids(self.universe)
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if not self.epsilon >= 0:
@@ -520,24 +518,16 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
     the universe, unless max_len drops it anyway; one that does not fails
     the run before training, naming the file, the sequence and the
     descriptor."""
-    cfg = options.descriptor_config
-    need_id, need_len = descriptors.min_length(options.universe, cfg)
-    cap_id, cap_len = descriptors.max_length(options.universe, cfg)
+    cfg = descriptors.DEFAULT_CONFIG
 
     def read_peptides(path) -> list[Peptide]:
-        peptides = [Peptide(s) for s in read_sequences(path)]
-        for pep in peptides:
-            if len(pep) < need_len:
-                raise ValidationError(
-                    f"{path}: sequence {pep.sequence!r} has length {len(pep)}, "
-                    f"but descriptor {need_id} requires length >= {need_len}"
-                )
-            if cap_len < len(pep) <= options.max_len:
-                raise ValidationError(
-                    f"{path}: sequence {pep.sequence!r} has length {len(pep)}, "
-                    f"within max_len {options.max_len}, but descriptor {cap_id} "
-                    f"requires length <= {cap_len}"
-                )
+        seqs = read_sequences(path)
+        peptides = [Peptide(s) for s in seqs]
+        kept = (s for s in seqs if len(s) <= options.max_len)  # the rest are dropped
+        try:
+            descriptors.check_lengths(options.universe, kept, cfg)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
         return peptides
 
     pos_raw = corpus_mod.ingest_unlabeled(read_peptides(pos_path), source=str(pos_path))
@@ -564,16 +554,20 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
         [1] * len(split.test_pos) + [0] * len(split.test_neg), dtype=np.int64
     )
 
-    raw_cache: dict[str, np.ndarray] = {}
+    # each descriptor's scaler and scaled training block, encoded and fitted
+    # once per run.  A block of 2 or more columns (every registry block has
+    # 5 or more) scales to the same bits alone as inside an hstack.
+    blocks: dict[str, tuple[descriptors.FeatureScaler, np.ndarray]] = {}
 
-    def raw_block(did: str) -> np.ndarray:
-        if did not in raw_cache:
-            raw_cache[did] = descriptors.encode_matrix([did], train_peps, cfg)
-        return raw_cache[did]
+    def block(did: str) -> tuple[descriptors.FeatureScaler, np.ndarray]:
+        if did not in blocks:
+            raw = descriptors.encode_matrix([did], train_peps, cfg)
+            scaler = descriptors.FeatureScaler.fit(raw)
+            blocks[did] = scaler, scaler.transform(raw)
+        return blocks[did]
 
     def x_builder(ids) -> np.ndarray:
-        raw = np.hstack([raw_block(d) for d in ids])
-        return descriptors.FeatureScaler.fit(raw).transform(raw)
+        return np.hstack([block(d)[1] for d in ids])
 
     selection = ens.forward_select(
         options.universe,
@@ -586,9 +580,12 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
     )
 
     member_specs = options.member_specs()
-    raw_train = np.hstack([raw_block(d) for d in selection.selected])
-    scaler = descriptors.FeatureScaler.fit(raw_train)
-    X_train = scaler.transform(raw_train)
+    scalers = [block(d)[0] for d in selection.selected]
+    scaler = descriptors.FeatureScaler(
+        np.concatenate([s.mean for s in scalers]),
+        np.concatenate([s.scale for s in scalers]),
+    )
+    X_train = x_builder(selection.selected)
     weights, cv_mcc, _ = ens.weight_grid_search(
         member_specs,
         X_train,
@@ -675,5 +672,10 @@ def run_toxbench(model_path, pos_path, neg_path) -> tuple[tox_metrics.MetricRepo
                 continue
             y_true.append(truth)
             y_pred.append(1 if row["call"] == "toxic" else 0)
+    if not y_true:
+        raise DataError(
+            f"the model can score no row of {pos_path} or {neg_path}: "
+            f"all {excluded} excluded"
+        )
     counts = tox_metrics.confusion_counts(y_true, y_pred)
     return tox_metrics.compute_metrics(*counts), excluded

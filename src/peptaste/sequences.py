@@ -62,13 +62,18 @@ def residue_codes(seqs, width: int | None = None) -> np.ndarray:
     return np.frombuffer(raw, np.uint8).reshape(len(seqs), width)
 
 
+def row_counts(values: np.ndarray, size: int) -> np.ndarray:
+    """(n, size) count of each value in 0..size-1 in each row of an (n, m)
+    integer matrix."""
+    n = len(values)
+    offsets = np.arange(n)[:, None] * size
+    return np.bincount((values + offsets).ravel(), minlength=n * size).reshape(n, size)
+
+
 def residue_counts(codes: np.ndarray) -> np.ndarray:
     """(n, 20) count of each residue, indexed like AMINO_ACIDS, in each row
     of a residue_codes matrix."""
-    n = len(codes)
-    offsets = np.arange(n)[:, None] * NUM_CHANNELS
-    flat = np.bincount((codes + offsets).ravel(), minlength=n * NUM_CHANNELS)
-    return flat.reshape(n, NUM_CHANNELS)[:, :PAD_CHANNEL]
+    return row_counts(codes, NUM_CHANNELS)[:, :PAD_CHANNEL]
 
 
 @dataclass(frozen=True, order=True)

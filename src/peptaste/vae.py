@@ -245,18 +245,6 @@ class SequenceVae:
     def decode(self, z: np.ndarray) -> np.ndarray:
         return self.decoder.forward(z, train=False)
 
-    def reconstruct(self, peptides) -> list[Peptide | None]:
-        """Argmax decoding of each peptide's latent mean; None when the
-        decoded sequence is shorter than the peptide minimum."""
-        probs = self.decode(self.encode(peptides))
-        out = []
-        for row in probs:
-            try:
-                out.append(decode_argmax(row))
-            except ValidationError:
-                out.append(None)
-        return out
-
     def loss_and_grads(self, x: np.ndarray, eps: np.ndarray, rng=None):
         """Full training loss (reconstruction + KL + L1) and its gradients.
 

@@ -1,15 +1,29 @@
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from peptaste import pipeline
-from peptaste.sequences import AMINO_ACIDS
+from peptaste.errors import ValidationError
+from peptaste.sequences import AMINO_ACIDS, decode_argmax
 
 
 def random_peptide(rng, lo=2, hi=14) -> str:
     length = int(rng.integers(lo, hi + 1))
     return "".join(rng.choice(list(AMINO_ACIDS), size=length))
+
+
+def reconstructions(model, peptides) -> list[str | None]:
+    """Argmax decoding of each peptide's latent mean under a SequenceVae;
+    None when the decoded sequence is shorter than the peptide minimum."""
+    out = []
+    for row in model.decode(model.encode(peptides)):
+        try:
+            out.append(str(decode_argmax(row)))
+        except ValidationError:
+            out.append(None)
+    return out
 
 
 def synthetic_tox_corpus(rng, n_tox=60, n_ben=80, lo=5, hi=20):
@@ -58,3 +72,48 @@ def small_tox_model(tmp_path_factory, tox_corpus_files):
     )
     result = pipeline.run_toxtrain(pos, neg, str(out), options)
     return str(out), result
+
+
+@dataclass
+class GradCheckReport:
+    max_rel_error: float
+    worst_param: str
+    n_checked: int
+
+    def ok(self, tolerance: float) -> bool:
+        return self.max_rel_error < tolerance
+
+
+def grad_check(loss_fn, named_params, h: float = 1e-5) -> GradCheckReport:
+    """Compare analytic gradients against central finite differences.
+
+    loss_fn() must recompute the loss and return (loss, grads) where grads
+    maps each name in named_params to the analytic gradient array.  The
+    analytic gradients are copied before any parameter is perturbed, since
+    loss_fn may return arrays it overwrites on its next call.  The relative
+    error denominator is floored at 1e-3 so near-zero gradients are compared
+    absolutely.
+    """
+    _, grads = loss_fn()
+    analytic_grads = {name: np.array(grads[name], dtype=float) for name in named_params}
+    worst = 0.0
+    worst_name = ""
+    n = 0
+    for name, arr in named_params.items():
+        analytic = analytic_grads[name]
+        flat = arr.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up, _ = loss_fn()
+            flat[i] = orig - h
+            down, _ = loss_fn()
+            flat[i] = orig
+            fd = (up - down) / (2 * h)
+            a = analytic.ravel()[i]
+            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-3)
+            n += 1
+            if rel > worst:
+                worst = rel
+                worst_name = f"{name}[{i}]"
+    return GradCheckReport(worst, worst_name, n)

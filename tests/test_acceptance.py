@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from peptaste import corpus as corpus_mod
-from peptaste import descriptors, latent, nn, physchem, pipeline, similarity, vae
+from peptaste import descriptors, latent, physchem, pipeline, similarity, vae
 from peptaste.cli import main
 from peptaste.sequences import AMINO_ACIDS, Peptide, encode_batch
 from peptaste.toxicity import (
@@ -22,6 +22,7 @@ from peptaste.toxicity import (
     metrics_from_probas,
 )
 from peptaste.vae import Action, LossRecord, Phase, PhasedController, SequenceVae
+from conftest import grad_check, reconstructions
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -72,7 +73,7 @@ def test_01_gradient_correctness():
             )
             return record.loss_tol, grads
 
-        check = nn.grad_check(loss_fn, params, h=1e-5)
+        check = grad_check(loss_fn, params, h=1e-5)
         worst = max(worst, check.max_rel_error)
     elapsed = time.monotonic() - start
     report(
@@ -242,7 +243,7 @@ def test_03_toy_corpus_training():
     # tau=0 oracle: the jitter path must reproduce the model's own direct
     # encode->decode reconstructions of the items it sampled
     mu = model.encode(peptides)
-    recon = [p if p is None else str(p) for p in model.reconstruct(peptides)]
+    recon = reconstructions(model, peptides)
     gen_rng = np.random.default_rng([cfg.seed, 2])
     idx = gen_rng.integers(0, len(mu), size=50)
     outputs = [str(p) for p in generated]

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peptaste import _tables
 from peptaste.descriptors import (
@@ -10,7 +14,6 @@ from peptaste.descriptors import (
     descriptor_dims,
     encode,
     encode_matrix,
-    min_length,
 )
 from peptaste.errors import ValidationError
 from peptaste.sequences import AMINO_ACIDS, Peptide
@@ -156,13 +159,6 @@ class TestPreconditions:
                 encode(did, "ACD", cfg)
             assert encode(did, "ACDE", cfg).shape == (descriptor_dims(cfg)[did],)
 
-    def test_min_length_names_the_largest_minimum(self):
-        assert min_length(("AAC", "TPC", "CTriad")) == ("TPC", 3)
-        assert min_length(("AAC", "PAAC"), DescriptorConfig(lam=4)) == ("PAAC", 5)
-        assert min_length(("AAC", "GAAC"))[1] <= 2
-        with pytest.raises(ValidationError, match="unknown"):
-            min_length(("AAC", "NOPE"))
-
     def test_unknown_descriptor(self):
         with pytest.raises(ValidationError, match="unknown"):
             encode("NOPE", "ACD")
@@ -233,3 +229,49 @@ class TestFeatureAssembly:
         assert dims["EAAC"] == (20 - 4 + 1) * 20
         assert dims["Binary"] == 400
         assert encode("EAAC", "ACDE", cfg).shape == (dims["EAAC"],)
+
+
+@functools.cache
+def registry_blocks() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(11)
+    seqs = ["".join(rng.choice(list(AMINO_ACIDS), size=int(rng.integers(4, 26))))
+            for _ in range(300)]
+    return {did: encode_matrix([did], seqs) for did in DESCRIPTOR_IDS}
+
+
+def assert_block_scalers_match_hstack(blocks):
+    # a block of 2 or more columns scales to the same bits alone as inside
+    # the hstack; a 1-column block would not (numpy sums a lone column
+    # pairwise, a column of a wider matrix row by row)
+    whole = np.hstack(blocks)
+    fitted = FeatureScaler.fit(whole)
+    parts = [FeatureScaler.fit(b) for b in blocks]
+    assert np.concatenate([p.mean for p in parts]).tobytes() == fitted.mean.tobytes()
+    assert np.concatenate([p.scale for p in parts]).tobytes() == fitted.scale.tobytes()
+    scaled = np.hstack([p.transform(b) for p, b in zip(parts, blocks)])
+    assert scaled.tobytes() == fitted.transform(whole).tobytes()
+
+
+class TestBlockScalers:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(st.sampled_from(DESCRIPTOR_IDS), min_size=1, max_size=5, unique=True),
+        rows=st.integers(2, 300),
+    )
+    def test_registry_blocks(self, ids, rows):
+        assert_block_scalers_match_hstack([registry_blocks()[d][:rows] for d in ids])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        widths=st.lists(st.integers(2, 8), min_size=1, max_size=6),
+        rows=st.integers(2, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_blocks(self, widths, rows, seed):
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for w in widths:
+            block = rng.normal(rng.normal(0, 100), rng.uniform(0.01, 100), (rows, w))
+            block[:, rng.integers(w)] = rng.normal()  # a constant column
+            blocks.append(block)
+        assert_block_scalers_match_hstack(blocks)

@@ -3,6 +3,7 @@ import pytest
 
 from peptaste import nn
 from peptaste.errors import ConfigError, NumericError, ValidationError
+from conftest import grad_check
 
 
 class TestLayers:
@@ -207,7 +208,7 @@ class TestGradCheck:
             layer.backward(sig.backward(grad))
             return loss, {"W": layer.grads["W"], "b": layer.grads["b"]}
 
-        report = nn.grad_check(
+        report = grad_check(
             loss_fn, {"W": layer.params["W"], "b": layer.params["b"]}
         )
         assert report.ok(1e-6)
@@ -222,7 +223,7 @@ class TestGradCheck:
             np.multiply(3.0, w**2, out=buf)
             return float((w**3).sum()), {"w": buf}
 
-        assert nn.grad_check(loss_fn, {"w": w}).ok(1e-6)
+        assert grad_check(loss_fn, {"w": w}).ok(1e-6)
 
     def test_in_place_dense_gradient_matches_allocating_form(self):
         rng = np.random.default_rng(10)
@@ -248,7 +249,7 @@ class TestGradCheck:
             conv.backward(2 * diff / diff.size)
             return loss, {"W": conv.grads["W"], "b": conv.grads["b"]}
 
-        report = nn.grad_check(
+        report = grad_check(
             loss_fn, {"W": conv.params["W"], "b": conv.params["b"]}
         )
         assert report.ok(1e-6)

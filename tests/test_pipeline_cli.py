@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from peptaste import pipeline, vae
+from peptaste import descriptors, pipeline, vae
 from peptaste.cli import build_parser, design_run, main, toxtrain_options
 from peptaste.descriptors import encode_matrix
 from peptaste.errors import ConfigError, DataError, NumericError, ParseError, TrainingDiverged
@@ -502,6 +502,49 @@ class TestToxTrainPipeline:
         with pytest.raises(ConfigError, match=message):
             ToxTrainOptions(**fields)
 
+    @pytest.mark.parametrize(
+        "universe, message",
+        [
+            (("AAC", "GAAC", "AAC"), "duplicate descriptor 'AAC'"),
+            (("AAC", "FOO"), "unknown descriptor 'FOO'"),
+        ],
+    )
+    def test_options_reject_a_bad_universe(self, universe, message):
+        with pytest.raises(ConfigError, match=message):
+            ToxTrainOptions(universe=universe)
+
+    def test_toxtrain_encodes_and_scales_each_block_once(
+        self, tox_corpus_files, tmp_path, monkeypatch
+    ):
+        encode, fit = descriptors.encode_matrix, vars(descriptors.FeatureScaler)["fit"]
+        encoded, fitted = [], []
+
+        def counted_encode(ids, peptides, config=descriptors.DEFAULT_CONFIG):
+            encoded.append((tuple(ids), len(peptides)))
+            return encode(ids, peptides, config)
+
+        def counted_fit(cls, rows):
+            fitted.append(rows.shape)
+            return fit.__func__(cls, rows)
+
+        monkeypatch.setattr(descriptors, "encode_matrix", counted_encode)
+        monkeypatch.setattr(descriptors.FeatureScaler, "fit", classmethod(counted_fit))
+        pos, neg = tox_corpus_files
+        universe = ("AAC", "GAAC", "CTDC")
+        options = ToxTrainOptions(
+            folds=3, selector="knn", universe=universe, member_trees=5
+        )
+        result = run_toxtrain(pos, neg, None, options)
+        n_train = 2 * result.counts["train_per_class"]
+        n_test = 2 * result.counts["test_per_class"]
+        # forward selection cross-validates 3 singles, 3 pairs and a greedy
+        # round, but each block is encoded and fitted once
+        assert len(result.selection.trace) > len(universe)
+        assert encoded == [((did,), n_train) for did in universe] + [
+            (result.selection.selected, n_test)
+        ]
+        assert fitted == [(n_train, 20), (n_train, 5), (n_train, 39)]
+
     def test_toxtrain_deterministic_for_fixed_seed(self, tox_corpus_files, tmp_path):
         pos, neg = tox_corpus_files
         options = ToxTrainOptions(
@@ -717,6 +760,16 @@ class TestCli:
         assert main(argv) == 3
         assert capsys.readouterr().out == ""
 
+    def test_encode_error_names_file_and_too_short_sequence(self, tmp_path, capsys):
+        src = tmp_path / "seqs.txt"
+        src.write_text("ACDE\nAC\nKR\n")
+        out = tmp_path / "out.tsv"
+        argv = ["encode", "--input", str(src), "--descriptors", "AAC,TPC"]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {src}: sequence 'AC': TPC requires length >= 3, got 2\n"
+        assert not out.exists()
+
     def test_toxtrain_rejects_peptide_too_short_for_universe(
         self, tox_corpus_files, tmp_path, capsys
     ):
@@ -773,6 +826,21 @@ class TestCli:
         # the bad rows change nothing but the excluded count
         assert clean.read_text().splitlines()[:-1] == lines[:-1]
         assert clean.read_text().splitlines()[-1] == "excluded\t0"
+
+    def test_toxbench_with_no_scorable_row_names_both_files(
+        self, small_tox_model, tmp_path, capsys
+    ):
+        pos, neg = tmp_path / "pos.txt", tmp_path / "neg.txt"
+        pos.write_text("KRXW\nKRBK\n")
+        neg.write_text("DEZS\n")
+        out = tmp_path / "bench.tsv"
+        assert main(["toxbench", "--model", small_tox_model[0], "--pos", str(pos),
+                     "--neg", str(neg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: the model can score no row of {pos} or {neg}: all 3 excluded\n"
+        )
+        assert not out.exists()
 
     def test_cluster_output(self, tmp_path, capsys):
         src = tmp_path / "seqs.txt"
@@ -931,6 +999,7 @@ class TestCli:
             ("AAC,FOO", "unknown descriptor 'FOO'"),
             (",", "--descriptors names no descriptor"),
             ("", "--descriptors names no descriptor"),
+            ("AAC,AAC", "duplicate descriptor 'AAC'"),
         ],
     )
     def test_bad_descriptor_list_is_a_config_error(

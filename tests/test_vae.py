@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from peptaste import nn, vae
+from peptaste import vae
 from peptaste.errors import ConfigError, NumericError, TrainingDiverged
 from peptaste.sequences import Peptide, encode_batch
 from peptaste.vae import (
@@ -14,6 +14,7 @@ from peptaste.vae import (
     SequenceVae,
     VaeConfig,
 )
+from conftest import grad_check, reconstructions
 
 
 def tiny_config(**overrides):
@@ -137,7 +138,7 @@ class TestL1Penalty:
         weights = sum(float(np.abs(params[n]).sum()) for n in DENSE_WEIGHTS)
         assert record.l1_penalty == pytest.approx(0.5 * weights, rel=1e-12)
         assert record.l1_penalty > record.loss_rec
-        assert nn.grad_check(loss_fn, params).ok(1e-6)
+        assert grad_check(loss_fn, params).ok(1e-6)
 
     def test_gradient_is_the_unpenalized_one_plus_lambda_sign(self):
         # oracle: at l1_lambda 0 a dense weight's gradient is its matmul alone
@@ -319,7 +320,7 @@ class TestEncodeGenerate:
         model = SequenceVae(tiny_config())
         vae.train_la(model, data)
         mu = model.encode(peps)
-        recon = model.reconstruct(peps)
+        recon = reconstructions(model, peps)
         rng = np.random.default_rng(17)
         idx = rng.integers(0, len(mu), size=10)
         got = model.generate(10, mode="jitter", tau=0.0, seed=17, source_mu=mu)
@@ -330,7 +331,7 @@ class TestEncodeGenerate:
         for g, i in zip(got, idx):
             if recon[i] is not None:
                 checked += 1
-                if str(g) == str(recon[i]):
+                if str(g) == recon[i]:
                     matches += 1
         assert checked > 0 and matches == checked
 

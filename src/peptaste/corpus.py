@@ -1,40 +1,21 @@
 """Corpus curation: ingestion, length filtering, redundancy removal,
-class balancing with train/test splitting, and taste census statistics."""
+class balancing with train/test splitting, and taste census statistics.
+
+An annotated corpus is a list of (Peptide, TasteLabel) pairs; every other
+corpus is a list of Peptides."""
 
 from __future__ import annotations
 
 import collections
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import similarity
 from .errors import ConfigError, DataError
+from .latent import check_fraction
 from .sequences import TASTES, AMINO_ACIDS, Peptide, TasteLabel
-
-@dataclass(frozen=True)
-class CorpusRecord:
-    peptide: Peptide
-    label: TasteLabel | None = None
-    source: str = ""
-
-
-@dataclass
-class Corpus:
-    records: list[CorpusRecord] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def sequences(self) -> list[str]:
-        return [r.peptide.sequence for r in self.records]
-
-    def peptides(self) -> list[Peptide]:
-        return [r.peptide for r in self.records]
 
 
 def _merge_codes(codes: list[str]) -> str:
@@ -50,36 +31,14 @@ def _merge_codes(codes: list[str]) -> str:
     return "".join(out)
 
 
-def ingest(records, source: str = "") -> Corpus:
-    """Build a corpus from (Peptide, TasteLabel) pairs.
-
-    Records sharing a sequence are merged into one; a taste confirmed
-    present by any source stays present in the merged label.
-    """
-    by_seq: dict[str, list[str]] = {}
-    order: list[str] = []
+def ingest(records) -> list[tuple[Peptide, TasteLabel]]:
+    """Merge (Peptide, TasteLabel) pairs that share a sequence into one, in
+    first-seen order; a taste confirmed present by any pair stays present
+    in the merged label."""
+    codes: dict[Peptide, list[str]] = {}
     for pep, label in records:
-        if pep.sequence not in by_seq:
-            by_seq[pep.sequence] = []
-            order.append(pep.sequence)
-        by_seq[pep.sequence].append(label.code)
-    out = []
-    for seq in order:
-        merged = TasteLabel.from_code(_merge_codes(by_seq[seq]))
-        out.append(CorpusRecord(Peptide(seq), merged, source))
-    return Corpus(out)
-
-
-def ingest_unlabeled(peptides, source: str = "") -> Corpus:
-    """Build a label-free corpus (toxicity inputs), deduplicated exactly."""
-    seen = set()
-    out = []
-    for pep in peptides:
-        if pep.sequence in seen:
-            continue
-        seen.add(pep.sequence)
-        out.append(CorpusRecord(pep, None, source))
-    return Corpus(out)
+        codes.setdefault(pep, []).append(label.code)
+    return [(pep, TasteLabel.from_code(_merge_codes(c))) for pep, c in codes.items()]
 
 
 def check_max_len(max_len: int):
@@ -87,42 +46,39 @@ def check_max_len(max_len: int):
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
 
 
-def length_filter(corpus: Corpus, max_len: int) -> tuple[Corpus, int]:
-    """Keep records of length <= max_len; also return how many were dropped."""
+def length_filter(peptides: list[Peptide], max_len: int) -> tuple[list[Peptide], int]:
+    """Keep peptides of length <= max_len; also return how many were dropped."""
     check_max_len(max_len)
-    kept = [r for r in corpus if len(r.peptide) <= max_len]
-    if not kept and len(corpus) > 0:
+    kept = [p for p in peptides if len(p) <= max_len]
+    if not kept and peptides:
         warnings.warn(
             f"length filter at {max_len} removed every record", stacklevel=2
         )
-    return Corpus(kept), len(corpus) - len(kept)
+    return kept, len(peptides) - len(kept)
 
 
 def dedup_greedy(
-    corpus: Corpus,
+    corpus: list[Peptide],
     identity_threshold: float = 0.9,
     params: similarity.AlignParams = similarity.DEFAULT_PARAMS,
-) -> Corpus:
+) -> list[Peptide]:
     """Greedy longest-first redundancy sweep.
 
-    Records are visited by descending length (ties lexicographic); one is
-    kept only if its normalized alignment similarity to every record kept
+    Peptides are visited by descending length (ties lexicographic); one is
+    kept only if its normalized alignment similarity to every peptide kept
     so far stays below the threshold.  Deterministic and idempotent.
     """
-    similarity.check_threshold("identity_threshold", identity_threshold)
-    records = list(corpus.records)
-    order = sorted(
-        range(len(records)),
-        key=lambda i: (-len(records[i].peptide), records[i].peptide.sequence, i),
-    )
-    scorer = similarity.Scorer([r.peptide.sequence for r in records], params)
+    check_fraction("identity_threshold", identity_threshold)
+    seqs = [p.sequence for p in corpus]
+    order = sorted(range(len(seqs)), key=lambda i: (-len(seqs[i]), seqs[i], i))
+    scorer = similarity.Scorer(seqs, params)
     kept_idx: list[int] = []
     for i in order:
-        # only kept records whose score bound can reach the threshold are aligned
+        # only kept peptides whose score bound can reach the threshold are aligned
         _, sims = scorer.bounded(i, kept_idx, identity_threshold)
         if not np.any(sims >= identity_threshold):
             kept_idx.append(i)
-    return Corpus([records[i] for i in sorted(kept_idx)])
+    return [corpus[i] for i in sorted(kept_idx)]
 
 
 @dataclass(frozen=True)
@@ -139,39 +95,38 @@ class SplitSpec:
 
 @dataclass
 class Split:
-    train_pos: Corpus
-    train_neg: Corpus
-    test_pos: Corpus
-    test_neg: Corpus
+    train_pos: list[Peptide]
+    train_neg: list[Peptide]
+    test_pos: list[Peptide]
+    test_neg: list[Peptide]
 
 
-def balance_and_split(pos: Corpus, neg: Corpus, spec: SplitSpec) -> Split:
+def balance_and_split(pos: list[Peptide], neg: list[Peptide], spec: SplitSpec) -> Split:
     """Downsample negatives to |pos|, then split each class train/test.
 
     Train size per class is floor(n * train_fraction); the remainder is
     the test set.  Fully deterministic for a fixed seed.
     """
-    if len(pos) == 0 or len(neg) == 0:
+    if not pos or not neg:
         raise DataError("both corpora must be non-empty")
     if len(neg) < len(pos):
         raise DataError(
             f"cannot downsample {len(neg)} negatives to match {len(pos)} positives"
         )
     rng = np.random.default_rng(spec.seed)
-    neg_records = list(neg.records)
-    chosen = rng.choice(len(neg_records), size=len(pos), replace=False)
-    neg_records = [neg_records[i] for i in sorted(chosen)]
+    chosen = rng.choice(len(neg), size=len(pos), replace=False)
+    neg = [neg[i] for i in sorted(chosen)]
 
-    def split_class(records):
-        n = len(records)
+    def split_class(peptides):
+        n = len(peptides)
         n_train = int(np.floor(n * spec.train_fraction))
         perm = rng.permutation(n)
-        train = [records[i] for i in sorted(perm[:n_train])]
-        test = [records[i] for i in sorted(perm[n_train:])]
-        return Corpus(train), Corpus(test)
+        train = [peptides[i] for i in sorted(perm[:n_train])]
+        test = [peptides[i] for i in sorted(perm[n_train:])]
+        return train, test
 
-    train_pos, test_pos = split_class(list(pos.records))
-    train_neg, test_neg = split_class(neg_records)
+    train_pos, test_pos = split_class(pos)
+    train_neg, test_neg = split_class(neg)
     return Split(train_pos, train_neg, test_pos, test_neg)
 
 
@@ -214,23 +169,21 @@ class Census:
         return "\n".join(lines)
 
 
-def taste_census(corpus: Corpus) -> Census:
+def taste_census(corpus: list[tuple[Peptide, TasteLabel]]) -> Census:
     """Counts by confirmed-taste multiplicity, exact combination, per-taste
     totals, and per-taste amino-acid composition frequencies."""
     multiplicity: dict[int, int] = collections.Counter()
     combinations: dict[tuple[str, ...], int] = collections.Counter()
     totals = {t: 0 for t in TASTES}
     aa_counts = {t: collections.Counter() for t in TASTES}
-    for rec in corpus:
-        if rec.label is None:
-            raise DataError("census requires taste labels on every record")
-        present = rec.label.present_tastes()
+    for pep, label in corpus:
+        present = label.present_tastes()
         if present:
             multiplicity[len(present)] += 1
             combinations[present] += 1
         for taste in present:
             totals[taste] += 1
-            aa_counts[taste].update(rec.peptide.sequence)
+            aa_counts[taste].update(pep.sequence)
     freq = {}
     for taste in TASTES:
         n = sum(aa_counts[taste].values())

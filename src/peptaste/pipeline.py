@@ -30,6 +30,7 @@ from .errors import (
 from .sequences import (
     PatternMode,
     Peptide,
+    TasteLabel,
     TastePattern,
     assign_record,
     encode_batch,
@@ -52,8 +53,6 @@ def _stage(name: str):
     try:
         yield
     except PeptasteError as exc:
-        if str(exc).startswith("stage "):
-            raise
         wrapped = type(exc)(f"stage {name}: {exc}")
         if isinstance(exc, TrainingDiverged):
             wrapped.history = exc.history
@@ -78,14 +77,15 @@ def _sha256(path) -> str:
 
 @contextlib.contextmanager
 def _parsing(path):
-    """Name the file in front of the line a ParseError reports."""
+    """Name the file in front of the line or sequence that a ParseError or
+    ValidationError reports."""
     try:
         yield
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
-def read_taste_corpus(path) -> corpus_mod.Corpus:
+def read_taste_corpus(path) -> list[tuple[Peptide, TasteLabel]]:
     """Load an annotated corpus from FASTA ('>abcde' headers) or TSV."""
     text = textio.read_text(path)
     with _parsing(path):
@@ -95,7 +95,7 @@ def read_taste_corpus(path) -> corpus_mod.Corpus:
             records = parse_taste_tsv(text)
     if not records:
         raise DataError(f"no records found in {path}")
-    return corpus_mod.ingest(records, source=str(path))
+    return corpus_mod.ingest(records)
 
 
 def read_sequences(path) -> list[str]:
@@ -185,8 +185,8 @@ class DesignRun:
         latent.check_k(self.k)
         latent.check_fraction("keep_fraction", self.keep_fraction)
         latent.check_fraction("alpha", self.alpha)
-        similarity.check_threshold("cluster_threshold", self.cluster_threshold)
-        similarity.check_threshold("dedup_threshold", self.dedup_threshold)
+        latent.check_fraction("cluster_threshold", self.cluster_threshold)
+        latent.check_fraction("dedup_threshold", self.dedup_threshold)
         if not math.isfinite(self.tau):
             raise ConfigError(f"tau must be finite, got {self.tau}")
 
@@ -255,10 +255,10 @@ def run_design(run: DesignRun) -> DesignReport:
     roles = ("positive", "negative") if avoidance else ("positive",)
     with _stage("assign"):
         assigned = {role: [] for role in roles}
-        for rec in full:
-            role = assign_record(rec.label, run.pattern, run.mode).value
+        for pep, label in full:
+            role = assign_record(label, run.pattern, run.mode).value
             if role in assigned:
-                assigned[role].append(rec)
+                assigned[role].append(pep)
         if not assigned["positive"]:
             raise DataError(
                 f"no positive records match pattern {('>' + run.pattern.code)!r} "
@@ -270,19 +270,18 @@ def run_design(run: DesignRun) -> DesignReport:
                 "negative records"
             )
 
-    def prepare(records, role):
-        c = corpus_mod.Corpus(list(records))
-        c, _ = corpus_mod.length_filter(c, run.max_len)
-        c = corpus_mod.dedup_greedy(c, run.dedup_threshold)
-        if len(c) < run.k:
+    def prepare(peptides, role):
+        kept, _ = corpus_mod.length_filter(peptides, run.max_len)
+        kept = corpus_mod.dedup_greedy(kept, run.dedup_threshold)
+        if len(kept) < run.k:
             raise DataError(
-                f"{role} set has {len(c)} peptides after length filtering at "
+                f"{role} set has {len(kept)} peptides after length filtering at "
                 f"{run.max_len} and dedup, needs >= k={run.k}"
             )
-        return c
+        return kept
 
     with _stage("prepare"):
-        prepared = {role: prepare(records, role) for role, records in assigned.items()}
+        prepared = {role: prepare(peps, role) for role, peps in assigned.items()}
         # the latent projection is fitted on every role's prepared peptides
         if (n := sum(map(len, prepared.values()))) < latent.PROJECTION_MIN_POINTS:
             raise DataError(
@@ -297,7 +296,7 @@ def run_design(run: DesignRun) -> DesignReport:
         for role in roles:
             with _stage(f"train-{role}"):
                 model = trained[role] = vae.SequenceVae(_vae_config(run, f"vae-{role}"))
-                data[role] = encode_batch(prepared[role].peptides(), run.max_len)
+                data[role] = encode_batch(prepared[role], run.max_len)
                 outcomes[role] = vae.train_la(model, data[role])
     finally:
         if trained:
@@ -324,8 +323,7 @@ def run_design(run: DesignRun) -> DesignReport:
         )
     with _stage("latent-projection"):
         latents["candidate"] = positive.encode(candidates)
-        peptides = {role: prepared[role].peptides() for role in roles}
-        peptides["candidate"] = candidates
+        peptides = {**prepared, "candidate": candidates}
         projection = latent.pca2(np.vstack([latents[role] for role in roles]))
         plane = {role: projection.project(z) for role, z in latents.items()}
         textio.write_table(
@@ -475,9 +473,12 @@ class ToxTrainOptions:
             raise ConfigError(f"epsilon must be >= 0 and not NaN, got {self.epsilon}")
         corpus_mod.check_max_len(self.max_len)
         corpus_mod.SplitSpec(train_fraction=self.train_fraction)
-        similarity.check_threshold("dedup_threshold", self.dedup_threshold)
+        latent.check_fraction("dedup_threshold", self.dedup_threshold)
         self.selector_spec()
         self.member_specs()
+        for i, name in enumerate(self.member_names):
+            if name in self.member_names[:i]:
+                raise ConfigError(f"duplicate member {name!r}")
         ens.weight_grid_units(len(self.member_names), self.weight_step)
 
     def selector_spec(self) -> clf.ClassifierSpec:
@@ -521,17 +522,15 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
     cfg = descriptors.DEFAULT_CONFIG
 
     def read_peptides(path) -> list[Peptide]:
+        """The file's peptides, a repeated sequence kept once."""
         seqs = read_sequences(path)
-        peptides = [Peptide(s) for s in seqs]
-        kept = (s for s in seqs if len(s) <= options.max_len)  # the rest are dropped
-        try:
+        with _parsing(path):
+            peptides = list(dict.fromkeys(Peptide(s) for s in seqs))
+            kept = (s for s in seqs if len(s) <= options.max_len)  # the rest are dropped
             descriptors.check_lengths(options.universe, kept, cfg)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
         return peptides
 
-    pos_raw = corpus_mod.ingest_unlabeled(read_peptides(pos_path), source=str(pos_path))
-    neg_raw = corpus_mod.ingest_unlabeled(read_peptides(neg_path), source=str(neg_path))
+    pos_raw, neg_raw = read_peptides(pos_path), read_peptides(neg_path)
     pos_c, _ = corpus_mod.length_filter(pos_raw, options.max_len)
     neg_c, _ = corpus_mod.length_filter(neg_raw, options.max_len)
     pos_c = corpus_mod.dedup_greedy(pos_c, options.dedup_threshold)
@@ -545,11 +544,11 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
             seed=derive_seed(options.seed, "split"),
         ),
     )
-    train_peps = split.train_pos.peptides() + split.train_neg.peptides()
+    train_peps = split.train_pos + split.train_neg
     y_train = np.array(
         [1] * len(split.train_pos) + [0] * len(split.train_neg), dtype=np.int64
     )
-    test_peps = split.test_pos.peptides() + split.test_neg.peptides()
+    test_peps = split.test_pos + split.test_neg
     y_test = np.array(
         [1] * len(split.test_pos) + [0] * len(split.test_neg), dtype=np.int64
     )

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from .latent import check_fraction
 from .sequences import residue_codes, residue_counts
 
 NEG_INF = -1e30
@@ -268,12 +269,6 @@ def similarity_matrix(seqs, params: AlignParams = DEFAULT_PARAMS) -> np.ndarray:
     return sim
 
 
-def check_threshold(name: str, threshold: float):
-    """Reject a similarity threshold outside (0, 1], NaN included."""
-    if not 0 < threshold <= 1:
-        raise ConfigError(f"{name} must be in (0, 1], got {threshold}")
-
-
 def build_components(
     seqs, params: AlignParams = DEFAULT_PARAMS, threshold: float = 0.70
 ) -> tuple[list[list[int]], dict[tuple[int, int], float]]:
@@ -285,7 +280,7 @@ def build_components(
     so each similarity equals the matrix's bit for bit.  Clusters are
     ordered by their smallest member index; members ascend.
     """
-    check_threshold("threshold", threshold)
+    check_fraction("threshold", threshold)
     scorer = Scorer(seqs, params)
     n = len(scorer.seqs)
     root = list(range(n))

@@ -541,8 +541,7 @@ class _Forest(_Learner):
 
 
 class RandomForest(_Forest):
-    bootstrap = True
-    random_thresholds = False
+    """Bagged trees with exhaustive thresholds: _Forest's defaults."""
 
 
 class ExtraTrees(_Forest):
@@ -891,11 +890,9 @@ def make_classifier(spec: ClassifierSpec):
     """Instantiate a learner with per-algorithm defaults filled in."""
     alg = spec.algorithm
     if alg == "rf":
-        forest = RandomForest(spec.trees or 200, spec.depth or 12, seed=spec.seed)
-        return forest
+        return RandomForest(spec.trees or 200, spec.depth or 12, seed=spec.seed)
     if alg == "ert":
-        forest = ExtraTrees(spec.trees or 200, spec.depth or 12, seed=spec.seed)
-        return forest
+        return ExtraTrees(spec.trees or 200, spec.depth or 12, seed=spec.seed)
     if alg == "gbt":
         return GradientBoosting(
             spec.trees or 200, spec.depth or 3, spec.learning_rate or 0.1
@@ -906,9 +903,8 @@ def make_classifier(spec: ClassifierSpec):
         return LogisticRegressionGD(l2=spec.l2)
     if alg == "adb":
         return AdaBoostStumps(spec.trees or 100)
-    if alg == "dt":
-        return DecisionTree(max_depth=spec.depth or 12)
-    raise ConfigError(f"unknown algorithm {alg!r}")
+    # ClassifierSpec admits no algorithm outside ALGORITHMS, so this is "dt"
+    return DecisionTree(max_depth=spec.depth or 12)
 
 
 def preset_spec(name: str, seed: int = 0, trees: int | None = None) -> ClassifierSpec:

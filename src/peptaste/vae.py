@@ -371,8 +371,6 @@ def train_la(model: SequenceVae, data: np.ndarray) -> TrainOutcome:
             batch = data[perm[start : start + cfg.batch_size]]
             try:
                 batch_records.append(model.train_step(batch, rng))
-            except TrainingDiverged:
-                raise
             except NumericError as exc:
                 raise TrainingDiverged(
                     f"numeric failure at epoch {epoch}: {exc}", model.history

@@ -328,7 +328,7 @@ def test_05_split_arithmetic():
         for i in range(n):
             a, b, c = i % 20, (i // 20) % 20, (i // 400) % 20
             peps.append(Peptide(tag + aas[a] + aas[b] + aas[c]))
-        return corpus_mod.ingest_unlabeled(peps)
+        return peps
 
     split = corpus_mod.balance_and_split(
         fabricate(2821, "AC"),

@@ -3,13 +3,10 @@ import pytest
 
 from peptaste.corpus import (
     CENSUS_COLUMNS,
-    Corpus,
-    CorpusRecord,
     SplitSpec,
     balance_and_split,
     dedup_greedy,
     ingest,
-    ingest_unlabeled,
     length_filter,
     taste_census,
 )
@@ -19,9 +16,15 @@ from peptaste.textio import write_table
 
 
 def make_corpus(items):
-    return Corpus(
-        [CorpusRecord(Peptide(s), TasteLabel.from_code(c)) for s, c in items]
-    )
+    return [(Peptide(s), TasteLabel.from_code(c)) for s, c in items]
+
+
+def make_peptides(seqs):
+    return [Peptide(s) for s in seqs]
+
+
+def sequences(peptides):
+    return [p.sequence for p in peptides]
 
 
 class TestIngest:
@@ -33,7 +36,7 @@ class TestIngest:
         ]
         c = ingest(records)
         assert len(c) == 2
-        assert c.records[0].label.code == "xxx11"
+        assert c[0][1].code == "xxx11"
 
     def test_absent_beats_unknown_but_not_present(self):
         records = [
@@ -41,39 +44,33 @@ class TestIngest:
             (Peptide("GR"), TasteLabel.from_code("1xxx0")),
         ]
         c = ingest(records)
-        assert c.records[0].label.code == "1xxx1"
-
-    def test_unlabeled_dedups_exactly(self):
-        c = ingest_unlabeled([Peptide("AC"), Peptide("AC"), Peptide("AD")])
-        assert c.sequences() == ["AC", "AD"]
+        assert c[0][1].code == "1xxx1"
 
 
 class TestLengthFilter:
     def test_boundary(self):
-        c = make_corpus([("A" * 14, "1xxxx"), ("C" * 15, "1xxxx")])
+        c = make_peptides(["A" * 14, "C" * 15])
         kept, removed = length_filter(c, 14)
-        assert kept.sequences() == ["A" * 14]
+        assert sequences(kept) == ["A" * 14]
         assert removed == 1
 
     def test_all_kept(self):
-        c = make_corpus([("AC", "1xxxx"), ("DE", "x1xxx")])
+        c = make_peptides(["AC", "DE"])
         kept, removed = length_filter(c, 25)
         assert len(kept) == 2 and removed == 0
 
     def test_mixed_lengths(self):
-        c = make_corpus(
-            [("AC", "1xxxx"), ("A" * 14, "1xxxx"), ("C" * 15, "1xxxx"), ("D" * 25, "1xxxx")]
-        )
+        c = make_peptides(["AC", "A" * 14, "C" * 15, "D" * 25])
         kept, removed = length_filter(c, 14)
-        assert sorted(len(s) for s in kept.sequences()) == [2, 14]
+        assert sorted(len(s) for s in sequences(kept)) == [2, 14]
         assert removed == 2
 
     def test_bad_max_len(self):
         with pytest.raises(ConfigError):
-            length_filter(make_corpus([("AC", "1xxxx")]), 1)
+            length_filter(make_peptides(["AC"]), 1)
 
     def test_empty_result_warns_not_errors(self):
-        c = make_corpus([("A" * 10, "1xxxx")])
+        c = make_peptides(["A" * 10])
         with pytest.warns(UserWarning, match="removed every record"):
             kept, removed = length_filter(c, 5)
         assert len(kept) == 0 and removed == 1
@@ -81,29 +78,16 @@ class TestLengthFilter:
 
 class TestDedup:
     def test_exact_duplicates_collapse(self):
-        c = Corpus(
-            [
-                CorpusRecord(Peptide("ACDE"), None),
-                CorpusRecord(Peptide("ACDE"), None),
-            ]
-        )
+        c = [Peptide("ACDE"), Peptide("ACDE")]
         assert len(dedup_greedy(c, 0.9)) == 1
 
     def test_example_pair_both_kept(self):
         # similarity("AAAA", "AAAC") = 0.625 < 0.9
-        c = Corpus(
-            [CorpusRecord(Peptide("AAAA"), None), CorpusRecord(Peptide("AAAC"), None)]
-        )
+        c = [Peptide("AAAA"), Peptide("AAAC")]
         assert len(dedup_greedy(c, 0.9)) == 2
 
     def test_threshold_one_keeps_distinct(self):
-        c = Corpus(
-            [
-                CorpusRecord(Peptide("ACDE"), None),
-                CorpusRecord(Peptide("ACDF"), None),
-                CorpusRecord(Peptide("WWWW"), None),
-            ]
-        )
+        c = [Peptide("ACDE"), Peptide("ACDF"), Peptide("WWWW")]
         assert len(dedup_greedy(c, 1.0)) == 3
 
     def test_idempotent(self):
@@ -112,18 +96,16 @@ class TestDedup:
             "".join(rng.choice(list("ACDE"), size=rng.integers(3, 9)))
             for _ in range(30)
         }
-        c = Corpus([CorpusRecord(Peptide(s), None) for s in sorted(seqs)])
+        c = [Peptide(s) for s in sorted(seqs)]
         once = dedup_greedy(c, 0.8)
         twice = dedup_greedy(once, 0.8)
-        assert once.sequences() == twice.sequences()
+        assert sequences(once) == sequences(twice)
 
     def test_longest_first_priority(self):
         # near-identical pair: the longer survives the sweep
-        c = Corpus(
-            [CorpusRecord(Peptide("ACDE"), None), CorpusRecord(Peptide("ACDEF"), None)]
-        )
+        c = [Peptide("ACDE"), Peptide("ACDEF")]
         kept = dedup_greedy(c, 0.7)
-        assert kept.sequences() == ["ACDEF"]
+        assert sequences(kept) == ["ACDEF"]
 
 
 class TestBalanceAndSplit:
@@ -135,7 +117,7 @@ class TestBalanceAndSplit:
             # deterministic distinct sequences
             a, b, c = i % 20, (i // 20) % 20, (i // 400) % 20
             peps.append(Peptide(prefix + aas[a] + aas[b] + aas[c]))
-        return ingest_unlabeled(peps)
+        return peps
 
     def test_reference_arithmetic(self):
         pos = self.unlabeled(2821, "AC")
@@ -157,18 +139,18 @@ class TestBalanceAndSplit:
         neg = self.unlabeled(80, "DE")
         s1 = balance_and_split(pos, neg, SplitSpec(seed=7))
         s2 = balance_and_split(pos, neg, SplitSpec(seed=7))
-        assert s1.train_pos.sequences() == s2.train_pos.sequences()
-        assert s1.train_neg.sequences() == s2.train_neg.sequences()
-        assert s1.test_neg.sequences() == s2.test_neg.sequences()
+        assert sequences(s1.train_pos) == sequences(s2.train_pos)
+        assert sequences(s1.train_neg) == sequences(s2.train_neg)
+        assert sequences(s1.test_neg) == sequences(s2.test_neg)
 
     def test_disjoint_and_complete(self):
         pos = self.unlabeled(37, "AC")
         neg = self.unlabeled(90, "DE")
         split = balance_and_split(pos, neg, SplitSpec(seed=3))
-        train = set(split.train_pos.sequences())
-        test = set(split.test_pos.sequences())
+        train = set(sequences(split.train_pos))
+        test = set(sequences(split.test_pos))
         assert not (train & test)
-        assert train | test == set(pos.sequences())
+        assert train | test == set(sequences(pos))
         assert len(split.train_neg) + len(split.test_neg) == 37
 
     def test_not_enough_negatives(self):
@@ -199,7 +181,7 @@ class TestCensus:
         )
         census = taste_census(c)
         n_annotated = sum(
-            1 for r in c if "1" in r.label.code
+            1 for _, label in c if "1" in label.code
         )
         assert sum(census.multiplicity.values()) == n_annotated == 2
 

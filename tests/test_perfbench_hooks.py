@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from peptaste import corpus, descriptors, similarity, vae
+from peptaste.sequences import Peptide
 from peptaste.toxicity import classifiers
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -46,3 +47,21 @@ def test_install_wraps_and_restore_puts_back(monkeypatch):
         restore()
     assert all(during is not before for during, before in zip(wrapped, originals))
     assert hooked() == originals
+
+
+def test_dedup_hook_binds_its_arguments_by_name(monkeypatch):
+    # the wrapper reads `corpus` and `identity_threshold` by name
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    before = tracer.align_threshold
+    peptides = [Peptide(s) for s in ("ACDEF", "ACDEF", "WWKRH")]
+    restore = spans.install(tracer)
+    try:
+        kept = corpus.dedup_greedy(peptides, 0.8)
+        corpus.dedup_greedy(corpus=kept, identity_threshold=0.9)
+    finally:
+        restore()
+    assert kept == [Peptide("ACDEF"), Peptide("WWKRH")]
+    assert tracer.counts["dedup_in"] == 5
+    assert tracer.counts["dedup_kept"] == 4
+    assert tracer.align_threshold == before

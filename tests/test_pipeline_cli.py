@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from peptaste import corpus as corpus_mod
 from peptaste import descriptors, pipeline, vae
 from peptaste.cli import build_parser, design_run, main, toxtrain_options
 from peptaste.descriptors import encode_matrix
@@ -93,7 +94,7 @@ class TestReaders:
         p = tmp_path / "corpus.fasta"
         p.write_text(">x1xxx\nACDE\n")
         corpus = read_taste_corpus(p)
-        assert corpus.records[0].label.code == "x1xxx"
+        assert corpus[0][1].code == "x1xxx"
 
     @pytest.mark.parametrize(
         "text, line", [(">a\n>b\nKLMN\n>c\nACDE\n", 1), (">a\nACDE\n\n>b\n", 4)]
@@ -472,12 +473,34 @@ class TestToxTrainPipeline:
         [
             ({"member_names": ("rf",)}, "member count must be between 2 and 5, got 1"),
             ({"weight_step": 0.3}, "step 0.3 must divide 1 evenly"),
+            # member_specs() would collapse the repeats into one member
+            ({"member_names": ("rf", "rf")}, "duplicate member 'rf'"),
+            ({"member_names": ("rf", "rf", "knn")}, "duplicate member 'rf'"),
         ],
     )
     def test_options_reject_a_bad_weight_grid(self, fields, message):
         # the weight search would find it only after forward selection
         with pytest.raises(ConfigError, match=message):
             ToxTrainOptions(**fields)
+
+    def test_toxtrain_keeps_a_repeated_sequence_once(
+        self, tox_corpus_files, tmp_path, monkeypatch
+    ):
+        class Read(Exception):
+            pass
+
+        def stop(peptides, max_len):
+            raise Read([p.sequence for p in peptides])
+
+        monkeypatch.setattr(corpus_mod, "length_filter", stop)
+        tox, neg = tox_corpus_files
+        pos = tmp_path / "toxic.txt"
+        pos.write_text(open(tox).read() * 2)
+        with pytest.raises(Read) as read:
+            run_toxtrain(str(pos), neg, None, ToxTrainOptions())
+        seqs = read_sequences(tox)
+        assert len(read_sequences(pos)) == 2 * len(seqs)
+        assert read.value.args[0] == list(dict.fromkeys(seqs))
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -807,6 +830,36 @@ class TestCli:
         # at the default max_len the row is dropped by the length filter instead
         args[args.index("--max-len") + 1] = "25"
         assert main(args) == 0
+
+    @pytest.mark.parametrize("flag", ["--pos", "--neg"])
+    def test_toxtrain_bad_residue_names_its_file(
+        self, tox_corpus_files, tmp_path, capsys, flag
+    ):
+        files = dict(zip(("--pos", "--neg"), tox_corpus_files))
+        bad = tmp_path / "bad.txt"
+        bad.write_text(open(files[flag]).read() + "ACXDE\n")
+        files[flag] = str(bad)
+        out = tmp_path / "m.json"
+        argv = ["toxtrain", "--pos", files["--pos"], "--neg", files["--neg"],
+                "--model-out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: invalid residue 'X' in sequence 'ACXDE'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["census", "design"])
+    def test_taste_corpus_bad_residue_names_its_file(
+        self, small_tox_model, tmp_path, capsys, command
+    ):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("ACDE\t1xxxx\nACXDE\tx1xxx\n")
+        argv = [command, "--corpus", str(corpus)]
+        if command == "design":
+            argv += ["--pattern", "x1xxx", "--tox-model", small_tox_model[0],
+                     "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{corpus}: line 2: invalid residue 'X' in sequence 'ACXDE'\n" in err
 
     def test_toxbench_counts_excluded_rows(self, small_tox_model, tox_corpus_files,
                                            tmp_path, capsys):

@@ -151,8 +151,8 @@ def test_cluster_tsv(tmp_path):
 
 def test_dedup_kept_set():
     peptides = [Peptide(s) for s in mutant_families(n_families=20, seed=8)]
-    kept = corpus_mod.dedup_greedy(corpus_mod.ingest_unlabeled(peptides), 0.90)
-    seqs = [r.peptide.sequence for r in kept.records]
+    kept = corpus_mod.dedup_greedy(list(dict.fromkeys(peptides)), 0.90)
+    seqs = [p.sequence for p in kept]
     assert _sha("\n".join(seqs)) == GOLDEN["dedup_kept"]
 
 

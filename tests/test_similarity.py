@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peptaste.corpus import Corpus, CorpusRecord, dedup_greedy
+from peptaste.corpus import dedup_greedy
 from peptaste.errors import ConfigError
 from peptaste.sequences import Peptide, residue_codes, residue_counts
 from peptaste.similarity import (
@@ -295,23 +295,20 @@ def align_params(draw):
 
 
 def full_sweep_dedup(corpus, threshold, params=DEFAULT_PARAMS):
-    """Oracle: the longest-first sweep aligning each record with every kept one."""
-    records = list(corpus.records)
-    order = sorted(
-        range(len(records)),
-        key=lambda i: (-len(records[i].peptide), records[i].peptide.sequence, i),
-    )
+    """Oracle: the longest-first sweep aligning each peptide with every kept one."""
+    seqs = [p.sequence for p in corpus]
+    order = sorted(range(len(seqs)), key=lambda i: (-len(seqs[i]), seqs[i], i))
     kept = []
     for i in order:
-        seq = records[i].peptide.sequence
-        others = [records[j].peptide.sequence for j in kept]
+        seq = seqs[i]
+        others = [seqs[j] for j in kept]
         if others:
             raw = nw_score_block(seq, others, params)
             denom = np.maximum(self_score(seq, params), [self_score(o, params) for o in others])
             if np.any(np.maximum(raw / denom, 0.0) >= threshold):
                 continue
         kept.append(i)
-    return [records[i].peptide.sequence for i in sorted(kept)]
+    return [seqs[i] for i in sorted(kept)]
 
 
 class TestBoundPruning:
@@ -344,9 +341,9 @@ class TestBoundPruning:
     @settings(max_examples=150, deadline=None)
     @given(small_seqs, st.floats(0.3, 1.0))
     def test_pruned_dedup_matches_full_sweep(self, seqs, threshold):
-        corpus = Corpus([CorpusRecord(Peptide(s), None) for s in seqs])
+        corpus = [Peptide(s) for s in seqs]
         kept = dedup_greedy(corpus, threshold)
-        assert kept.sequences() == full_sweep_dedup(corpus, threshold)
+        assert [p.sequence for p in kept] == full_sweep_dedup(corpus, threshold)
 
     def test_pruning_skips_dissimilar_pairs(self, monkeypatch):
         import peptaste.similarity as sim_mod

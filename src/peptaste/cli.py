@@ -12,7 +12,7 @@ import sys
 
 from . import __version__, descriptors, physchem, pipeline, similarity, textio, vae
 from . import corpus as corpus_mod
-from .errors import ConfigError, PeptasteError, ValidationError
+from .errors import ConfigError, PeptasteError
 from .sequences import PatternMode, Peptide, parse_pattern
 from .toxicity import ensemble as ens
 
@@ -214,17 +214,16 @@ def _cmd_toxbench(args) -> int:
 
 def _cmd_physchem(args) -> int:
     seqs = pipeline.read_sequences(args.input)
-    matrix = physchem.profiles(seqs)  # validates every sequence before writing
+    with pipeline._parsing(args.input):
+        matrix = physchem.profiles(seqs)  # validates every sequence before writing
     textio.write_matrix(args.out, ("sequence", *physchem.PROFILE_FIELDS), seqs, matrix)
     return 0
 
 
 def _cmd_encode(args) -> int:
     seqs = pipeline.read_sequences(args.input)
-    try:
+    with pipeline._parsing(args.input):
         matrix = descriptors.encode_matrix(args.descriptors, seqs)
-    except ValidationError as exc:
-        raise ValidationError(f"{args.input}: {exc}") from exc
     textio.write_matrix(
         args.out, ("sequence", *descriptors.column_names(args.descriptors)), seqs, matrix
     )
@@ -249,8 +248,9 @@ def _cmd_align(args) -> int:
 
 def _cmd_cluster(args) -> int:
     seqs = pipeline.read_sequences(args.input)
-    for s in seqs:
-        Peptide(s)  # validate early with a clear error
+    with pipeline._parsing(args.input):
+        for s in seqs:
+            Peptide(s)  # validate early with a clear error
     clusters, reps = pipeline.cluster_sequences(seqs, args.threshold)
     pipeline.write_clusters(args.out, seqs, clusters, reps)
     return 0

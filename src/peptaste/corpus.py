@@ -81,16 +81,7 @@ def dedup_greedy(
     return [corpus[i] for i in sorted(kept_idx)]
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.9
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.train_fraction < 1:
-            raise ConfigError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
+TRAIN_FRACTION = 0.9  # of each class, after balancing
 
 
 @dataclass
@@ -101,10 +92,10 @@ class Split:
     test_neg: list[Peptide]
 
 
-def balance_and_split(pos: list[Peptide], neg: list[Peptide], spec: SplitSpec) -> Split:
+def balance_and_split(pos: list[Peptide], neg: list[Peptide], seed: int) -> Split:
     """Downsample negatives to |pos|, then split each class train/test.
 
-    Train size per class is floor(n * train_fraction); the remainder is
+    Train size per class is floor(n * TRAIN_FRACTION); the remainder is
     the test set.  Fully deterministic for a fixed seed.
     """
     if not pos or not neg:
@@ -113,13 +104,13 @@ def balance_and_split(pos: list[Peptide], neg: list[Peptide], spec: SplitSpec) -
         raise DataError(
             f"cannot downsample {len(neg)} negatives to match {len(pos)} positives"
         )
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     chosen = rng.choice(len(neg), size=len(pos), replace=False)
     neg = [neg[i] for i in sorted(chosen)]
 
     def split_class(peptides):
         n = len(peptides)
-        n_train = int(np.floor(n * spec.train_fraction))
+        n_train = int(np.floor(n * TRAIN_FRACTION))
         perm = rng.permutation(n)
         train = [peptides[i] for i in sorted(perm[:n_train])]
         test = [peptides[i] for i in sorted(perm[n_train:])]

@@ -2,7 +2,7 @@
 
 Composition descriptors are frequency-normalized; positional descriptors
 (Binary, BLOSUM62, Zscale, EAAC, EGAAC) lay the sequence into a fixed
-pad_len frame and zero-fill beyond the sequence end.  All residue scales,
+PAD_LEN frame and zero-fill beyond the sequence end.  All residue scales,
 group partitions, and matrices load from the bundled data tables, once,
 on first use.
 
@@ -37,16 +37,12 @@ from .sequences import (
 GROUP_NAMES = ("aliphatic", "aromatic", "positive", "negative", "uncharged")
 
 
-@dataclass(frozen=True)
-class DescriptorConfig:
-    pad_len: int = 25
-    window: int = 5
-    k_max: int = 3
-    lam: int = 1
-    weight: float = 0.05
-
-
-DEFAULT_CONFIG = DescriptorConfig()
+# the encoding settings SpepToxPred fixes
+PAD_LEN = 25  # positional frame of Binary, BLOSUM62, Zscale, EAAC and EGAAC
+WINDOW = 5  # EAAC/EGAAC window length
+K_MAX = 3  # largest CKSAAP/CKSAAGP gap
+LAM = 1  # PAAC/APAAC sequence-order factors (tiers)
+WEIGHT = 0.05  # PAAC/APAAC weight of those factors
 
 
 def _classes(groups) -> np.ndarray:
@@ -101,62 +97,62 @@ def _kmer_counts(classes: np.ndarray, k: int, base: int) -> np.ndarray:
 
 
 class _Descriptor(NamedTuple):
-    encode: Callable[[np.ndarray, DescriptorConfig], np.ndarray]
-    names: Callable[[DescriptorConfig], list[str]]  # without the "<ID>_" prefix
-    min_len: Callable[[DescriptorConfig], int] = lambda cfg: MIN_LENGTH
-    max_len: Callable[[DescriptorConfig], float] = lambda cfg: math.inf
+    encode: Callable[[np.ndarray], np.ndarray]
+    names: Callable[[], list[str]]  # without the "<ID>_" prefix
+    min_len: Callable[[], int] = lambda: MIN_LENGTH
+    max_len: Callable[[], float] = lambda: math.inf
 
 
 def _composition(alphabet: Callable[[], _Alphabet], k: int) -> _Descriptor:
     """Frequencies of the k-mers of residue classes (AAC ... GTPC)."""
 
-    def encode(codes, cfg):
+    def encode(codes):
         a = alphabet()
         counts = _kmer_counts(a.classes[codes], k, len(a.labels))
         return counts / (codes.shape[1] - k + 1)
 
-    return _Descriptor(encode, lambda cfg: alphabet().kmers(k), lambda cfg: k)
+    return _Descriptor(encode, lambda: alphabet().kmers(k), lambda: k)
 
 
 def _gapped(alphabet: Callable[[], _Alphabet]) -> _Descriptor:
-    """Frequencies of class pairs (i, i + g + 1), one block per gap g <= k_max;
+    """Frequencies of class pairs (i, i + g + 1), one block per gap g <= K_MAX;
     a block with no pairs stays zero."""
 
-    def encode(codes, cfg):
+    def encode(codes):
         a = alphabet()
         classes, base = a.classes[codes], len(a.labels)
         blocks = []
-        for g in range(cfg.k_max + 1):
+        for g in range(K_MAX + 1):
             m = max(codes.shape[1] - g - 1, 0)
             pairs = classes[:, :m] * base + classes[:, g + 1 : g + 1 + m]
             blocks.append(row_counts(pairs, base * base) / max(m, 1))
         return np.hstack(blocks)
 
-    def names(cfg):
+    def names():
         pairs = alphabet().kmers(2)
-        return [f"{p}.gap{g}" for g in range(cfg.k_max + 1) for p in pairs]
+        return [f"{p}.gap{g}" for g in range(K_MAX + 1) for p in pairs]
 
     return _Descriptor(encode, names)
 
 
 def _windowed(alphabet: Callable[[], _Alphabet]) -> _Descriptor:
-    """Class counts over each window of the pad_len frame, divided by the
+    """Class counts over each window of the PAD_LEN frame, divided by the
     window length (EAAC, EGAAC)."""
 
-    def encode(codes, cfg):
+    def encode(codes):
         a = alphabet()
         classes, base = a.classes[codes], len(a.labels)
         counts = [
-            row_counts(classes[:, w : w + cfg.window], base)
-            for w in range(cfg.pad_len - cfg.window + 1)
+            row_counts(classes[:, w : w + WINDOW], base)
+            for w in range(PAD_LEN - WINDOW + 1)
         ]
-        return np.hstack(counts) / cfg.window
+        return np.hstack(counts) / WINDOW
 
-    def names(cfg):
-        nw = cfg.pad_len - cfg.window + 1
+    def names():
+        nw = PAD_LEN - WINDOW + 1
         return [f"w{w + 1}.{c}" for w in range(nw) for c in alphabet().labels]
 
-    return _Descriptor(encode, names, max_len=lambda cfg: cfg.pad_len)
+    return _Descriptor(encode, names, max_len=lambda: PAD_LEN)
 
 
 def _positional(
@@ -165,17 +161,17 @@ def _positional(
     """One table row per position, zero rows past the sequence end
     (Binary, BLOSUM62, Zscale)."""
 
-    def encode(codes, cfg):
+    def encode(codes):
         values = table()[0]
         rows, n = codes.shape
-        out = np.zeros((rows, cfg.pad_len, values.shape[1]))
+        out = np.zeros((rows, PAD_LEN, values.shape[1]))
         out[:, :n] = values[codes]
         return out.reshape(rows, -1)
 
-    def names(cfg):
-        return [f"p{i + 1}.{c}" for i in range(cfg.pad_len) for c in table()[1]]
+    def names():
+        return [f"p{i + 1}.{c}" for i in range(PAD_LEN) for c in table()[1]]
 
-    return _Descriptor(encode, names, max_len=lambda cfg: cfg.pad_len)
+    return _Descriptor(encode, names, max_len=lambda: PAD_LEN)
 
 
 @functools.cache
@@ -211,18 +207,18 @@ def _ctd_members(codes) -> np.ndarray:
     return classes[:, :, None, :] == np.arange(3)[:, None]
 
 
-def _ctd_names(suffixes) -> Callable[[DescriptorConfig], list[str]]:
-    return lambda cfg: [f"{prop}.{s}" for prop in _ctd()[1] for s in suffixes]
+def _ctd_names(suffixes) -> Callable[[], list[str]]:
+    return lambda: [f"{prop}.{s}" for prop in _ctd()[1] for s in suffixes]
 
 
-def _ctdc(codes, cfg):
+def _ctdc(codes):
     return (_ctd_members(codes).sum(axis=3) / codes.shape[1]).reshape(len(codes), -1)
 
 
 _TRANSITIONS = ((0, 1), (0, 2), (1, 2))
 
 
-def _ctdt(codes, cfg):
+def _ctdt(codes):
     classes = _ctd()[0][:, codes].transpose(1, 0, 2)
     x, y = classes[..., :-1], classes[..., 1:]
     trans = [
@@ -235,7 +231,7 @@ def _ctdt(codes, cfg):
 _QUANTILES = np.array([0.0, 0.25, 0.50, 0.75, 1.0])
 
 
-def _ctdd(codes, cfg):
+def _ctdd(codes):
     """Per property and class: the 1-based position of the first, 25%, 50%,
     75% and last member, as a percentage of the length; 0 for no member."""
     members = _ctd_members(codes)
@@ -248,7 +244,7 @@ def _ctdd(codes, cfg):
     return ctdd.reshape(len(codes), -1)
 
 
-def _ctriad(codes, cfg):
+def _ctriad(codes):
     a = _triad_groups()
     counts = _kmer_counts(a.classes[codes], 3, len(a.labels))
     lo, hi = counts.min(axis=1, keepdims=True), counts.max(axis=1, keepdims=True)
@@ -268,7 +264,7 @@ def _dde_expected() -> np.ndarray:
     )
 
 
-def _dde(codes, cfg):
+def _dde(codes):
     dc = _kmer_counts(codes, 2, len(AMINO_ACIDS)) / (codes.shape[1] - 1)
     tm = _dde_expected()
     tv = tm * (1 - tm) / (codes.shape[1] - 1)
@@ -289,37 +285,37 @@ def _paac_properties() -> np.ndarray:
     return np.stack(rows)
 
 
-def _pseudo(codes, factors, cfg):
+def _pseudo(codes, factors):
     """Residue counts and the sequence-order factors, each divided by
-    1 + weight * sum(factors), the sum being Python's, row by row."""
+    1 + WEIGHT * sum(factors), the sum being Python's, row by row."""
     sums = np.array([sum(row) for row in factors.tolist()])
-    denom = (1.0 + cfg.weight * sums)[:, None]
+    denom = (1.0 + WEIGHT * sums)[:, None]
     counts = residue_counts(codes)
-    return np.hstack([counts / denom, cfg.weight * factors / denom])
+    return np.hstack([counts / denom, WEIGHT * factors / denom])
 
 
-def _paac(codes, cfg):
+def _paac(codes):
     values = _paac_properties()[:, codes]  # (property, row, position)
     thetas = []
-    for n in range(1, cfg.lam + 1):
+    for n in range(1, LAM + 1):
         diffs = values[:, :, :-n] - values[:, :, n:]
         thetas.append((diffs ** 2).mean(axis=0).mean(axis=1))
-    return _pseudo(codes, np.stack(thetas, axis=1), cfg)
+    return _pseudo(codes, np.stack(thetas, axis=1))
 
 
-def _apaac(codes, cfg):
+def _apaac(codes):
     values = _paac_properties()[:2, codes]  # (property, row, position)
     taus = [
         (values[p, :, :-n] * values[p, :, n:]).mean(axis=1)
-        for n in range(1, cfg.lam + 1)
+        for n in range(1, LAM + 1)
         for p in range(len(values))
     ]
-    return _pseudo(codes, np.stack(taus, axis=1), cfg)
+    return _pseudo(codes, np.stack(taus, axis=1))
 
 
-def _pseudo_min_len(cfg) -> int:
-    # the lam-th sequence-order factor needs a pair lam residues apart
-    return cfg.lam + 1
+def _pseudo_min_len() -> int:
+    # the LAM-th sequence-order factor needs a pair LAM residues apart
+    return LAM + 1
 
 
 _REGISTRY: dict[str, _Descriptor] = {
@@ -338,7 +334,7 @@ _REGISTRY: dict[str, _Descriptor] = {
         _ctd_names([f"G{c}.p{q}" for c in (1, 2, 3) for q in (0, 25, 50, 75, 100)]),
     ),
     "CTriad": _Descriptor(
-        _ctriad, lambda cfg: _triad_groups().kmers(3), lambda cfg: 3
+        _ctriad, lambda: _triad_groups().kmers(3), lambda: 3
     ),
     "EAAC": _windowed(_residues),
     "EGAAC": _windowed(_groups),
@@ -346,17 +342,17 @@ _REGISTRY: dict[str, _Descriptor] = {
     "CKSAAGP": _gapped(_groups),
     "Binary": _positional(_one_hot),
     "BLOSUM62": _positional(_blosum62),
-    "DDE": _Descriptor(_dde, lambda cfg: _residues().kmers(2)),
+    "DDE": _Descriptor(_dde, lambda: _residues().kmers(2)),
     "PAAC": _Descriptor(
         _paac,
-        lambda cfg: [*AMINO_ACIDS, *(f"lambda{n}" for n in range(1, cfg.lam + 1))],
+        lambda: [*AMINO_ACIDS, *(f"lambda{n}" for n in range(1, LAM + 1))],
         _pseudo_min_len,
     ),
     "APAAC": _Descriptor(
         _apaac,
-        lambda cfg: [
+        lambda: [
             *AMINO_ACIDS,
-            *(f"{p}.{n}" for n in range(1, cfg.lam + 1) for p in _PAAC_SCALES[:2]),
+            *(f"{p}.{n}" for n in range(1, LAM + 1) for p in _PAAC_SCALES[:2]),
         ],
         _pseudo_min_len,
     ),
@@ -372,19 +368,19 @@ def _entry(descriptor_id: str) -> _Descriptor:
     return _REGISTRY[descriptor_id]
 
 
-def check_length(ids, n: int, config: DescriptorConfig = DEFAULT_CONFIG) -> None:
+def check_length(ids, n: int) -> None:
     """Raise ValidationError for a peptide of length n if a descriptor in ids
     excludes it, naming the first such descriptor."""
     for did in ids:
         entry = _entry(did)
-        lo, hi = entry.min_len(config), entry.max_len(config)
+        lo, hi = entry.min_len(), entry.max_len()
         if n < lo:
             raise ValidationError(f"{did} requires length >= {lo}, got {n}")
         if n > hi:
             raise ValidationError(f"{did} requires length <= {hi}, got {n}")
 
 
-def check_lengths(ids, seqs, config: DescriptorConfig = DEFAULT_CONFIG) -> None:
+def check_lengths(ids, seqs) -> None:
     """Raise ValidationError naming the first of seqs that a descriptor in ids
     cannot encode, and the first such descriptor."""
     first = {}  # the first sequence of each length
@@ -392,7 +388,7 @@ def check_lengths(ids, seqs, config: DescriptorConfig = DEFAULT_CONFIG) -> None:
         first.setdefault(len(seq), seq)
     for n, seq in first.items():
         try:
-            check_length(ids, n, config)
+            check_length(ids, n)
         except ValidationError as exc:
             raise ValidationError(f"sequence {seq!r}: {exc}") from exc
 
@@ -406,21 +402,17 @@ def check_ids(ids) -> None:
             raise ConfigError(f"duplicate descriptor {did!r}")
 
 
-def encode(descriptor_id: str, peptide, config: DescriptorConfig = DEFAULT_CONFIG):
+def encode(descriptor_id: str, peptide):
     """Encode one peptide with one descriptor; returns a fixed-length vector."""
-    return encode_matrix([descriptor_id], [peptide], config)[0]
+    return encode_matrix([descriptor_id], [peptide])[0]
 
 
-def descriptor_dims(config: DescriptorConfig = DEFAULT_CONFIG) -> dict[str, int]:
-    return {did: len(entry.names(config)) for did, entry in _REGISTRY.items()}
-
-
-def column_names(ids, config: DescriptorConfig = DEFAULT_CONFIG) -> list[str]:
+def column_names(ids) -> list[str]:
     """One informative name per output column, in encoding order."""
-    return [f"{did}_{name}" for did in ids for name in _entry(did).names(config)]
+    return [f"{did}_{name}" for did in ids for name in _entry(did).names()]
 
 
-def encode_matrix(ids, peptides, config: DescriptorConfig = DEFAULT_CONFIG):
+def encode_matrix(ids, peptides):
     """Raw (un-normalized) concatenated descriptor rows for many peptides;
     each encoder runs once per distinct length, on all peptides of that
     length.  A length error names the first peptide out of bounds."""
@@ -430,14 +422,14 @@ def encode_matrix(ids, peptides, config: DescriptorConfig = DEFAULT_CONFIG):
         raise ValidationError("descriptor list contains duplicates")
     seqs = [p.sequence if isinstance(p, Peptide) else Peptide(str(p)).sequence
             for p in peptides]
-    out = np.empty((len(seqs), len(column_names(ids, config))))
-    check_lengths(ids, seqs, config)
+    out = np.empty((len(seqs), len(column_names(ids))))
+    check_lengths(ids, seqs)
     codes = residue_codes(seqs).astype(np.intp)
     lengths = np.array([len(s) for s in seqs], dtype=np.intp)
     for n in dict.fromkeys(lengths.tolist()):
         rows = np.flatnonzero(lengths == n)
         block = codes[rows, :n]
-        out[rows] = np.hstack([_REGISTRY[did].encode(block, config) for did in ids])
+        out[rows] = np.hstack([_REGISTRY[did].encode(block) for did in ids])
     return out
 
 

@@ -10,7 +10,6 @@ gradient of a model into one contiguous array each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -266,24 +265,15 @@ class ParameterBuffer:
         return out
 
 
-@dataclass
-class AdamConfig:
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+# Adam's moment decay rates and denominator term (Kingma & Ba, 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
-    def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}"
-            )
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+
+def check_learning_rate(learning_rate: float) -> None:
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ConfigError(f"learning_rate must be finite and > 0, got {learning_rate}")
 
 
 class Adam:
@@ -291,15 +281,16 @@ class Adam:
 
     step() updates the array in place, CHUNK elements at a time through two
     chunk-sized scratch arrays, so it allocates nothing.  Per element it
-    computes m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t) and
-    p -= (lr * m_hat) / (sqrt(v_hat) + eps), in that order.
+    computes m_hat = m / (1 - BETA1^t), v_hat = v / (1 - BETA2^t) and
+    p -= (lr * m_hat) / (sqrt(v_hat) + EPSILON), in that order.
     """
 
-    def __init__(self, params: np.ndarray, config: AdamConfig | None = None):
+    def __init__(self, params: np.ndarray, learning_rate: float = 0.001):
         flat = params.ndim == 1 and params.flags.c_contiguous
         if not flat or params.dtype != np.float64:
             raise ValidationError("Adam needs a contiguous 1-D float64 parameter array")
-        self.config = config or AdamConfig()
+        check_learning_rate(learning_rate)
+        self.learning_rate = learning_rate
         self.params = params
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -312,25 +303,24 @@ class Adam:
                 f"gradient shape {grads.shape} does not match "
                 f"parameters {self.params.shape}"
             )
-        cfg = self.config
         self.step_count += 1
         t = self.step_count
-        bias1 = 1 - cfg.beta1**t
-        bias2 = 1 - cfg.beta2**t
+        bias1 = 1 - BETA1**t
+        bias2 = 1 - BETA2**t
         for s in _blocks(self.params.size):
             p, g, m, v = self.params[s], grads[s], self.m[s], self.v[s]
             a, b = self._scratch[:, : s.stop - s.start]
-            m *= cfg.beta1
-            np.multiply(g, 1 - cfg.beta1, out=a)
+            m *= BETA1
+            np.multiply(g, 1 - BETA1, out=a)
             m += a
-            v *= cfg.beta2
-            np.multiply(g, 1 - cfg.beta2, out=a)
+            v *= BETA2
+            np.multiply(g, 1 - BETA2, out=a)
             a *= g
             v += a
             np.divide(m, bias1, out=a)
-            a *= cfg.learning_rate
+            a *= self.learning_rate
             np.divide(v, bias2, out=b)
             np.sqrt(b, out=b)
-            b += cfg.epsilon
+            b += EPSILON
             a /= b
             p -= a

@@ -448,21 +448,21 @@ def _write_manifest(run: DesignRun, counts: dict):
 
 # --- toxicity model lifecycle -------------------------------------------------
 
+# identity at which run_toxtrain keeps one of two similar peptides per class
+TOXTRAIN_DEDUP_THRESHOLD = 0.9
+
 
 @dataclass
 class ToxTrainOptions:
     seed: int = 0
     folds: int = 10
     epsilon: float = 0.001
-    train_fraction: float = 0.9
     max_len: int = 25
-    dedup_threshold: float = 0.9
     selector: str = "rf"
     selector_trees: int | None = None
     member_names: tuple[str, ...] = clf.DEFAULT_MEMBERS
     member_trees: int | None = None
     universe: tuple[str, ...] = descriptors.DESCRIPTOR_IDS
-    weight_step: float = 0.1
 
     def __post_init__(self):
         # rejects bad settings before run_toxtrain reads any input
@@ -472,14 +472,12 @@ class ToxTrainOptions:
         if not self.epsilon >= 0:
             raise ConfigError(f"epsilon must be >= 0 and not NaN, got {self.epsilon}")
         corpus_mod.check_max_len(self.max_len)
-        corpus_mod.SplitSpec(train_fraction=self.train_fraction)
-        latent.check_fraction("dedup_threshold", self.dedup_threshold)
         self.selector_spec()
         self.member_specs()
         for i, name in enumerate(self.member_names):
             if name in self.member_names[:i]:
                 raise ConfigError(f"duplicate member {name!r}")
-        ens.weight_grid_units(len(self.member_names), self.weight_step)
+        ens.check_member_count(len(self.member_names))
 
     def selector_spec(self) -> clf.ClassifierSpec:
         """The learner whose cross-validated MCC drives descriptor selection."""
@@ -519,7 +517,6 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
     the universe, unless max_len drops it anyway; one that does not fails
     the run before training, naming the file, the sequence and the
     descriptor."""
-    cfg = descriptors.DEFAULT_CONFIG
 
     def read_peptides(path) -> list[Peptide]:
         """The file's peptides, a repeated sequence kept once."""
@@ -527,22 +524,17 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
         with _parsing(path):
             peptides = list(dict.fromkeys(Peptide(s) for s in seqs))
             kept = (s for s in seqs if len(s) <= options.max_len)  # the rest are dropped
-            descriptors.check_lengths(options.universe, kept, cfg)
+            descriptors.check_lengths(options.universe, kept)
         return peptides
 
     pos_raw, neg_raw = read_peptides(pos_path), read_peptides(neg_path)
     pos_c, _ = corpus_mod.length_filter(pos_raw, options.max_len)
     neg_c, _ = corpus_mod.length_filter(neg_raw, options.max_len)
-    pos_c = corpus_mod.dedup_greedy(pos_c, options.dedup_threshold)
-    neg_c = corpus_mod.dedup_greedy(neg_c, options.dedup_threshold)
+    pos_c = corpus_mod.dedup_greedy(pos_c, TOXTRAIN_DEDUP_THRESHOLD)
+    neg_c = corpus_mod.dedup_greedy(neg_c, TOXTRAIN_DEDUP_THRESHOLD)
 
     split = corpus_mod.balance_and_split(
-        pos_c,
-        neg_c,
-        corpus_mod.SplitSpec(
-            train_fraction=options.train_fraction,
-            seed=derive_seed(options.seed, "split"),
-        ),
+        pos_c, neg_c, derive_seed(options.seed, "split")
     )
     train_peps = split.train_pos + split.train_neg
     y_train = np.array(
@@ -560,7 +552,7 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
 
     def block(did: str) -> tuple[descriptors.FeatureScaler, np.ndarray]:
         if did not in blocks:
-            raw = descriptors.encode_matrix([did], train_peps, cfg)
+            raw = descriptors.encode_matrix([did], train_peps)
             scaler = descriptors.FeatureScaler.fit(raw)
             blocks[did] = scaler, scaler.transform(raw)
         return blocks[did]
@@ -591,7 +583,6 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
         y_train,
         folds=options.folds,
         seed=derive_seed(options.seed, "weight-folds"),
-        step=options.weight_step,
     )
 
     members = ens.fit_members(member_specs, X_train, y_train)
@@ -601,7 +592,6 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
         members=members,
         weights=weights,
         descriptor_ids=selection.selected,
-        config=cfg,
         scaler=scaler,
         cv_mcc=cv_mcc,
         metadata={
@@ -612,7 +602,7 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
         },
     )
 
-    raw_test = descriptors.encode_matrix(selection.selected, test_peps, cfg)
+    raw_test = descriptors.encode_matrix(selection.selected, test_peps)
     test_probas = model.predict_proba_features(scaler.transform(raw_test))
     heldout = tox_metrics.metrics_from_probas(y_test, test_probas)
 

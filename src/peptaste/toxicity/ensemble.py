@@ -3,7 +3,7 @@
 Forward selection scores every single descriptor, then every pair, seeds
 the greedy stage with the best of those, and keeps adding the descriptor
 that most improves cross-validated MCC until the improvement falls to the
-epsilon threshold.  Weight search enumerates the full step-0.1 simplex
+epsilon threshold.  Weight search enumerates the full WEIGHT_STEP simplex
 over the fitted members and scores each vector by pooled out-of-fold MCC.
 """
 
@@ -25,6 +25,18 @@ FORMAT_NAME = "peptaste-toxicity-ensemble"
 FORMAT_VERSION = 1
 # the keys of each EnsembleModel.predict row, and the toxpredict table's columns
 PREDICT_COLUMNS = ("sequence", "probability", "call", "error")
+# the encoding settings a model file records; load_model accepts no others
+DESCRIPTOR_CONFIG = {
+    "pad_len": descriptors.PAD_LEN,
+    "window": descriptors.WINDOW,
+    "k_max": descriptors.K_MAX,
+    "lam": descriptors.LAM,
+    "weight": descriptors.WEIGHT,
+}
+# weight vectors are u * WEIGHT_STEP for non-negative integers u summing
+# to WEIGHT_UNITS
+WEIGHT_STEP = 0.1
+WEIGHT_UNITS = 10
 
 
 @dataclass
@@ -104,22 +116,16 @@ def forward_select(
     return SelectionResult(current, current_mcc, trace)
 
 
-def weight_grid_units(n_members: int, step: float) -> int:
-    """Grid steps per unit weight of the weight search over n_members
-    members; rejects a step that does not divide 1 and a member count
-    outside 2-5."""
-    units = round(1.0 / step)
-    if abs(units * step - 1.0) > 1e-9:
-        raise ConfigError(f"step {step} must divide 1 evenly")
+def check_member_count(n_members: int) -> None:
+    """Reject a member count outside 2-5, which the weight search spans."""
     if not 2 <= n_members <= 5:
         raise ConfigError(f"member count must be between 2 and 5, got {n_members}")
-    return units
 
 
-def enumerate_weight_vectors(n_members: int, step: float = 0.1) -> list[tuple[float, ...]]:
-    """Every non-negative weight vector on the step-grid simplex summing to 1,
-    in lexicographic order."""
-    units = weight_grid_units(n_members, step)
+def enumerate_weight_vectors(n_members: int) -> list[tuple[float, ...]]:
+    """Every non-negative weight vector on the WEIGHT_STEP simplex summing
+    to 1, in lexicographic order."""
+    check_member_count(n_members)
     out = []
 
     def rec(prefix, left):
@@ -129,8 +135,8 @@ def enumerate_weight_vectors(n_members: int, step: float = 0.1) -> list[tuple[fl
         for u in range(left + 1):
             rec(prefix + (u,), left - u)
 
-    rec((), units)
-    return [tuple(u * step for u in vec) for vec in out]
+    rec((), WEIGHT_UNITS)
+    return [tuple(u * WEIGHT_STEP for u in vec) for vec in out]
 
 
 def weight_grid_search(
@@ -139,7 +145,6 @@ def weight_grid_search(
     y,
     folds: int = 10,
     seed: int = 0,
-    step: float = 0.1,
 ) -> tuple[tuple[float, ...], float, np.ndarray]:
     """Exhaustive simplex search for soft-voting weights.
 
@@ -159,7 +164,7 @@ def weight_grid_search(
     )
     best_w = None
     best_mcc = -2.0
-    for w in enumerate_weight_vectors(probas.shape[1], step):
+    for w in enumerate_weight_vectors(probas.shape[1]):
         combined = probas @ np.asarray(w)
         mcc = metrics.metrics_from_probas(y, combined).mcc
         if mcc > best_mcc:
@@ -176,7 +181,6 @@ class EnsembleModel:
     members: dict[str, object]
     weights: tuple[float, ...]
     descriptor_ids: tuple[str, ...]
-    config: descriptors.DescriptorConfig
     scaler: descriptors.FeatureScaler
     cv_mcc: float
     metadata: dict = field(default_factory=dict)
@@ -190,7 +194,7 @@ class EnsembleModel:
             raise ValidationError("weights must sum to 1")
 
     def _encode(self, peptides) -> np.ndarray:
-        raw = descriptors.encode_matrix(self.descriptor_ids, peptides, self.config)
+        raw = descriptors.encode_matrix(self.descriptor_ids, peptides)
         return self.scaler.transform(raw)
 
     def predict_proba_features(self, X, *, rowwise: bool = False) -> np.ndarray:
@@ -209,12 +213,12 @@ class EnsembleModel:
         seq = str(peptide)
         try:
             Peptide(seq)
-            if len(seq) > self.config.pad_len:
+            if len(seq) > descriptors.PAD_LEN:
                 raise ValidationError(
                     f"sequence length {len(seq)} exceeds the model's "
-                    f"maximum of {self.config.pad_len}"
+                    f"maximum of {descriptors.PAD_LEN}"
                 )
-            descriptors.check_length(self.descriptor_ids, len(seq), self.config)
+            descriptors.check_length(self.descriptor_ids, len(seq))
         except ValidationError as exc:
             return str(exc)
         return ""
@@ -266,7 +270,7 @@ def save_model(model: EnsembleModel, path):
         "members": {n: model.members[n].to_state() for n in model.member_names},
         "weights": list(model.weights),
         "descriptor_ids": list(model.descriptor_ids),
-        "descriptor_config": asdict(model.config),
+        "descriptor_config": DESCRIPTOR_CONFIG,
         "scaler": {
             "mean": model.scaler.mean.tolist(),
             "scale": model.scaler.scale.tolist(),
@@ -279,8 +283,9 @@ def save_model(model: EnsembleModel, path):
 
 def load_model(path) -> EnsembleModel:
     """The model saved at path.  A file that is not one (not JSON, of
-    another format or version, or with a field missing or of the wrong
-    type) raises ValidationError naming it."""
+    another format or version, with a field missing or of the wrong type,
+    with encoding settings other than DESCRIPTOR_CONFIG, or with an unknown
+    or repeated descriptor) raises ValidationError naming it."""
     text = textio.read_text(path)
     try:
         doc = json.loads(text)
@@ -295,7 +300,13 @@ def load_model(path) -> EnsembleModel:
             name: make_classifier(member_specs[name]).from_state(doc["members"][name])
             for name in doc["member_names"]
         }
-        config = descriptors.DescriptorConfig(**doc["descriptor_config"])
+        if doc["descriptor_config"] != DESCRIPTOR_CONFIG:
+            raise ValidationError(
+                f"descriptor_config must be {DESCRIPTOR_CONFIG}, "
+                f"got {doc['descriptor_config']}"
+            )
+        descriptor_ids = tuple(doc["descriptor_ids"])
+        descriptors.check_ids(descriptor_ids)
         scaler = descriptors.FeatureScaler(
             np.asarray(doc["scaler"]["mean"], dtype=float),
             np.asarray(doc["scaler"]["scale"], dtype=float),
@@ -305,8 +316,7 @@ def load_model(path) -> EnsembleModel:
             member_specs=member_specs,
             members=members,
             weights=tuple(doc["weights"]),
-            descriptor_ids=tuple(doc["descriptor_ids"]),
-            config=config,
+            descriptor_ids=descriptor_ids,
             scaler=scaler,
             cv_mcc=float(doc["cv_mcc"]),
             metadata=doc.get("metadata", {}),

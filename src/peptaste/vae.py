@@ -67,7 +67,7 @@ class VaeConfig:
             raise ConfigError(
                 f"l1_lambda must be finite and >= 0, got {self.l1_lambda}"
             )
-        nn.AdamConfig(learning_rate=self.learning_rate)  # checks the learning rate
+        nn.check_learning_rate(self.learning_rate)
 
     @property
     def extension(self) -> int:
@@ -201,9 +201,7 @@ class SequenceVae:
         first, *decoder = [d for d in layers if isinstance(d, nn.Dense)]
         self._l1_groups = ([first, self.head_mean, self.head_logvar], decoder)
         self.buffer = nn.ParameterBuffer(self._registry())
-        self.optimizer = nn.Adam(
-            self.buffer.values, nn.AdamConfig(learning_rate=c.learning_rate)
-        )
+        self.optimizer = nn.Adam(self.buffer.values, c.learning_rate)
         self.history: list[LossRecord] = []
         self.snapshot: dict | None = None
 
@@ -216,9 +214,6 @@ class SequenceVae:
         for key in self.head_logvar.params:
             yield f"logvar.{key}", self.head_logvar, key
         yield from self.decoder.param_slots("dec.")
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        return self.buffer.views(self.buffer.values)
 
     def parameter_count(self) -> int:
         return self.buffer.values.size

@@ -1,10 +1,12 @@
+import contextlib
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from peptaste import pipeline
+from peptaste import descriptors, pipeline
 from peptaste.errors import ValidationError
 from peptaste.sequences import AMINO_ACIDS, decode_argmax
 
@@ -12,6 +14,11 @@ from peptaste.sequences import AMINO_ACIDS, decode_argmax
 def random_peptide(rng, lo=2, hi=14) -> str:
     length = int(rng.integers(lo, hi + 1))
     return "".join(rng.choice(list(AMINO_ACIDS), size=length))
+
+
+def named_params(model) -> dict[str, np.ndarray]:
+    """A SequenceVae's parameter arrays by name: views into its buffer."""
+    return model.buffer.views(model.buffer.values)
 
 
 def reconstructions(model, peptides) -> list[str | None]:
@@ -24,6 +31,38 @@ def reconstructions(model, peptides) -> list[str | None]:
         except ValidationError:
             out.append(None)
     return out
+
+
+class DescriptorSettings(NamedTuple):
+    pad_len: int
+    window: int
+    k_max: int
+    lam: int
+    weight: float
+
+
+DEFAULT_SETTINGS = DescriptorSettings(
+    descriptors.PAD_LEN, descriptors.WINDOW, descriptors.K_MAX, descriptors.LAM,
+    descriptors.WEIGHT,
+)
+# moves every setting an encoder's shape depends on, so that the golden and
+# oracle tests also pin arithmetic that happens to hold at the defaults only
+SMALL_SETTINGS = DEFAULT_SETTINGS._replace(pad_len=20, window=4, k_max=2, lam=3)
+
+
+@contextlib.contextmanager
+def descriptor_settings(settings: DescriptorSettings):
+    """The descriptors module's encoding constants set to settings, then
+    restored."""
+    values = {name.upper(): value for name, value in settings._asdict().items()}
+    saved = {name: getattr(descriptors, name) for name in values}
+    try:
+        for name, value in values.items():
+            setattr(descriptors, name, value)
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(descriptors, name, value)
 
 
 def synthetic_tox_corpus(rng, n_tox=60, n_ben=80, lo=5, hi=20):

@@ -16,13 +16,10 @@ from peptaste import corpus as corpus_mod
 from peptaste import descriptors, latent, physchem, pipeline, similarity, vae
 from peptaste.cli import main
 from peptaste.sequences import AMINO_ACIDS, Peptide, encode_batch
-from peptaste.toxicity import (
-    compute_metrics,
-    enumerate_weight_vectors,
-    metrics_from_probas,
-)
+from peptaste.toxicity.ensemble import enumerate_weight_vectors
+from peptaste.toxicity.metrics import compute_metrics, metrics_from_probas
 from peptaste.vae import Action, LossRecord, Phase, PhasedController, SequenceVae
-from conftest import grad_check, reconstructions
+from conftest import grad_check, named_params, reconstructions
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -55,7 +52,7 @@ def test_01_gradient_correctness():
         model = SequenceVae(cfg)
         # jitter every parameter to a generic point so no relu input sits
         # exactly on its kink (zero-init biases otherwise guarantee kinks)
-        for arr in model.named_params().values():
+        for arr in named_params(model).values():
             arr += 0.05 * rng.standard_normal(arr.shape)
         x = np.zeros((2, cfg.max_len, 21))
         for b in range(2):
@@ -64,7 +61,7 @@ def test_01_gradient_correctness():
                 channel = int(rng.integers(0, 20)) if i < length else 20
                 x[b, i, channel] = 1.0
         eps = rng.standard_normal((2, cfg.latent_dim))
-        params = model.named_params()
+        params = named_params(model)
         n_params += sum(a.size for a in params.values())
 
         def loss_fn():
@@ -333,7 +330,7 @@ def test_05_split_arithmetic():
     split = corpus_mod.balance_and_split(
         fabricate(2821, "AC"),
         fabricate(4880, "DE"),
-        corpus_mod.SplitSpec(train_fraction=0.9, seed=0),
+        seed=0,
     )
     sizes = (
         len(split.train_pos),
@@ -379,7 +376,9 @@ def test_07_descriptor_dimensions():
         "EGAAC": 105, "CKSAAP": 1600, "CKSAAGP": 100, "Binary": 500,
         "BLOSUM62": 500, "DDE": 400, "PAAC": 21, "APAAC": 22, "Zscale": 125,
     }
-    dims = descriptors.descriptor_dims()
+    dims = {
+        did: len(descriptors.column_names([did])) for did in descriptors.DESCRIPTOR_IDS
+    }
     table_ok = dims == expected
     spot_ok = (
         dims["AAC"] == 20
@@ -408,7 +407,7 @@ def test_07_descriptor_dimensions():
 
 
 def test_08_ensemble_algebra():
-    vectors = enumerate_weight_vectors(5, 0.1)
+    vectors = enumerate_weight_vectors(5)
     count_ok = len(vectors) == 1001
 
     # degenerate weight-1.0 ensemble equals its member on every input

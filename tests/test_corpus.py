@@ -3,7 +3,6 @@ import pytest
 
 from peptaste.corpus import (
     CENSUS_COLUMNS,
-    SplitSpec,
     balance_and_split,
     dedup_greedy,
     ingest,
@@ -122,7 +121,7 @@ class TestBalanceAndSplit:
     def test_reference_arithmetic(self):
         pos = self.unlabeled(2821, "AC")
         neg = self.unlabeled(4880, "DE")
-        split = balance_and_split(pos, neg, SplitSpec(train_fraction=0.9, seed=0))
+        split = balance_and_split(pos, neg, seed=0)
         assert len(split.train_pos) == 2538
         assert len(split.test_pos) == 283
         assert len(split.train_neg) == 2538
@@ -131,14 +130,14 @@ class TestBalanceAndSplit:
     def test_small_case(self):
         pos = self.unlabeled(10, "AC")
         neg = self.unlabeled(10, "DE")
-        split = balance_and_split(pos, neg, SplitSpec(train_fraction=0.9, seed=1))
+        split = balance_and_split(pos, neg, seed=1)
         assert len(split.train_pos) == 9 and len(split.test_pos) == 1
 
     def test_deterministic(self):
         pos = self.unlabeled(50, "AC")
         neg = self.unlabeled(80, "DE")
-        s1 = balance_and_split(pos, neg, SplitSpec(seed=7))
-        s2 = balance_and_split(pos, neg, SplitSpec(seed=7))
+        s1 = balance_and_split(pos, neg, seed=7)
+        s2 = balance_and_split(pos, neg, seed=7)
         assert sequences(s1.train_pos) == sequences(s2.train_pos)
         assert sequences(s1.train_neg) == sequences(s2.train_neg)
         assert sequences(s1.test_neg) == sequences(s2.test_neg)
@@ -146,7 +145,7 @@ class TestBalanceAndSplit:
     def test_disjoint_and_complete(self):
         pos = self.unlabeled(37, "AC")
         neg = self.unlabeled(90, "DE")
-        split = balance_and_split(pos, neg, SplitSpec(seed=3))
+        split = balance_and_split(pos, neg, seed=3)
         train = set(sequences(split.train_pos))
         test = set(sequences(split.test_pos))
         assert not (train & test)
@@ -157,7 +156,7 @@ class TestBalanceAndSplit:
         pos = self.unlabeled(10, "AC")
         neg = self.unlabeled(5, "DE")
         with pytest.raises(DataError, match="downsample"):
-            balance_and_split(pos, neg, SplitSpec())
+            balance_and_split(pos, neg, seed=0)
 
 
 class TestCensus:

@@ -25,9 +25,7 @@ FOLDS = (3, 10)
 @pytest.fixture(scope="module")
 def corpus():
     tox, ben = noisy_tox_corpus(np.random.default_rng(21))
-    raw = descriptors.encode_matrix(
-        ["AAC", "GAAC"], tox + ben, descriptors.DescriptorConfig()
-    )
+    raw = descriptors.encode_matrix(["AAC", "GAAC"], tox + ben)
     X = descriptors.FeatureScaler.fit(raw).transform(raw)
     y = np.array([1] * len(tox) + [0] * len(ben), dtype=np.int64)
     return X, y

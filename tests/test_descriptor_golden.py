@@ -2,7 +2,8 @@
 
 The digests were recorded before the descriptor encoders were consolidated
 into one registry; they pin every encoder's float64 output and every
-column name byte for byte, under the default config and a smaller one.
+column name byte for byte, under the default encoding settings and a
+smaller set.
 """
 
 import hashlib
@@ -10,17 +11,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from peptaste.descriptors import (
-    DEFAULT_CONFIG,
-    DESCRIPTOR_IDS,
-    DescriptorConfig,
-    column_names,
-    encode_matrix,
-)
+from peptaste.descriptors import DESCRIPTOR_IDS, column_names, encode_matrix
 from peptaste.sequences import AMINO_ACIDS, Peptide
+from conftest import (
+    DEFAULT_SETTINGS,
+    SMALL_SETTINGS,
+    DescriptorSettings,
+    descriptor_settings,
+)
 
-SMALL_CONFIG = DescriptorConfig(pad_len=20, window=4, k_max=2, lam=3)
-CONFIGS = {"default": DEFAULT_CONFIG, "small": SMALL_CONFIG}
+CONFIGS = {"default": DEFAULT_SETTINGS, "small": SMALL_SETTINGS}
 
 
 def _peptide_set() -> list[str]:
@@ -44,7 +44,7 @@ def _peptide_set() -> list[str]:
 PEPTIDES = _peptide_set()
 
 
-def _accepts(did: str, seq: str, cfg: DescriptorConfig) -> bool:
+def _accepts(did: str, seq: str, cfg: DescriptorSettings) -> bool:
     if did in ("TPC", "GTPC", "CTriad") and len(seq) < 3:
         return False
     if did in ("PAAC", "APAAC") and len(seq) <= cfg.lam:
@@ -64,11 +64,13 @@ def _digest(matrix: np.ndarray) -> str:
 def encoding_digest(did: str, config_name: str) -> str:
     cfg = CONFIGS[config_name]
     peps = [Peptide(s) for s in PEPTIDES if _accepts(did, s, cfg)]
-    return _digest(encode_matrix([did], peps, cfg))
+    with descriptor_settings(cfg):
+        return _digest(encode_matrix([did], peps))
 
 
 def names_digest(config_name: str) -> str:
-    names = column_names(DESCRIPTOR_IDS, CONFIGS[config_name])
+    with descriptor_settings(CONFIGS[config_name]):
+        names = column_names(DESCRIPTOR_IDS)
     return hashlib.sha256("\n".join(names).encode()).hexdigest()
 
 

@@ -13,16 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peptaste import descriptors as d
-from peptaste.descriptors import (
-    DEFAULT_CONFIG,
-    DESCRIPTOR_IDS,
-    DescriptorConfig,
-    encode_matrix,
-)
+from peptaste.descriptors import DESCRIPTOR_IDS, encode_matrix
 from peptaste.errors import ValidationError
 from peptaste.sequences import AMINO_ACIDS, Peptide, residue_codes
+from conftest import DEFAULT_SETTINGS, SMALL_SETTINGS, descriptor_settings
 
-CONFIGS = (DEFAULT_CONFIG, DescriptorConfig(pad_len=20, window=4, k_max=2, lam=3))
+CONFIGS = (DEFAULT_SETTINGS, SMALL_SETTINGS)
 
 
 def ref_kmer_counts(classes, k, base):
@@ -195,7 +191,8 @@ def batches(lo=2, hi=30):
 def test_batch_equals_per_peptide_oracle(did, cfg, seqs):
     lo, hi = ref_bounds(did, cfg)
     seqs = [s for s in seqs if lo <= len(s) <= hi] or ["A" * lo]
-    got = encode_matrix([did], [Peptide(s) for s in seqs], cfg)
+    with descriptor_settings(cfg):
+        got = encode_matrix([did], [Peptide(s) for s in seqs])
     want = np.stack([ref_encode(did, s, cfg) for s in seqs])
     assert got.dtype == want.dtype == np.float64
     assert got.shape == want.shape
@@ -219,11 +216,12 @@ def test_concatenation_and_first_out_of_bounds_peptide(cfg, ids, seqs):
         # the first peptide in input order, and the first descriptor in ids
         # that excludes it
         seq, did = bad[0]
-        with pytest.raises(ValidationError) as exc:
-            encode_matrix(ids, seqs, cfg)
+        with descriptor_settings(cfg), pytest.raises(ValidationError) as exc:
+            encode_matrix(ids, seqs)
         assert re.match(f"sequence '{seq}': {did} requires length ", str(exc.value))
         return
-    got = encode_matrix(ids, seqs, cfg)
+    with descriptor_settings(cfg):
+        got = encode_matrix(ids, seqs)
     want = np.stack(
         [np.concatenate([ref_encode(did, s, cfg) for did in ids]) for s in seqs]
     )
@@ -234,9 +232,9 @@ def test_each_encoder_runs_once_per_distinct_length(monkeypatch):
     calls = []
     for did, entry in d._REGISTRY.items():
 
-        def counted(codes, cfg, did=did, encode=entry.encode):
+        def counted(codes, did=did, encode=entry.encode):
             calls.append((did, codes.shape))
-            return encode(codes, cfg)
+            return encode(codes)
 
         monkeypatch.setitem(d._REGISTRY, did, entry._replace(encode=counted))
     seqs = ["ACDE", "KRHKR", "WWWW", "ACD", "GGGGG", "ACDE", "KLM"]

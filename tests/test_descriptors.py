@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from peptaste import _tables
 from peptaste.descriptors import (
     DESCRIPTOR_IDS,
-    DescriptorConfig,
     FeatureScaler,
     column_names,
-    descriptor_dims,
     encode,
     encode_matrix,
 )
 from peptaste.errors import ValidationError
 from peptaste.sequences import AMINO_ACIDS, Peptide
+from conftest import DEFAULT_SETTINGS, descriptor_settings
 
 COMPOSITION_IDS = ("AAC", "DPC", "TPC", "GAAC", "GDPC", "GTPC")
 
@@ -25,6 +24,10 @@ RNG = np.random.default_rng(3)
 
 def random_seq(lo=3, hi=25):
     return "".join(RNG.choice(list(AMINO_ACIDS), size=RNG.integers(lo, hi + 1)))
+
+
+def descriptor_dims() -> dict[str, int]:
+    return {did: len(column_names([did])) for did in DESCRIPTOR_IDS}
 
 
 class TestDimensions:
@@ -153,11 +156,12 @@ class TestPreconditions:
                 encode(did, long)
 
     def test_pseudo_composition_needs_lambda_plus_one(self):
-        cfg = DescriptorConfig(lam=3)
-        for did in ("PAAC", "APAAC"):
-            with pytest.raises(ValidationError, match=f"{did} requires length >= 4"):
-                encode(did, "ACD", cfg)
-            assert encode(did, "ACDE", cfg).shape == (descriptor_dims(cfg)[did],)
+        with descriptor_settings(DEFAULT_SETTINGS._replace(lam=3)):
+            for did in ("PAAC", "APAAC"):
+                message = f"{did} requires length >= 4"
+                with pytest.raises(ValidationError, match=message):
+                    encode(did, "ACD")
+                assert encode(did, "ACDE").shape == (descriptor_dims()[did],)
 
     def test_unknown_descriptor(self):
         with pytest.raises(ValidationError, match="unknown"):
@@ -224,11 +228,11 @@ class TestFeatureAssembly:
         assert np.allclose(scaler.transform(raw), again)
 
     def test_window_dims_follow_config(self):
-        cfg = DescriptorConfig(pad_len=20, window=4)
-        dims = descriptor_dims(cfg)
-        assert dims["EAAC"] == (20 - 4 + 1) * 20
-        assert dims["Binary"] == 400
-        assert encode("EAAC", "ACDE", cfg).shape == (dims["EAAC"],)
+        with descriptor_settings(DEFAULT_SETTINGS._replace(pad_len=20, window=4)):
+            dims = descriptor_dims()
+            assert dims["EAAC"] == (20 - 4 + 1) * 20
+            assert dims["Binary"] == 400
+            assert encode("EAAC", "ACDE").shape == (dims["EAAC"],)
 
 
 @functools.cache

@@ -12,30 +12,30 @@ import pytest
 from peptaste import nn
 from peptaste.sequences import Peptide, encode_batch
 from peptaste.vae import SequenceVae, VaeConfig
+from conftest import named_params
 
 
 class PerArrayAdam:
     """Bias-corrected Adam looping over separate parameter arrays."""
 
-    def __init__(self, params, config):
-        self.config = config
+    def __init__(self, params, learning_rate):
+        self.learning_rate = learning_rate
         self.params = params
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.step_count = 0
 
     def step(self, grads):
-        cfg = self.config
         self.step_count += 1
         t = self.step_count
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= cfg.beta1
-            m += (1 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1 - cfg.beta2) * g * g
-            m_hat = m / (1 - cfg.beta1**t)
-            v_hat = v / (1 - cfg.beta2**t)
-            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            m *= nn.BETA1
+            m += (1 - nn.BETA1) * g
+            v *= nn.BETA2
+            v += (1 - nn.BETA2) * g * g
+            m_hat = m / (1 - nn.BETA1**t)
+            v_hat = v / (1 - nn.BETA2**t)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + nn.EPSILON)
 
 
 def small_config(**overrides):
@@ -67,9 +67,9 @@ def batches(max_len, n=24, seed=0):
 def test_flat_training_matches_per_array_adam(l1_lambda):
     cfg = small_config(l1_lambda=l1_lambda)
     flat, reference = SequenceVae(cfg), SequenceVae(cfg)
-    names = list(reference.named_params())
-    params = reference.named_params()
-    oracle = PerArrayAdam([params[n] for n in names], nn.AdamConfig(cfg.learning_rate))
+    params = named_params(reference)
+    names = list(params)
+    oracle = PerArrayAdam([params[n] for n in names], cfg.learning_rate)
     data = batches(cfg.max_len)
     rng_flat, rng_ref = np.random.default_rng(1), np.random.default_rng(1)
     for step in range(30):
@@ -79,7 +79,7 @@ def test_flat_training_matches_per_array_adam(l1_lambda):
         want, grads = reference.loss_and_grads(x, eps, rng=rng_ref)
         oracle.step([grads[n] for n in names])
         assert got == want
-    for name, arr in flat.named_params().items():
+    for name, arr in named_params(flat).items():
         assert np.array_equal(arr, params[name]), name
     assert flat.optimizer.step_count == 30
 
@@ -92,21 +92,21 @@ def test_weight_copies_round_trip():
     for x in data[:3]:
         model.train_step(x, rng)
     saved = model.copy_weights()
-    before = {name: arr.copy() for name, arr in model.named_params().items()}
+    before = {name: arr.copy() for name, arr in named_params(model).items()}
     assert list(saved) == list(before)
     assert not any(np.shares_memory(a, model.buffer.values) for a in saved.values())
     for x in data[3:]:
         model.train_step(x, rng)
-    assert not np.array_equal(model.named_params()["mean.W"], before["mean.W"])
+    assert not np.array_equal(named_params(model)["mean.W"], before["mean.W"])
     model.load_weights(saved)
-    for name, arr in model.named_params().items():
+    for name, arr in named_params(model).items():
         assert np.array_equal(arr, before[name]), name
         assert np.array_equal(saved[name], before[name]), name
 
 
 def test_layers_train_through_buffer_views():
     model = SequenceVae(small_config())
-    for name, arr in model.named_params().items():
+    for name, arr in named_params(model).items():
         assert np.shares_memory(arr, model.buffer.values), name
     grads = model.loss_and_grads(
         batches(8)[0], np.zeros((4, 6)), rng=np.random.default_rng(0)

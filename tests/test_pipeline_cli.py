@@ -41,6 +41,16 @@ def _edited(text, **fields):
     return json.dumps(doc)
 
 
+def _ids(text) -> list:
+    return json.loads(text)["descriptor_ids"]
+
+
+# encoding settings the descriptors module does not use
+OTHER_DESCRIPTOR_CONFIG = {
+    "k_max": 3, "lam": 3, "pad_len": 20, "weight": 0.05, "window": 5
+}
+
+
 def toy_design_run(corpus_path, tox_model, out_dir, **overrides):
     # toy-scale runs need a few thousand optimizer steps before the decoder
     # emits non-pad openings, hence the small batches and epoch count; the
@@ -472,10 +482,18 @@ class TestToxTrainPipeline:
         "fields, message",
         [
             ({"member_names": ("rf",)}, "member count must be between 2 and 5, got 1"),
-            ({"weight_step": 0.3}, "step 0.3 must divide 1 evenly"),
-            # member_specs() would collapse the repeats into one member
-            ({"member_names": ("rf", "rf")}, "duplicate member 'rf'"),
-            ({"member_names": ("rf", "rf", "knn")}, "duplicate member 'rf'"),
+            # member_specs() would collapse the repeats into one member; explicit
+            # ids keep these cases' names from when a weight-step case preceded them
+            pytest.param(
+                {"member_names": ("rf", "rf")},
+                "duplicate member 'rf'",
+                id="fields2-duplicate member 'rf'",
+            ),
+            pytest.param(
+                {"member_names": ("rf", "rf", "knn")},
+                "duplicate member 'rf'",
+                id="fields3-duplicate member 'rf'",
+            ),
         ],
     )
     def test_options_reject_a_bad_weight_grid(self, fields, message):
@@ -503,29 +521,6 @@ class TestToxTrainPipeline:
         assert read.value.args[0] == list(dict.fromkeys(seqs))
 
     @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ({"train_fraction": 1.0}, r"train_fraction must be in \(0, 1\), got 1.0"),
-            ({"train_fraction": 0.0}, r"train_fraction must be in \(0, 1\), got 0.0"),
-            # explicit ids keep these cases' names from before the message named the setting
-            pytest.param(
-                {"dedup_threshold": 0.0},
-                r"^dedup_threshold must be in \(0, 1\], got 0.0",
-                id=r"fields2-threshold must be in \(0, 1\], got 0.0",
-            ),
-            pytest.param(
-                {"dedup_threshold": 1.5},
-                r"^dedup_threshold must be in \(0, 1\], got 1.5",
-                id=r"fields3-threshold must be in \(0, 1\], got 1.5",
-            ),
-        ],
-    )
-    def test_options_reject_bad_preparation_settings(self, fields, message):
-        # the corpus preparation would find them only after reading both inputs
-        with pytest.raises(ConfigError, match=message):
-            ToxTrainOptions(**fields)
-
-    @pytest.mark.parametrize(
         "universe, message",
         [
             (("AAC", "GAAC", "AAC"), "duplicate descriptor 'AAC'"),
@@ -542,9 +537,9 @@ class TestToxTrainPipeline:
         encode, fit = descriptors.encode_matrix, vars(descriptors.FeatureScaler)["fit"]
         encoded, fitted = [], []
 
-        def counted_encode(ids, peptides, config=descriptors.DEFAULT_CONFIG):
+        def counted_encode(ids, peptides):
             encoded.append((tuple(ids), len(peptides)))
-            return encode(ids, peptides, config)
+            return encode(ids, peptides)
 
         def counted_fit(cls, rows):
             fitted.append(rows.shape)
@@ -768,7 +763,7 @@ class TestCli:
             assert [float(v) for v in row[1:]] == list(dataclasses.astuple(profile(row[0])))
 
     @pytest.mark.parametrize(
-        "command", [["physchem"], ["encode", "--descriptors", "AAC,CTDD"]]
+        "command", [["physchem"], ["encode", "--descriptors", "AAC,CTDD"], ["cluster"]]
     )
     def test_bad_last_line_writes_nothing(self, tmp_path, capsys, command):
         rng = np.random.default_rng(4)
@@ -778,7 +773,8 @@ class TestCli:
         out = tmp_path / "out.tsv"
         argv = [command[0], "--input", str(src), *command[1:]]
         assert main(argv + ["--out", str(out)]) == 3
-        assert "'ACDXK'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {src}: invalid residue 'X' in sequence 'ACDXK'\n"
         assert not out.exists()
         assert main(argv) == 3
         assert capsys.readouterr().out == ""
@@ -1131,9 +1127,20 @@ class TestCli:
             (lambda text: _edited(text, cv_mcc="high"), "not a valid model file"),
             (lambda text: _edited(text, weights="0.5"), "not a valid model file"),
             (lambda text: _edited(text, members={}), "lacks 'rf'"),
+            (lambda text: _edited(text, descriptor_config=MISSING),
+             "lacks 'descriptor_config'"),
+            (lambda text: _edited(text, descriptor_config=OTHER_DESCRIPTOR_CONFIG),
+             "descriptor_config must be {'pad_len': 25, 'window': 5, 'k_max': 3, "
+             "'lam': 1, 'weight': 0.05}, got {'k_max': 3, 'lam': 3, 'pad_len': 20"),
+            (lambda text: _edited(text, descriptor_ids=["NOPE"]),
+             "not a valid model file: unknown descriptor 'NOPE'"),
+            (lambda text: _edited(text, descriptor_ids=_ids(text) * 2),
+             "not a valid model file: duplicate descriptor "),
         ],
         ids=["truncated", "no-member-specs", "no-scaler", "specs-a-list",
-             "mcc-a-string", "weights-a-string", "no-member-state"],
+             "mcc-a-string", "weights-a-string", "no-member-state",
+             "no-descriptor-config", "other-descriptor-config", "unknown-descriptor",
+             "repeated-descriptor"],
     )
     def test_malformed_model_file_is_a_data_error(
         self, small_tox_model, tox_corpus_files, toy_corpus_path, tmp_path, capsys,

@@ -118,7 +118,6 @@ def all_learners_model():
         members=ens.fit_members(specs, X, y),
         weights=(0.2, 0.1, 0.2, 0.1, 0.2, 0.1, 0.1),
         descriptor_ids=ids,
-        config=descriptors.DEFAULT_CONFIG,
         scaler=scaler,
         cv_mcc=0.0,
     )

@@ -6,31 +6,33 @@ from hypothesis import strategies as st
 from peptaste.errors import ConfigError, DataError
 from peptaste.sequences import Peptide
 from peptaste import descriptors
-from peptaste.toxicity import (
-    ClassifierSpec,
-    EnsembleModel,
-    compute_metrics,
-    cross_val_probas,
-    cross_validate,
-    enumerate_weight_vectors,
-    fit_members,
-    forward_select,
-    load_model,
-    make_classifier,
-    metrics_from_probas,
-    preset_spec,
-    save_model,
-    stratified_fold_ids,
-    weight_grid_search,
-)
 from peptaste.toxicity.classifiers import (
     AdaBoostStumps,
+    ClassifierSpec,
     DecisionTree,
     ExtraTrees,
     GradientBoosting,
     KNearest,
     LogisticRegressionGD,
     RandomForest,
+    make_classifier,
+    preset_spec,
+)
+from peptaste.toxicity.ensemble import (
+    EnsembleModel,
+    enumerate_weight_vectors,
+    fit_members,
+    forward_select,
+    load_model,
+    save_model,
+    weight_grid_search,
+)
+from peptaste.toxicity.metrics import (
+    compute_metrics,
+    cross_val_probas,
+    cross_validate,
+    metrics_from_probas,
+    stratified_fold_ids,
 )
 
 
@@ -270,29 +272,27 @@ class TestLogisticRegressionLoop:
 
 class TestWeightVectors:
     def test_two_members(self):
-        assert len(enumerate_weight_vectors(2, 0.1)) == 11
+        assert len(enumerate_weight_vectors(2)) == 11
 
     def test_five_members_stars_and_bars(self):
-        vectors = enumerate_weight_vectors(5, 0.1)
+        vectors = enumerate_weight_vectors(5)
         assert len(vectors) == 1001
         for w in vectors:
             assert sum(w) == pytest.approx(1.0, abs=1e-9)
             assert all(x >= 0 for x in w)
 
     def test_lexicographic_order(self):
-        vectors = enumerate_weight_vectors(3, 0.5)
-        assert vectors == [
+        vectors = enumerate_weight_vectors(3)
+        assert len(vectors) == 66
+        assert vectors == sorted(vectors)
+        # each weight is u * 0.1, so 0.3 and 0.7 carry the bits of 3 * 0.1 and 7 * 0.1
+        assert vectors[:4] == [
             (0.0, 0.0, 1.0),
-            (0.0, 0.5, 0.5),
-            (0.0, 1.0, 0.0),
-            (0.5, 0.0, 0.5),
-            (0.5, 0.5, 0.0),
-            (1.0, 0.0, 0.0),
+            (0.0, 0.1, 0.9),
+            (0.0, 0.2, 0.8),
+            (0.0, 0.30000000000000004, 0.7000000000000001),
         ]
-
-    def test_bad_step(self):
-        with pytest.raises(ConfigError):
-            enumerate_weight_vectors(3, 0.3)
+        assert vectors[-1] == (1.0, 0.0, 0.0)
 
 
 class TestWeightSearch:
@@ -305,7 +305,7 @@ class TestWeightSearch:
         weights, mcc, probas = weight_grid_search(specs, X, y, folds=4, seed=11)
         # verify the winner by independent re-scoring of the cached probas
         best = None
-        for w in enumerate_weight_vectors(2, 0.1):
+        for w in enumerate_weight_vectors(2):
             combined = probas @ np.array(w)
             m = metrics_from_probas(y, combined).mcc
             if best is None or m > best[1]:
@@ -427,7 +427,6 @@ class TestEnsembleModel:
             members=members,
             weights=weights,
             descriptor_ids=ids,
-            config=descriptors.DEFAULT_CONFIG,
             scaler=scaler,
             cv_mcc=1.0,
         )
@@ -441,7 +440,6 @@ class TestEnsembleModel:
             members=model.members,
             weights=(1.0, 0.0),
             descriptor_ids=model.descriptor_ids,
-            config=model.config,
             scaler=model.scaler,
             cv_mcc=1.0,
         )
@@ -474,7 +472,6 @@ class TestEnsembleModel:
             members=model.members,
             weights=(0.5, 0.3, 0.2),
             descriptor_ids=model.descriptor_ids,
-            config=model.config,
             scaler=model.scaler,
             cv_mcc=1.0,
         )
@@ -501,7 +498,6 @@ class TestEnsembleModel:
                 members=model.members,
                 weights=(0.5, 0.2),
                 descriptor_ids=model.descriptor_ids,
-                config=model.config,
                 scaler=model.scaler,
                 cv_mcc=1.0,
             )
@@ -514,7 +510,6 @@ class TestEnsembleModel:
             members=model.members,
             weights=(0.3, 0.1, 0.2, 0.2, 0.2),
             descriptor_ids=model.descriptor_ids,
-            config=model.config,
             scaler=model.scaler,
             cv_mcc=0.5,
         )
@@ -602,7 +597,6 @@ class TestRowwiseScoring:
             members=model.members,
             weights=model.weights,
             descriptor_ids=("AAC", "TPC", "Binary"),
-            config=descriptors.DescriptorConfig(pad_len=25),
             scaler=model.scaler,
             cv_mcc=1.0,
         )

@@ -14,7 +14,7 @@ from peptaste.vae import (
     SequenceVae,
     VaeConfig,
 )
-from conftest import grad_check, reconstructions
+from conftest import grad_check, named_params, reconstructions
 
 
 def tiny_config(**overrides):
@@ -75,7 +75,7 @@ class TestBuild:
     def test_deterministic_init(self):
         cfg = tiny_config(seed=42)
         a, b = SequenceVae(cfg), SequenceVae(cfg)
-        for x, y in zip(a.named_params().values(), b.named_params().values()):
+        for x, y in zip(named_params(a).values(), named_params(b).values()):
             assert np.array_equal(x, y)
 
     def test_latent_head_width(self):
@@ -111,7 +111,7 @@ def l1_twins(l1_lambda):
     out = []
     for lam in (0.0, l1_lambda):
         model = SequenceVae(tiny_config(l1_lambda=lam))
-        params = model.named_params()
+        params = named_params(model)
         for name in DENSE_WEIGHTS:
             params[name][::3] = 0.0
         eps = np.random.default_rng(1).standard_normal((4, 4))
@@ -124,7 +124,7 @@ class TestL1Penalty:
     def test_penalty_is_part_of_a_checked_loss(self):
         rng = np.random.default_rng(7)
         model = SequenceVae(tiny_config(l1_lambda=0.5, dropout_rate=0.0))
-        for arr in model.named_params().values():
+        for arr in named_params(model).values():
             arr += 0.05 * rng.standard_normal(arr.shape)
         _, x = toy_data(n=2)
         eps = rng.standard_normal((2, 4))
@@ -134,7 +134,7 @@ class TestL1Penalty:
             return record.loss_tol, grads
 
         record, _ = model.loss_and_grads(x, eps)
-        params = model.named_params()
+        params = named_params(model)
         weights = sum(float(np.abs(params[n]).sum()) for n in DENSE_WEIGHTS)
         assert record.l1_penalty == pytest.approx(0.5 * weights, rel=1e-12)
         assert record.l1_penalty > record.loss_rec
@@ -265,7 +265,7 @@ class TestTraining:
             snap = model.snapshot
             phase1 = outcome.history[: 2]
             assert snap["record"].loss_tol == min(r.loss_tol for r in phase1)
-            for name, arr in model.named_params().items():
+            for name, arr in named_params(model).items():
                 assert np.array_equal(arr, snap["weights"][name])
 
     def test_same_seed_bit_identical(self):
@@ -273,7 +273,7 @@ class TestTraining:
         m1, m2 = SequenceVae(tiny_config(seed=9)), SequenceVae(tiny_config(seed=9))
         vae.train_la(m1, data)
         vae.train_la(m2, data)
-        for a, b in zip(m1.named_params().values(), m2.named_params().values()):
+        for a, b in zip(named_params(m1).values(), named_params(m2).values()):
             assert np.array_equal(a, b)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -10,6 +10,10 @@ takes the 20 canonical residues only; nw_align, the traceback reference,
 compares any characters.  The redundancy sweep and the similarity graph
 align only the pairs whose exact score bound can reach their threshold, and
 representatives reuse the graph's similarities; all three ask one Scorer.
+The graph bounds every pair in one pass over blocks of query rows and
+aligns the survivors in packed chunks of one DP (nw_score_pairs), as do the
+representatives' missing pairs and similarity_matrix; the sweep stays one
+query at a time, since each keep decision depends on the kept set.
 """
 
 from __future__ import annotations
@@ -137,25 +141,45 @@ def nw_align(a, b, params: AlignParams = DEFAULT_PARAMS) -> Alignment:
     return Alignment(float(best), "".join(reversed(out_a)), "".join(reversed(out_b)))
 
 
-def nw_score_block(
-    query, refs, params: AlignParams = DEFAULT_PARAMS
-) -> np.ndarray:
-    """Alignment scores of one query against many references, vectorized.
+# Pairs per DP chunk times the widest reference plus one: about 128 KB per
+# DP row array, so a chunk's temporaries stay near 1 MB.
+_PAIR_CELLS = 1 << 14
 
-    Row i of the DP depends only on row i-1 for the M and X states; the Y
+
+def nw_score_pairs(queries, refs, params: AlignParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Alignment scores of the pairs (queries[k], refs[k]), vectorized over pairs.
+
+    Row i of the DP compares each pair's i-th query residue with its
+    reference; it depends only on row i-1 for the M and X states, and the Y
     state is a running max along the row, folded with maximum.accumulate.
-    Produces identical scores to nw_align.
+    A pair's score is read at row len(query) and column len(ref), so the
+    pad rows and columns of shorter pairs never reach it.  Pairs go through
+    in chunks of at most _PAIR_CELLS cells per row.  Produces identical
+    scores to nw_align.
     """
-    sq = _as_seq(query)
-    seqs = [_as_seq(r) for r in refs]
-    if not seqs:
-        return np.zeros(0)
-    query_codes = residue_codes([sq])[0].tolist()
-    # references as residue codes; the pad code never matches a query residue
-    codes = residue_codes(seqs)
-    n, kmax = codes.shape
-    lens = np.array([len(s) for s in seqs])
+    qs = [_as_seq(q) for q in queries]
+    rs = [_as_seq(r) for r in refs]
+    if len(qs) != len(rs):
+        raise ValueError(f"{len(qs)} queries for {len(rs)} references")
+    out = np.zeros(len(qs))
+    if not qs:
+        return out
+    # residue codes; past a sequence's end the pad code stands in
+    qcodes, rcodes = residue_codes(qs), residue_codes(rs)
+    qlens = np.array([len(q) for q in qs])
+    rlens = np.array([len(r) for r in rs])
+    step = max(1, _PAIR_CELLS // (rcodes.shape[1] + 1))
+    for lo in range(0, len(qs), step):
+        chunk = slice(lo, lo + step)
+        out[chunk] = _score_chunk(qcodes[chunk], qlens[chunk], rcodes[chunk], rlens[chunk], params)
+    return out
 
+
+def _score_chunk(qcodes, qlens, rcodes, rlens, params):
+    """nw_score_pairs on one chunk of residue-code rows and their lengths."""
+    n = len(qlens)
+    rows, kmax = int(qlens.max()), int(rlens.max())
+    codes = rcodes[:, :kmax]
     op, ext = params.gap_open, params.gap_extend
 
     m_prev = np.full((n, kmax + 1), NEG_INF)
@@ -165,8 +189,9 @@ def nw_score_block(
     js = np.arange(1, kmax + 1)
     y_prev[:, 1:] = op + (js - 1) * ext
 
-    for i, qc in enumerate(query_codes, start=1):
-        sub = np.where(codes == qc, params.match, params.mismatch)
+    out = np.zeros(n)
+    for i in range(1, rows + 1):
+        sub = np.where(codes == qcodes[:, i - 1 : i], params.match, params.mismatch)
         m_row = np.full((n, kmax + 1), NEG_INF)
         x_row = np.full((n, kmax + 1), NEG_INF)
         diag = np.maximum(np.maximum(m_prev, x_prev), y_prev)
@@ -182,9 +207,20 @@ def nw_score_block(
         y_row = np.full((n, kmax + 1), NEG_INF)
         y_row[:, 1:] = run[:, :-1] + ext * (js - 1)
         m_prev, x_prev, y_prev = m_row, x_row, y_row
+        done = np.flatnonzero(qlens == i)
+        if done.size:
+            at = (done, rlens[done])
+            out[done] = np.maximum(np.maximum(m_row[at], x_row[at]), y_row[at])
+    return out
 
-    final = np.maximum(np.maximum(m_prev, x_prev), y_prev)
-    return final[np.arange(n), lens]
+
+def nw_score_block(
+    query, refs, params: AlignParams = DEFAULT_PARAMS
+) -> np.ndarray:
+    """Alignment scores of one query against many references: the one-query
+    case of nw_score_pairs."""
+    refs = list(refs)
+    return nw_score_pairs([_as_seq(query)] * len(refs), refs, params)
 
 
 def nw_score(a, b, params: AlignParams = DEFAULT_PARAMS) -> float:
@@ -206,6 +242,19 @@ def normalized_similarity(a, b, params: AlignParams = DEFAULT_PARAMS) -> float:
 BOUND_SLACK = 1e-9
 
 
+def _may_reach(own, other, threshold, params):
+    """Whether the score bound of each pair of residue-count rows (own[...],
+    other[...], broadcast) lets it reach the threshold; see reachable."""
+    shared = np.minimum(own, other).sum(axis=-1)
+    own_len, lens = own.sum(axis=-1), other.sum(axis=-1)
+    gap = np.abs(lens - own_len)
+    bound = params.match * shared + np.where(
+        gap > 0, params.gap_open + (gap - 1) * params.gap_extend, 0.0
+    )
+    denom = params.match * np.maximum(own_len, lens)
+    return bound >= (threshold - BOUND_SLACK) * denom
+
+
 def reachable(query, refs, counts, threshold, params: AlignParams = DEFAULT_PARAMS):
     """The refs (row indices into counts) whose normalized similarity to the
     query row may reach the threshold; the others provably cannot.
@@ -217,22 +266,15 @@ def reachable(query, refs, counts, threshold, params: AlignParams = DEFAULT_PARA
     CD-HIT's short-word filter (Li & Godzik 2006) with one-residue words.
     """
     refs = np.asarray(refs, dtype=np.intp)
-    own, other = counts[query], counts[refs]
-    shared = np.minimum(own, other).sum(axis=1)
-    own_len, lens = own.sum(), other.sum(axis=1)
-    gap = np.abs(lens - own_len)
-    bound = params.match * shared + np.where(
-        gap > 0, params.gap_open + (gap - 1) * params.gap_extend, 0.0
-    )
-    denom = params.match * np.maximum(own_len, lens)
-    return refs[bound >= (threshold - BOUND_SLACK) * denom]
+    return refs[_may_reach(counts[query], counts[refs], threshold, params)]
 
 
 class Scorer:
     """Normalized similarities among a fixed list of sequences.
 
-    Every similarity is aligned with seqs[i] as the query against a block of
-    refs, so a pair scores the same bits whichever caller asks for it.
+    Every pair is aligned with its first index's sequence as the query, so a
+    pair scores the same bits whichever caller asks for it, and in whatever
+    pass.
     """
 
     def __init__(self, seqs, params: AlignParams = DEFAULT_PARAMS):
@@ -241,32 +283,45 @@ class Scorer:
         self.selfs = np.array([self_score(s, params) for s in self.seqs])
         self.counts = residue_counts(residue_codes(self.seqs))
 
-    def similarities(self, i, refs) -> np.ndarray:
-        """Normalized similarity of seqs[i] to each of seqs[refs]."""
+    def _normalized(self, raw, queries, refs) -> np.ndarray:
+        return np.maximum(raw / np.maximum(self.selfs[queries], self.selfs[refs]), 0.0)
+
+    def similarities(self, queries, refs) -> np.ndarray:
+        """Normalized similarity of each pair seqs[queries[k]], seqs[refs[k]],
+        aligned in one nw_score_pairs pass."""
+        queries = np.asarray(queries, dtype=np.intp)
         refs = np.asarray(refs, dtype=np.intp)
-        if not len(refs):
-            return np.zeros(0)
-        raw = nw_score_block(self.seqs[i], [self.seqs[j] for j in refs], self.params)
-        return np.maximum(raw / np.maximum(self.selfs[i], self.selfs[refs]), 0.0)
+        raw = nw_score_pairs(
+            [self.seqs[i] for i in queries.tolist()],
+            [self.seqs[j] for j in refs.tolist()],
+            self.params,
+        )
+        return self._normalized(raw, queries, refs)
 
     def bounded(self, i, refs, threshold) -> tuple[np.ndarray, np.ndarray]:
         """The refs whose score bound lets them reach the threshold against
-        seqs[i] (see reachable), and their similarities; the rest are not
-        aligned."""
+        seqs[i] (see reachable), and their similarities, aligned with
+        nw_score_block; the rest are not aligned."""
         near = reachable(i, refs, self.counts, threshold, self.params)
-        return near, self.similarities(i, near)
+        raw = nw_score_block(self.seqs[i], [self.seqs[j] for j in near.tolist()], self.params)
+        return near, self._normalized(raw, i, near)
 
 
 def similarity_matrix(seqs, params: AlignParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Symmetric matrix of pairwise normalized similarities (diagonal 1)."""
+    """Symmetric matrix of pairwise normalized similarities (diagonal 1),
+    the upper triangle aligned in one packed pass."""
     scorer = Scorer(seqs, params)
-    n = len(scorer.seqs)
-    sim = np.eye(n)
-    for i in range(n - 1):
-        vals = scorer.similarities(i, np.arange(i + 1, n))
-        sim[i, i + 1 :] = vals
-        sim[i + 1 :, i] = vals
+    sim = np.eye(len(scorer.seqs))
+    i, j = np.triu_indices(len(scorer.seqs), 1)
+    vals = scorer.similarities(i, j)
+    sim[i, j] = vals
+    sim[j, i] = vals
     return sim
+
+
+# Query rows times reference columns per block of the all-pairs bound: its
+# (rows, columns, 20) residue-count temporaries stay under 1 MB.
+_BOUND_PAIRS = 1 << 12
 
 
 def build_components(
@@ -275,14 +330,27 @@ def build_components(
     """Connected components of the similarity graph (edges >= threshold),
     and the similarities aligned to find them, keyed (i, j) with i < j.
 
-    A pair is aligned only when its score bound (see reachable) lets it
-    reach the threshold, with seqs[i] as the query as in similarity_matrix,
+    The score bound (see reachable) is computed for every pair i < j, in
+    blocks of query rows; the pairs it lets reach the threshold are aligned
+    in one packed pass, with seqs[i] as the query as in similarity_matrix,
     so each similarity equals the matrix's bit for bit.  Clusters are
     ordered by their smallest member index; members ascend.
     """
     check_fraction("threshold", threshold)
     scorer = Scorer(seqs, params)
+    counts = scorer.counts
     n = len(scorer.seqs)
+    near = [np.zeros((0, 2), np.intp)]
+    step = max(1, _BOUND_PAIRS // max(n, 1))
+    for lo in range(0, n - 1, step):
+        rows = np.arange(lo, min(lo + step, n - 1))
+        # columns from lo + 1 on; the mask keeps j > i
+        ok = _may_reach(counts[rows, None], counts[None, lo + 1 :], threshold, params)
+        ok &= np.arange(lo + 1, n) > rows[:, None]
+        near.append(np.argwhere(ok) + (lo, lo + 1))  # (i, j) order
+    near_i, near_j = np.concatenate(near).T
+    sims = scorer.similarities(near_i, near_j)
+
     root = list(range(n))
 
     def find(u):
@@ -292,13 +360,11 @@ def build_components(
         return u
 
     scores = {}
-    for i in range(n):
-        near, sims = scorer.bounded(i, np.arange(i + 1, n), threshold)
-        for j, s in zip(near.tolist(), sims.tolist()):
-            scores[i, j] = s
-            if s >= threshold:
-                ri, rj = find(i), find(j)
-                root[max(ri, rj)] = min(ri, rj)  # a cluster's root is its smallest member
+    for i, j, s in zip(near_i.tolist(), near_j.tolist(), sims.tolist()):
+        scores[i, j] = s
+        if s >= threshold:
+            ri, rj = find(i), find(j)
+            root[max(ri, rj)] = min(ri, rj)  # a cluster's root is its smallest member
     clusters: dict[int, list[int]] = {}
     for u in range(n):
         clusters.setdefault(find(u), []).append(u)
@@ -311,13 +377,22 @@ def pick_representatives(
     """Per cluster, the member with maximal mean similarity to the others.
 
     Similarities come from scores, keyed (i, j) with i before j in the
-    cluster, as build_components returns them; the pairs missing there are
-    aligned with seqs[i] as the query.  Each cluster's block then equals
-    the same entries of similarity_matrix.  Singletons represent themselves;
-    ties go to the lowest index.
+    cluster, as build_components returns them; the pairs missing there, from
+    every cluster, are aligned in one packed pass with seqs[i] as the query.
+    Each cluster's block then equals the same entries of similarity_matrix.
+    Singletons represent themselves; ties go to the lowest index.
     """
-    scorer = Scorer(seqs, params)
     known = dict(scores)
+    missing = [
+        (i, j)
+        for members in clusters
+        for a, i in enumerate(members)
+        for j in members[a + 1 :]
+        if (i, j) not in known
+    ]
+    if missing:
+        queries, refs = zip(*missing)
+        known.update(zip(missing, Scorer(seqs, params).similarities(queries, refs)))
     reps = []
     for members in clusters:
         if len(members) == 1:
@@ -325,10 +400,7 @@ def pick_representatives(
             continue
         block = np.eye(len(members))
         for a, i in enumerate(members[:-1]):
-            later = members[a + 1 :]
-            missing = [j for j in later if (i, j) not in known]
-            known.update(zip([(i, j) for j in missing], scorer.similarities(i, missing)))
-            row = [known[i, j] for j in later]
+            row = [known[i, j] for j in members[a + 1 :]]
             block[a, a + 1 :] = row
             block[a + 1 :, a] = row
         means = (block.sum(axis=1) - np.diag(block)) / (len(members) - 1)

@@ -284,8 +284,9 @@ def save_model(model: EnsembleModel, path):
 def load_model(path) -> EnsembleModel:
     """The model saved at path.  A file that is not one (not JSON, of
     another format or version, with a field missing or of the wrong type,
-    with encoding settings other than DESCRIPTOR_CONFIG, or with an unknown
-    or repeated descriptor) raises ValidationError naming it."""
+    with encoding settings other than DESCRIPTOR_CONFIG, with no descriptor
+    or an unknown or repeated one, or with a scaler whose width is not the
+    descriptors' column count) raises ValidationError naming it."""
     text = textio.read_text(path)
     try:
         doc = json.loads(text)
@@ -306,11 +307,19 @@ def load_model(path) -> EnsembleModel:
                 f"got {doc['descriptor_config']}"
             )
         descriptor_ids = tuple(doc["descriptor_ids"])
+        if not descriptor_ids:
+            raise ValidationError("descriptor_ids is empty")
         descriptors.check_ids(descriptor_ids)
         scaler = descriptors.FeatureScaler(
             np.asarray(doc["scaler"]["mean"], dtype=float),
             np.asarray(doc["scaler"]["scale"], dtype=float),
         )
+        width = len(descriptors.column_names(descriptor_ids))
+        if scaler.mean.shape != (width,) or scaler.scale.shape != (width,):
+            raise ValidationError(
+                f"scaler has {scaler.mean.size} means and {scaler.scale.size} "
+                f"scales for the {width} columns of {','.join(descriptor_ids)}"
+            )
         return EnsembleModel(
             member_names=tuple(doc["member_names"]),
             member_specs=member_specs,

@@ -5,15 +5,29 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from peptaste import descriptors, pipeline
 from peptaste.errors import ValidationError
 from peptaste.sequences import AMINO_ACIDS, decode_argmax
+from peptaste.similarity import AlignParams
 
 
 def random_peptide(rng, lo=2, hi=14) -> str:
     length = int(rng.integers(lo, hi + 1))
     return "".join(rng.choice(list(AMINO_ACIDS), size=length))
+
+
+@st.composite
+def align_params(draw):
+    """Valid alignment parameters: match > 0 > mismatch, |extend| <= |open|."""
+    gap_open = draw(st.floats(-3.0, 0.0))
+    return AlignParams(
+        match=draw(st.floats(0.5, 3.0)),
+        mismatch=draw(st.floats(-3.0, -0.1)),
+        gap_open=gap_open,
+        gap_extend=draw(st.floats(gap_open, 0.0)),
+    )
 
 
 def named_params(model) -> dict[str, np.ndarray]:

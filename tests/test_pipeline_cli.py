@@ -1076,6 +1076,33 @@ class TestCli:
         assert main(["toxpredict", "--model", str(model), "--input", str(src)]) == 3
         assert "unknown descriptor 'FOO'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("no_ids", "descriptor_ids is empty"),
+            ("other_ids", "scaler has"),
+            ("short_scale", "scaler has"),
+        ],
+    )
+    def test_model_whose_scaler_does_not_fit_its_descriptors_names_the_file(
+        self, small_tox_model, tmp_path, capsys, edit, message
+    ):
+        doc = json.loads(open(small_tox_model[0]).read())
+        if edit == "no_ids":
+            doc["descriptor_ids"] = []
+        elif edit == "other_ids":
+            # a valid descriptor list of another width than the scaler's
+            doc["descriptor_ids"] = ["AAC"] if len(doc["scaler"]["mean"]) != 20 else ["DPC"]
+        else:
+            doc["scaler"]["scale"] = doc["scaler"]["scale"][:-1]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        src = tmp_path / "seqs.txt"
+        src.write_text("KRCW\n")
+        assert main(["toxpredict", "--model", str(model), "--input", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert str(model) in err and message in err
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")
         assert main(["physchem", "--input", missing]) == 3

@@ -20,6 +20,7 @@ from peptaste.similarity import (
     self_score,
     similarity_matrix,
 )
+from conftest import align_params
 
 
 def enumerate_alignment_score(a: str, b: str, params=DEFAULT_PARAMS) -> float:
@@ -283,17 +284,6 @@ class TestRepresentatives:
 small_seqs = st.lists(st.text("ACDK", min_size=2, max_size=10), min_size=1, max_size=14)
 
 
-@st.composite
-def align_params(draw):
-    gap_open = draw(st.floats(-3.0, 0.0))
-    return AlignParams(
-        match=draw(st.floats(0.5, 3.0)),
-        mismatch=draw(st.floats(-3.0, -0.1)),
-        gap_open=gap_open,
-        gap_extend=draw(st.floats(gap_open, 0.0)),
-    )
-
-
 def full_sweep_dedup(corpus, threshold, params=DEFAULT_PARAMS):
     """Oracle: the longest-first sweep aligning each peptide with every kept one."""
     seqs = [p.sequence for p in corpus]
@@ -349,13 +339,13 @@ class TestBoundPruning:
         import peptaste.similarity as sim_mod
 
         aligned = []
-        original = sim_mod.nw_score_block
+        original = sim_mod.nw_score_pairs
 
-        def counting(query, refs, params=DEFAULT_PARAMS):
+        def counting(queries, refs, params=DEFAULT_PARAMS):
             aligned.append(len(refs))
-            return original(query, refs, params)
+            return original(queries, refs, params)
 
-        monkeypatch.setattr(sim_mod, "nw_score_block", counting)
+        monkeypatch.setattr(sim_mod, "nw_score_pairs", counting)
         seqs = ["ACDEFGHIK", "ACDEFGHIR", "WWWWWWW", "PPPPPPP", "YYYYMMMM"]
         clusters, scores = build_components(seqs, threshold=0.7)
         assert clusters == [[0, 1], [2], [3], [4]]
@@ -366,13 +356,13 @@ class TestBoundPruning:
         import peptaste.similarity as sim_mod
 
         aligned = []
-        original = sim_mod.nw_score_block
+        original = sim_mod.nw_score_pairs
 
-        def counting(query, refs, params=DEFAULT_PARAMS):
-            aligned.extend((query, r) for r in refs)
-            return original(query, refs, params)
+        def counting(queries, refs, params=DEFAULT_PARAMS):
+            aligned.extend(zip(queries, refs))
+            return original(queries, refs, params)
 
-        monkeypatch.setattr(sim_mod, "nw_score_block", counting)
+        monkeypatch.setattr(sim_mod, "nw_score_pairs", counting)
         # a chain: b is three substitutions from a, c three more from b, so
         # a and c join one cluster through b, but their bound (14 shared
         # residues of 20) cannot reach 0.75 and the graph never aligns them

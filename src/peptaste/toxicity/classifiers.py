@@ -5,12 +5,11 @@ learner per training set, each set a list of distinct row ids of X, in
 one call, and returns them in set order; fit(X, y) with y in {0, 1} is
 its one-set case, on every row.  A set's learner is byte-identical to a
 fit on X[rows], y[rows].  predict_proba(X) returns the positive-class
-probability per row.  With rowwise=True every row is rounded exactly as a
-call with that row alone would round it, so a score never depends on the
-batch it came in; the default rounds the batch as one (training and
-cross-validation use it).  Tree traversal is row-independent either way.
-Every source of randomness flows from a spawned SeedSequence, so fits
-are deterministic and independent of scheduling.
+probability per row, each row rounded exactly as a call with that row
+alone would round it, so a score never depends on the batch it came in:
+cross-validation, the held-out report and the screens give a row the same
+bits.  Every source of randomness flows from a spawned SeedSequence, so
+fits are deterministic and independent of scheduling.
 """
 
 from __future__ import annotations
@@ -140,8 +139,21 @@ class _Tree:
         return {name: getattr(self, name).tolist() for name in self.__slots__}
 
     @classmethod
-    def from_state(cls, state: dict) -> "_Tree":
-        return cls(*(state[name] for name in cls.__slots__))
+    def from_state(cls, state: dict, width: int) -> "_Tree":
+        """The tree saved as state, for rows of width columns: arrays of one
+        length, each split reading a column and leading to later nodes."""
+        tree = cls(*(state[name] for name in cls.__slots__))
+        n = len(tree.feature)
+        if n == 0 or any(getattr(tree, name).shape != (n,) for name in cls.__slots__):
+            raise ValidationError("a tree's arrays must share one non-zero length")
+        at = np.flatnonzero(tree.feature >= 0)
+        first, last = np.sort((tree.left[at], tree.right[at]), axis=0)
+        if (tree.feature >= width).any() or (first <= at).any() or (last >= n).any():
+            raise ValidationError(
+                f"a tree of {n} nodes needs features below {width} and each "
+                "child after its parent"
+            )
+        return tree
 
 
 def _grow_trees(X, stats, roots, offsets, max_depth, visits, cost_of) -> list[_Tree]:
@@ -232,60 +244,16 @@ def _best_splits(X, stats, nodes, cost_of):
     param is a number its cost depends on.  cost_of(params) gives the cost
     of nodes with those params (nodes x 1 x 1): it maps the sums of the
     statistics left and right of every candidate split (s x nodes x columns
-    x candidates) to the quantity to minimize.  Every boundary between
-    distinct sorted values is a candidate; with rng set (extremely
-    randomized mode) each non-constant column instead gets one uniform
-    threshold, drawn from rng in column order.  A later column wins only
-    when lower by more than 1e-15.
+    x candidates) to the quantity to minimize, summed in sorted order.  Every
+    boundary between distinct sorted values is a candidate, at their
+    midpoint; with rng set (extremely randomized mode) each non-constant
+    column instead draws one uniform threshold from rng, in column order,
+    whose one candidate is the boundary after the last row at or below it.
+    A later column wins only when lower by more than 1e-15.
     """
     best = [None] * len(nodes)
-
-    def walk(ks, features, splits, scores, threshold):
-        # node ks[i]'s columns in order (the arrays are nodes x columns);
-        # threshold(i, j) is that of column j's winner in node ks[i]
-        rows = zip(features.tolist(), splits.tolist(), scores.tolist())
-        for i, (k, row) in enumerate(zip(ks, rows)):
-            b, won = best[k], None
-            for j, (f, ok, score) in enumerate(zip(*row)):
-                if ok and (b is None or score < b[0] - 1e-15):
-                    b, won = (score, f), j
-            if won is not None:
-                best[k] = (*b, threshold(i, won))
-
-    sorting = []
-    for k, (idx, offset, feat_ids, param, rng) in enumerate(nodes):
-        if rng is None:
-            sorting.append(k)
-            continue
-        m = len(idx)
-        cost = cost_of(np.full((1, 1, 1), param))
-        node_stats = stats[:, offset + idx]
-        width = max(1, _SPLIT_BLOCK // m)
-        for start in range(0, len(feat_ids), width):
-            ids = feat_ids[start : start + width]
-            block = X[idx[:, None], ids]
-            lo, hi = block.min(axis=0), block.max(axis=0)
-            varying = (lo != hi).nonzero()[0]
-            thr = lo[varying] + (hi[varying] - lo[varying]) * rng.random(varying.size)
-            goes_left = (block[:, varying] <= thr).T
-            # summed one row set and statistic at a time: numpy's pairwise
-            # summation order depends on which rows are summed, so masking
-            # with zeros or reducing a 2-d block would not give the same bits
-            sums = [
-                np.add.reduce(c[g])
-                for side in (goes_left, ~goes_left)
-                for g in side
-                for c in node_stats
-            ]
-            sums = np.reshape(sums, (2, varying.size, len(node_stats)))
-            left, right = sums.transpose(0, 2, 1)[:, :, None, :, None]
-            n_left = goes_left.sum(axis=1)
-            valid = ((n_left > 0) & (n_left < m))[None, :, None]
-            splits, _, scores = _column_winners(cost, left, right, valid)
-            walk([k], ids[varying][None], splits, scores, lambda _, j: thr[j])
-
     flat = np.ascontiguousarray(X).reshape(-1)
-    for chunk in _node_chunks(nodes, sorting):
+    for chunk in _node_chunks(nodes):
         # node i of the chunk fills the first m[i] of its rows; when sizes
         # differ, the rest are pad rows that read NaN with zero statistics.
         # A stable sort puts them last, so the real rows keep the order and
@@ -304,6 +272,8 @@ def _best_splits(X, stats, nodes, cost_of):
         stat_rows = rows + np.array([nodes[k][1] for k in chunk])[:, None]
         feats = np.array([nodes[k][2] for k in chunk])
         params = np.array([nodes[k][3] for k in chunk], dtype=float)
+        rngs = [nodes[k][4] for k in chunk]
+        drawing = [i for i, rng in enumerate(rngs) if rng is not None]
         cost = cost_of(params[:, None, None])
         node_rows = np.arange(0, rows.size, n_rows)[:, None, None]
         row_cells = rows * X.shape[1]
@@ -325,22 +295,45 @@ def _best_splits(X, stats, nodes, cost_of):
             np.cumsum(sums, axis=3, out=sums)
             left, right = sums[..., :-1], sums[..., -1:] - sums[..., :-1]
             valid = xs[:, :, :-1] < xs[:, :, 1:]
-            splits, at, scores = _column_winners(cost, left, right, valid)
-            walk(
-                chunk, ids, splits, scores,
-                lambda i, j: 0.5 * (xs[i, j, at[i, j]] + xs[i, j, at[i, j] + 1]),
-            )
+            if drawing:
+                # drawn between the node's first and last sorted rows; pad
+                # rows and NaN (a constant column's draw) are below none
+                drawn = np.full(ids.shape, np.nan)
+                for i in drawing:
+                    lo, hi = xs[i, :, 0], xs[i, :, m[i] - 1]
+                    varying = (lo != hi).nonzero()[0]
+                    u = rngs[i].random(varying.size)
+                    drawn[i, varying] = lo[varying] + (hi[varying] - lo[varying]) * u
+                below = np.count_nonzero(xs[drawing] <= drawn[drawing, :, None], axis=2)
+                valid[drawing] &= np.arange(n_rows - 1) == below[:, :, None] - 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                costs = cost(left, right)
+            np.copyto(costs, np.inf, where=~valid)
+            # each column's first lowest-cost candidate; min gives the
+            # argmin's bits, as a cost's zeros all have one sign
+            at, scores = costs.argmin(axis=2), costs.min(axis=2)
+            # node chunk[i]'s columns in order
+            columns = zip(ids.tolist(), valid.any(axis=2).tolist(), scores.tolist())
+            for i, (k, column) in enumerate(zip(chunk, columns)):
+                b, won = best[k], None
+                for j, (f, ok, score) in enumerate(zip(*column)):
+                    if ok and (b is None or score < b[0] - 1e-15):
+                        b, won = (score, f), j
+                if won is not None:
+                    a = at[i, won]
+                    mid = 0.5 * (xs[i, won, a] + xs[i, won, a + 1])
+                    best[k] = (*b, mid if rngs[i] is None else drawn[i, won])
     return best
 
 
-def _node_chunks(nodes, ks):
-    """The nodes ks, smallest first, in chunks of at most _SPLIT_BLOCK
-    (nodes x columns x padded rows) cells; a node over the budget on its
-    own is a chunk of one, scored in column blocks.  A node also starts a
-    new chunk when padding the chunk's nodes to its row count would cost
-    more than _CALL_CELLS cells."""
+def _node_chunks(nodes):
+    """The indices of nodes, smallest node first, in chunks of at most
+    _SPLIT_BLOCK (nodes x columns x padded rows) cells; a node over the
+    budget on its own is a chunk of one, scored in column blocks.  A node
+    also starts a new chunk when padding the chunk's nodes to its row count
+    would cost more than _CALL_CELLS cells."""
     chunk, rows = [], 0
-    for k in sorted(ks, key=lambda k: len(nodes[k][0])):
+    for k in sorted(range(len(nodes)), key=lambda k: len(nodes[k][0])):
         m, n_cols = len(nodes[k][0]), len(nodes[k][2])
         if chunk and (
             (len(chunk) + 1) * m * n_cols > _SPLIT_BLOCK
@@ -352,17 +345,6 @@ def _node_chunks(nodes, ks):
         rows = m
     if chunk:
         yield chunk
-
-
-def _column_winners(cost, left, right, valid):
-    """For each node and column (valid is nodes x columns x candidates):
-    whether it has a valid candidate, its first lowest-cost candidate and
-    that cost."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = cost(left, right)
-    np.copyto(scores, np.inf, where=~valid)
-    # min gives the argmin's bits: a cost's zeros all have one sign
-    return valid.any(axis=2), scores.argmin(axis=2), scores.min(axis=2)
 
 
 # the costs return a new array and build it in place, in the operation
@@ -446,14 +428,14 @@ class DecisionTree(_Learner):
 
         return visit
 
-    def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         return self.tree.predict(np.asarray(X, dtype=float))
 
     def to_state(self) -> dict:
         return {"tree": self.tree.to_state()}
 
-    def from_state(self, state: dict):
-        self.tree = _Tree.from_state(state["tree"])
+    def from_state(self, state: dict, width: int):
+        self.tree = _Tree.from_state(state["tree"], width)
         return self
 
 
@@ -521,20 +503,20 @@ class _Forest(_Learner):
         _grow_gini_trees(X, y, sets, None, trees, roots, set_of)
         return forests
 
-    def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         votes = [t.predict_proba(X) for t in self.trees]
-        if rowwise:
-            # a one-row mean sums its trees pairwise; a batch mean, in order
-            return np.mean(np.stack(votes, axis=1), axis=1)
-        return np.mean(votes, axis=0)
+        # each row's mean sums its trees pairwise, as a one-row call does
+        return np.mean(np.stack(votes, axis=1), axis=1)
 
     def to_state(self) -> dict:
         return {"trees": [t.to_state() for t in self.trees]}
 
-    def from_state(self, state: dict):
+    def from_state(self, state: dict, width: int):
+        if not state["trees"]:
+            raise ValidationError("a forest needs at least one tree")
         self.trees = [
-            DecisionTree(max_depth=self.max_depth).from_state(s)
+            DecisionTree(max_depth=self.max_depth).from_state(s, width)
             for s in state["trees"]
         ]
         return self
@@ -596,7 +578,7 @@ class GradientBoosting(_Learner):
                 model.stages.append(tree)
         return models
 
-    def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         f = np.full(X.shape[0], self.f0)
         for tree in self.stages:
@@ -606,9 +588,11 @@ class GradientBoosting(_Learner):
     def to_state(self) -> dict:
         return {"f0": self.f0, "stages": [t.to_state() for t in self.stages]}
 
-    def from_state(self, state: dict):
+    def from_state(self, state: dict, width: int):
+        if not state["stages"]:
+            raise ValidationError("gradient boosting needs at least one stage")
         self.f0 = float(state["f0"])
-        self.stages = [_Tree.from_state(s) for s in state["stages"]]
+        self.stages = [_Tree.from_state(s, width) for s in state["stages"]]
         return self
 
 
@@ -651,7 +635,7 @@ class KNearest(_Learner):
     def _training_rows(self):
         return _take_rows(self.X, self.rows), self.y[self.rows]
 
-    def predict_proba(self, Xq, *, rowwise: bool = False) -> np.ndarray:
+    def predict_proba(self, Xq) -> np.ndarray:
         Xq = np.asarray(Xq, dtype=float)
         X, y = self._training_rows()
         out = np.empty(Xq.shape[0])
@@ -659,13 +643,10 @@ class KNearest(_Learner):
         step = max(1, int(2e7 // max(X.shape[0], 1)))
         for s in range(0, Xq.shape[0], step):
             block = Xq[s : s + step]
-            if rowwise:  # a stack of one-row products, each rounded alone
-                cross = (2 * block[:, None] @ X.T)[:, 0]
-            else:
-                cross = 2 * block @ X.T
+            # a stack of one-row products, each rounded as a one-row call
             d2 = (
                 (block**2).sum(axis=1)[:, None]
-                - cross
+                - (2 * block[:, None] @ X.T)[:, 0]
                 + (X**2).sum(axis=1)[None, :]
             )
             idx = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
@@ -676,11 +657,16 @@ class KNearest(_Learner):
         X, y = self._training_rows()
         return {"X": X.tolist(), "y": y.tolist(), "k": self.k}
 
-    def from_state(self, state: dict):
+    def from_state(self, state: dict, width: int):
         self.X = np.asarray(state["X"], dtype=float)
         self.y = np.asarray(state["y"], dtype=np.int64)
         self.rows = np.arange(len(self.y))
         self.k = int(state["k"])
+        if self.X.shape != (len(self.y), width) or not 1 <= self.k <= len(self.y):
+            raise ValidationError(
+                f"k-NN needs X of shape (labels, {width}) and 1 <= k <= labels, got "
+                f"X of shape {self.X.shape}, {len(self.y)} labels and k={self.k}"
+            )
         return self
 
 
@@ -793,19 +779,23 @@ class LogisticRegressionGD(_Learner):
             model.n_iter = self.max_iter
             model.coef, model.intercept = coef.copy(), float(intercept)
 
-    def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        # one row is a dot product; a batch, a matrix-vector product that
-        # may round differently
-        z = (X[:, None] @ self.coef)[:, 0] if rowwise else X @ self.coef
-        return _sigmoid(z + self.intercept)
+        # one dot product per row: a matrix-vector product may round a row
+        # differently from a one-row call
+        return _sigmoid((X[:, None] @ self.coef)[:, 0] + self.intercept)
 
     def to_state(self) -> dict:
         return {"coef": self.coef.tolist(), "intercept": self.intercept}
 
-    def from_state(self, state: dict):
+    def from_state(self, state: dict, width: int):
         self.coef = np.asarray(state["coef"], dtype=float)
         self.intercept = float(state["intercept"])
+        if self.coef.shape != (width,):
+            raise ValidationError(
+                f"logistic regression has {self.coef.size} coefficients for "
+                f"{width} columns"
+            )
         return self
 
 
@@ -865,7 +855,7 @@ class AdaBoostStumps(_Learner):
                 model.stumps, model.alphas = [stump], [1.0]
         return models
 
-    def predict_proba(self, X, *, rowwise: bool = False) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         votes = np.zeros(X.shape[0])
         for stump, alpha in zip(self.stumps, self.alphas):
@@ -878,11 +868,13 @@ class AdaBoostStumps(_Learner):
             "alphas": self.alphas,
         }
 
-    def from_state(self, state: dict):
+    def from_state(self, state: dict, width: int):
         self.stumps = [
-            DecisionTree(max_depth=1).from_state(s) for s in state["stumps"]
+            DecisionTree(max_depth=1).from_state(s, width) for s in state["stumps"]
         ]
         self.alphas = [float(a) for a in state["alphas"]]
+        if not self.stumps or len(self.alphas) != len(self.stumps):
+            raise ValidationError("AdaBoost needs one or more stumps, one alpha each")
         return self
 
 

@@ -188,8 +188,8 @@ class EnsembleModel:
     def __post_init__(self):
         if len(self.member_names) != len(self.weights):
             raise ValidationError("one weight per member required")
-        if any(w < 0 for w in self.weights):
-            raise ValidationError("weights must be non-negative")
+        if not all(w >= 0 for w in self.weights):
+            raise ValidationError(f"weights must be non-negative, got {self.weights}")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValidationError("weights must sum to 1")
 
@@ -197,12 +197,12 @@ class EnsembleModel:
         raw = descriptors.encode_matrix(self.descriptor_ids, peptides)
         return self.scaler.transform(raw)
 
-    def predict_proba_features(self, X, *, rowwise: bool = False) -> np.ndarray:
+    def predict_proba_features(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         combined = np.zeros(X.shape[0])
         for name, w in zip(self.member_names, self.weights):
             if w:
-                combined += w * self.members[name].predict_proba(X, rowwise=rowwise)
+                combined += w * self.members[name].predict_proba(X)
         return combined
 
     def row_error(self, peptide) -> str:
@@ -232,7 +232,7 @@ class EnsembleModel:
         errors = [self.row_error(p) for p in peptides]
         valid = [p for p, err in zip(peptides, errors) if not err]
         X = self._encode(valid)
-        probas = iter(self.predict_proba_features(X, rowwise=True).tolist())
+        probas = iter(self.predict_proba_features(X).tolist())
         rows = []
         for pep, err in zip(peptides, errors):
             proba = None if err else next(probas)
@@ -285,8 +285,10 @@ def load_model(path) -> EnsembleModel:
     """The model saved at path.  A file that is not one (not JSON, of
     another format or version, with a field missing or of the wrong type,
     with encoding settings other than DESCRIPTOR_CONFIG, with no descriptor
-    or an unknown or repeated one, or with a scaler whose width is not the
-    descriptors' column count) raises ValidationError naming it."""
+    or an unknown or repeated one, with a scaler whose width is not the
+    descriptors' column count, with a member state that does not fit that
+    width, or with a weight that is negative or NaN) raises ValidationError
+    naming it."""
     text = textio.read_text(path)
     try:
         doc = json.loads(text)
@@ -296,10 +298,6 @@ def load_model(path) -> EnsembleModel:
             raise ValidationError(f"unsupported model version {doc.get('version')}")
         member_specs = {
             name: ClassifierSpec(**spec) for name, spec in doc["member_specs"].items()
-        }
-        members = {
-            name: make_classifier(member_specs[name]).from_state(doc["members"][name])
-            for name in doc["member_names"]
         }
         if doc["descriptor_config"] != DESCRIPTOR_CONFIG:
             raise ValidationError(
@@ -320,6 +318,11 @@ def load_model(path) -> EnsembleModel:
                 f"scaler has {scaler.mean.size} means and {scaler.scale.size} "
                 f"scales for the {width} columns of {','.join(descriptor_ids)}"
             )
+        states = doc["members"]
+        members = {
+            name: make_classifier(member_specs[name]).from_state(states[name], width)
+            for name in doc["member_names"]
+        }
         return EnsembleModel(
             member_names=tuple(doc["member_names"]),
             member_specs=member_specs,

@@ -25,6 +25,8 @@ from peptaste.pipeline import (
     run_toxtrain,
 )
 from peptaste.sequences import AMINO_ACIDS, PatternMode, Peptide, parse_pattern
+from peptaste.toxicity.metrics import metrics_from_probas
+from test_tree_core import noisy_tox_corpus
 
 
 MISSING = object()
@@ -43,6 +45,18 @@ def _edited(text, **fields):
 
 def _ids(text) -> list:
     return json.loads(text)["descriptor_ids"]
+
+
+def _member_edited(text, name, edit):
+    """The JSON document text after edit(state) of member name's state."""
+    doc = json.loads(text)
+    edit(doc["members"][name])
+    return json.dumps(doc)
+
+
+def _first_split_set(tree, field, value):
+    """Set field of the tree state's first split node to value."""
+    tree[field][next(i for i, f in enumerate(tree["feature"]) if f >= 0)] = value
 
 
 # encoding settings the descriptors module does not use
@@ -578,6 +592,30 @@ class TestToxTrainPipeline:
         assert a.weights == b.weights
         assert a.heldout == b.heldout
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_heldout_report_scores_as_toxpredict(self, tmp_path, monkeypatch):
+        # the report's held-out metrics are those of model.predict, which
+        # toxpredict and toxbench use, on the held-out peptides
+        tox, ben = noisy_tox_corpus(np.random.default_rng(11))
+        pos, neg = tmp_path / "toxic.txt", tmp_path / "benign.txt"
+        pos.write_text("\n".join(tox) + "\n")
+        neg.write_text("\n".join(ben) + "\n")
+        splits, split = [], corpus_mod.balance_and_split
+
+        def recorded(*args):
+            splits.append(split(*args))
+            return splits[-1]
+
+        monkeypatch.setattr(corpus_mod, "balance_and_split", recorded)
+        options = ToxTrainOptions(
+            seed=5, folds=3, selector="lr", member_trees=4, universe=("AAC", "GAAC")
+        )
+        result = run_toxtrain(str(pos), str(neg), None, options)
+        (held,) = splits
+        rows = result.model.predict(held.test_pos + held.test_neg)
+        y = [1] * len(held.test_pos) + [0] * len(held.test_neg)
+        probas = [r["probability"] for r in rows]
+        assert metrics_from_probas(y, probas) == result.heldout
 
     def test_toxbench_on_training_files(self, small_tox_model, tox_corpus_files):
         pos, neg = tox_corpus_files
@@ -1163,11 +1201,29 @@ class TestCli:
              "not a valid model file: unknown descriptor 'NOPE'"),
             (lambda text: _edited(text, descriptor_ids=_ids(text) * 2),
              "not a valid model file: duplicate descriptor "),
+            (lambda text: _edited(text, weights=[float("nan"), 1.0, 0.2, 0.5, 0.2]),
+             "weights must be non-negative, got (nan, "),
+            (lambda text: _member_edited(text, "knn", lambda s: s.update(k=0)),
+             "labels and k=0"),
+            (lambda text: _member_edited(text, "knn", lambda s: s.update(y=s["y"][:3])),
+             " 3 labels and k=5"),
+            (lambda text: _member_edited(text, "lr", lambda s: s.update(coef=[0] * 3)),
+             "logistic regression has 3 coefficients for "),
+            (lambda text: _member_edited(
+                text, "rf",
+                lambda s: _first_split_set(s["trees"][0]["tree"], "feature", 999),
+            ), "nodes needs features below "),
+            (lambda text: _member_edited(text, "rf", lambda s: s.update(trees=[])),
+             "a forest needs at least one tree"),
+            (lambda text: _member_edited(
+                text, "gbt-l", lambda s: _first_split_set(s["stages"][0], "left", 10**6)
+            ), "nodes needs features below "),
         ],
         ids=["truncated", "no-member-specs", "no-scaler", "specs-a-list",
              "mcc-a-string", "weights-a-string", "no-member-state",
              "no-descriptor-config", "other-descriptor-config", "unknown-descriptor",
-             "repeated-descriptor"],
+             "repeated-descriptor", "nan-weight", "knn-k-0", "knn-3-labels",
+             "lr-3-coefficients", "rf-feature-999", "rf-no-trees", "gbt-child-1e6"],
     )
     def test_malformed_model_file_is_a_data_error(
         self, small_tox_model, tox_corpus_files, toy_corpus_path, tmp_path, capsys,

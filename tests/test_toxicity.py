@@ -554,11 +554,11 @@ def one_row_calls(model, Q) -> np.ndarray:
 
 
 class TestRowwiseScoring:
-    """rowwise=True must give every row the bits of a one-row call."""
+    """A batch must give every row the bits of a one-row call."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
-    def test_rowwise_equals_one_row_calls(self, every_kind, seed, n):
+    def test_batch_equals_one_row_calls(self, every_kind, seed, n):
         X, models = every_kind
         rng = np.random.default_rng(seed)
         # fresh rows, training rows (zero k-NN distances) and coarse rows
@@ -568,14 +568,14 @@ class TestRowwiseScoring:
             np.round(rng.normal(size=(n, X.shape[1])), 1),
         ])
         for name, model in models.items():
-            batch = model.predict_proba(Q, rowwise=True)
+            batch = model.predict_proba(Q)
             assert batch.tobytes() == one_row_calls(model, Q).tobytes(), name
 
-    def test_rowwise_on_a_thousand_rows(self, every_kind):
+    def test_thousand_rows_equal_one_row_calls(self, every_kind):
         X, models = every_kind
         Q = np.random.default_rng(3).normal(size=(1000, X.shape[1]))
         for name, model in models.items():
-            batch = model.predict_proba(Q, rowwise=True)
+            batch = model.predict_proba(Q)
             assert batch.tobytes() == one_row_calls(model, Q).tobytes(), name
 
     def test_ensemble_batch_equals_one_peptide_calls(self):

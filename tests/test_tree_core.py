@@ -120,38 +120,34 @@ def reference_gini_split(X, y, w, feat_ids, rng=None):
     total_w = w.sum()
     for f in feat_ids:
         xs = X[:, f]
-        if rng is not None:
-            lo, hi = xs.min(), xs.max()
-            if lo == hi:
-                continue
-            thr = lo + (hi - lo) * rng.random()
-            mask = xs <= thr
-            wl = w[mask].sum()
-            wr = total_w - wl
-            if wl == 0 or wr == 0:
-                continue
-            pl = (w[mask] * y[mask]).sum() / wl
-            pr = (w[~mask] * y[~mask]).sum() / wr
-            imp = wl * pl * (1 - pl) + wr * pr * (1 - pr)
-            if best is None or imp < best[0] - 1e-15:
-                best = (imp, f, thr)
-            continue
         order = np.argsort(xs, kind="stable")
         xs_sorted = xs[order]
         w_sorted = w[order]
         wy_sorted = w_sorted * y[order]
         cw = np.cumsum(w_sorted)
         cwy = np.cumsum(wy_sorted)
-        distinct = np.nonzero(xs_sorted[:-1] < xs_sorted[1:])[0]
-        if distinct.size == 0:
-            continue
+        if rng is not None:
+            # one uniform threshold per non-constant column; its candidate
+            # is the boundary after the last row at or below it
+            lo, hi = xs_sorted[0], xs_sorted[-1]
+            if lo == hi:
+                continue
+            thr = lo + (hi - lo) * rng.random()
+            distinct = np.array([np.count_nonzero(xs <= thr) - 1])
+            if distinct[0] == len(xs) - 1:
+                continue
+        else:
+            distinct = np.nonzero(xs_sorted[:-1] < xs_sorted[1:])[0]
+            if distinct.size == 0:
+                continue
         wl = cw[distinct]
         wr = total_w - wl
         pl = cwy[distinct] / wl
         pr = (cwy[-1] - cwy[distinct]) / wr
         imp = wl * pl * (1 - pl) + wr * pr * (1 - pr)
         j = int(np.argmin(imp))
-        thr = 0.5 * (xs_sorted[distinct[j]] + xs_sorted[distinct[j] + 1])
+        if rng is None:
+            thr = 0.5 * (xs_sorted[distinct[j]] + xs_sorted[distinct[j] + 1])
         if best is None or imp[j] < best[0] - 1e-15:
             best = (float(imp[j]), f, float(thr))
     return best
@@ -305,7 +301,7 @@ def test_tree_state_round_trip():
     model = clf.DecisionTree(max_depth=4).fit(X, y)
     state = model.to_state()
     assert all(type(v) is list for v in state["tree"].values())
-    again = clf.DecisionTree().from_state(json.loads(json.dumps(state)))
+    again = clf.DecisionTree().from_state(json.loads(json.dumps(state)), X.shape[1])
     assert isinstance(again.tree.feature, np.ndarray)
     assert json.dumps(again.to_state()) == json.dumps(state)
     assert np.array_equal(again.predict_proba(X), model.predict_proba(X))

@@ -9,7 +9,11 @@ gradient of a model into one contiguous array each.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import os
+import re
 
 import numpy as np
 
@@ -19,6 +23,9 @@ BCE_EPS = 1e-7
 
 # elements per block of the in-place elementwise loops (256 KiB of float64)
 CHUNK = 32_768
+# an Adam step is split across CPUs only while every share keeps this many
+# blocks; smaller models update on the caller's thread alone
+SHARE_MIN_CHUNKS = 4
 
 
 def _blocks(size: int):
@@ -279,10 +286,17 @@ def check_learning_rate(learning_rate: float) -> None:
 class Adam:
     """Bias-corrected Adam (Kingma & Ba, 2015) over one flat parameter array.
 
-    step() updates the array in place, CHUNK elements at a time through two
-    chunk-sized scratch arrays, so it allocates nothing.  Per element it
-    computes m_hat = m / (1 - BETA1^t), v_hat = v / (1 - BETA2^t) and
-    p -= (lr * m_hat) / (sqrt(v_hat) + EPSILON), in that order.
+    step() updates the array in place.  The array is cut into one
+    contiguous share per usable CPU, at multiples of CHUNK, while every
+    share keeps SHARE_MIN_CHUNKS blocks or more; otherwise it is one share.
+    Share 0 runs on the caller's thread and the others on one process-wide
+    helper pool, started by the first step that has more than one share,
+    and a step returns only when every share has ended.  Each share works
+    CHUNK elements at a time through its own two chunk-sized scratch
+    arrays, so a step allocates no array.  Per element it computes
+    m_hat = m / (1 - BETA1^t), v_hat = v / (1 - BETA2^t) and
+    p -= (lr * m_hat) / (sqrt(v_hat) + EPSILON), in that order, so any
+    share count gives the same bits.
     """
 
     def __init__(self, params: np.ndarray, learning_rate: float = 0.001):
@@ -294,7 +308,11 @@ class Adam:
         self.params = params
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._scratch = np.empty((2, min(CHUNK, params.size)))
+        # (slice, parameter, m and v views, scratch) of each share
+        self._shares = [
+            (s, params[s], self.m[s], self.v[s], np.empty((2, min(CHUNK, s.stop - s.start))))
+            for s in _share_slices(params.size)
+        ]
         self.step_count = 0
 
     def step(self, grads: np.ndarray):
@@ -305,22 +323,119 @@ class Adam:
             )
         self.step_count += 1
         t = self.step_count
-        bias1 = 1 - BETA1**t
-        bias2 = 1 - BETA2**t
-        for s in _blocks(self.params.size):
-            p, g, m, v = self.params[s], grads[s], self.m[s], self.v[s]
-            a, b = self._scratch[:, : s.stop - s.start]
-            m *= BETA1
-            np.multiply(g, 1 - BETA1, out=a)
-            m += a
-            v *= BETA2
-            np.multiply(g, 1 - BETA2, out=a)
-            a *= g
-            v += a
-            np.divide(m, bias1, out=a)
-            a *= self.learning_rate
-            np.divide(v, bias2, out=b)
-            np.sqrt(b, out=b)
-            b += EPSILON
-            a /= b
-            p -= a
+        rates = (self.learning_rate, 1 - BETA1**t, 1 - BETA2**t)
+        work = [(p, grads[s], m, v, scratch) for s, p, m, v, scratch in self._shares]
+        helpers = [_helper_pool().submit(_adam_update, *w, *rates) for w in work[1:]]
+        try:
+            _adam_update(*work[0], *rates)
+        finally:
+            # every share has ended before the step returns or raises
+            errors = [future.exception() for future in helpers]
+        for exc in errors:
+            if exc is not None:
+                raise exc
+
+
+def _adam_update(p, g, m, v, scratch, learning_rate, bias1, bias2):
+    """One Adam step over one share, in place, CHUNK elements at a time."""
+    for s in _blocks(p.size):
+        pb, gb, mb, vb = p[s], g[s], m[s], v[s]
+        a, b = scratch[:, : s.stop - s.start]
+        mb *= BETA1
+        np.multiply(gb, 1 - BETA1, out=a)
+        mb += a
+        vb *= BETA2
+        np.multiply(gb, 1 - BETA2, out=a)
+        a *= gb
+        vb += a
+        np.divide(mb, bias1, out=a)
+        a *= learning_rate
+        np.divide(vb, bias2, out=b)
+        np.sqrt(b, out=b)
+        b += EPSILON
+        a /= b
+        pb -= a
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share_slices(size: int) -> list[slice]:
+    """Contiguous shares of a size-element array, cut at multiples of CHUNK:
+    one per usable CPU while each keeps SHARE_MIN_CHUNKS blocks, else one."""
+    blocks = -(-size // CHUNK)
+    shares = max(1, min(_usable_cpus(), blocks // SHARE_MIN_CHUNKS))
+    cuts = [min(size, CHUNK * (blocks * i // shares)) for i in range(shares + 1)]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+_helpers = None  # the pool that runs shares 1.. of every multi-share step
+
+
+def _helper_pool():
+    global _helpers
+    if _helpers is None:
+        # imported here: commands that never train start no thread
+        from concurrent.futures import ThreadPoolExecutor
+
+        _helpers = ThreadPoolExecutor(
+            max(1, _usable_cpus() - 1), thread_name_prefix="peptaste-adam"
+        )
+    return _helpers
+
+
+# thread-count getters of the OpenBLAS builds numpy ships or links; each
+# has a setter of the same name with "set" for "get"
+_BLAS_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+_blas_threads = None  # (getter, setter) once looked up; () when none is found
+
+
+def _blas_thread_functions():
+    """The loaded OpenBLAS's thread-count getter and setter, or ()."""
+    global _blas_threads
+    if _blas_threads is None:
+        _blas_threads = ()
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                paths = sorted(set(re.findall(r"(/\S*blas\S*\.so\S*)", fh.read())))
+            libs = [ctypes.CDLL(path) for path in paths]
+        except OSError:
+            libs = []
+        for lib in libs:
+            for name in _BLAS_THREAD_GETTERS:
+                get = getattr(lib, name, None)
+                put = getattr(lib, name.replace("_get_", "_set_"), None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    _blas_threads = (get, put)
+                    return _blas_threads
+    return _blas_threads
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with the loaded OpenBLAS on one thread, then restore
+    the thread count it had, also when the body raises.  Matrix products
+    then give the same bits whatever thread count the environment sets.
+    Without an OpenBLAS thread setter (another BLAS, or no /proc/self/maps)
+    this does nothing."""
+    functions = _blas_thread_functions()
+    if not functions:
+        yield
+        return
+    get, put = functions
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import corpus as corpus_mod
-from . import descriptors, latent, physchem, similarity, textio, vae
+from . import descriptors, latent, nn, physchem, similarity, textio, vae
 from .errors import (
     ConfigError,
     DataError,
@@ -233,12 +233,18 @@ def _vae_config(run: DesignRun, stage: str) -> vae.VaeConfig:
     return vae.VaeConfig(**shared)
 
 
+@nn.single_blas_thread()
 def run_design(run: DesignRun) -> DesignReport:
     """Execute assign -> filter -> dedup -> train -> generate -> screen ->
     cluster -> toxicity -> profile.  The toxicity model is read first, so a
     bad model file fails the run before any work.  Each stage writes its
     artifact under out_dir when it finishes and run_manifest.json comes
-    last, so a directory without a manifest holds an incomplete run."""
+    last, so a directory without a manifest holds an incomplete run.
+
+    The whole run, from the model read to the manifest, keeps BLAS on one
+    thread (see nn.single_blas_thread), so training and the projection give
+    the same bytes at any BLAS thread count, and BLAS's idle worker does
+    not spin on the core that Adam's helper share uses."""
     with _stage("toxicity"):
         tox_model = ens.load_model(run.tox_model_path)
     os.makedirs(run.out_dir, exist_ok=True)

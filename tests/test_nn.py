@@ -1,5 +1,10 @@
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peptaste import nn
 from peptaste.errors import ConfigError, NumericError, ValidationError
@@ -186,6 +191,110 @@ class TestAdam:
     def test_non_flat_parameters_rejected(self):
         with pytest.raises(ValidationError):
             nn.Adam(np.zeros((2, 2)))
+
+
+class ReferenceAdam:
+    """Adam as one loop over the whole array on the caller's thread, with one
+    scratch pair: the step that the shared update must equal bit for bit."""
+
+    def __init__(self, params, learning_rate):
+        self.learning_rate = learning_rate
+        self.params = params
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = np.empty((2, min(nn.CHUNK, params.size)))
+        self.step_count = 0
+
+    def step(self, grads):
+        self.step_count += 1
+        t = self.step_count
+        bias1 = 1 - nn.BETA1**t
+        bias2 = 1 - nn.BETA2**t
+        for s in nn._blocks(self.params.size):
+            p, g, m, v = self.params[s], grads[s], self.m[s], self.v[s]
+            a, b = self._scratch[:, : s.stop - s.start]
+            m *= nn.BETA1
+            np.multiply(g, 1 - nn.BETA1, out=a)
+            m += a
+            v *= nn.BETA2
+            np.multiply(g, 1 - nn.BETA2, out=a)
+            a *= g
+            v += a
+            np.divide(m, bias1, out=a)
+            a *= self.learning_rate
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += nn.EPSILON
+            a /= b
+            p -= a
+
+
+def shares_forced(chunk: int, cpus: int):
+    """nn with CHUNK-element blocks, cpus usable CPUs and one block enough
+    for a share, so small arrays split into 1 to cpus shares."""
+    return mock.patch.multiple(nn, CHUNK=chunk, SHARE_MIN_CHUNKS=1, _usable_cpus=lambda: cpus)
+
+
+class TestAdamShares:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        chunk=st.integers(1, 16),
+        chunks=st.floats(0.05, 5.0),
+        cpus=st.integers(1, 4),
+        steps=st.integers(1, 5),
+        learning_rate=st.sampled_from([0.001, 0.37]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shares_equal_the_single_loop(
+        self, chunk, chunks, cpus, steps, learning_rate, seed
+    ):
+        size = max(1, round(chunks * chunk))
+        rng = np.random.default_rng(seed)
+        start = rng.normal(size=size)
+        with shares_forced(chunk, cpus):
+            opt = nn.Adam(start.copy(), learning_rate)
+            ref = ReferenceAdam(start.copy(), learning_rate)
+            blocks = -(-size // chunk)
+            assert len(opt._shares) == min(cpus, blocks)
+            for _ in range(steps):
+                # gradients over many magnitudes, with exact zeros
+                g = rng.normal(size=size) * 10.0 ** rng.integers(-8, 3, size=size)
+                g[rng.random(size) < 0.1] = 0.0
+                opt.step(g)
+                ref.step(g)
+        for name in ("params", "m", "v"):
+            assert getattr(opt, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_share_boundaries_are_chunk_multiples(self):
+        with shares_forced(8, 3):
+            cuts = [s.start for s in nn._share_slices(8 * 7 + 5)]
+        assert cuts == [0, 16, 40]
+
+    def test_helper_share_error_reaches_the_caller(self):
+        update = nn._adam_update
+
+        def fail_off_caller(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper share failed")
+            update(*args)
+
+        with shares_forced(4, 3):
+            opt = nn.Adam(np.zeros(24))
+            assert len(opt._shares) == 3
+            with mock.patch.object(nn, "_adam_update", fail_off_caller):
+                with pytest.raises(RuntimeError, match="helper share failed"):
+                    opt.step(np.ones(24))
+            # share 0 ran on the caller's thread; the failed shares did not
+            assert np.all(opt.params[:8] < 0) and np.all(opt.params[8:] == 0)
+
+    def test_default_design_model_splits_in_cpu_shares(self):
+        # the VAE at latent 2000 and hidden 128 has 891,477 parameters
+        with mock.patch.object(nn, "_usable_cpus", lambda: 2):
+            cuts = [(s.start, s.stop) for s in nn._share_slices(891_477)]
+        assert cuts == [(0, 14 * nn.CHUNK), (14 * nn.CHUNK, 891_477)]
+        with mock.patch.object(nn, "_usable_cpus", lambda: 64):
+            assert len(nn._share_slices(891_477)) == 28 // nn.SHARE_MIN_CHUNKS
+        assert len(nn._share_slices(nn.SHARE_MIN_CHUNKS * nn.CHUNK)) == 1
 
 class TestGradCheck:
     def test_dense_bce_gradients(self):

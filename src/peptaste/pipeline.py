@@ -138,9 +138,17 @@ def write_clusters(path, seqs, clusters, reps):
     textio.write_table(path, CLUSTER_COLUMNS, rows)
 
 
+# identity at which a run keeps one of two similar peptides: per role in
+# design, per class in toxtrain
+DESIGN_DEDUP_THRESHOLD = 0.9
+TOXTRAIN_DEDUP_THRESHOLD = 0.9
+
+
 # --- design workflow ---------------------------------------------------------
 
 DISTANCE_SPACES = ("pca2", "latent")
+# the stage whose seed the design run's one VAE draws from
+VAE_STAGE = "vae-positive"
 
 
 @dataclass
@@ -155,8 +163,6 @@ class DesignRun:
     latent_dim: int = 2000
     extension_epochs: int | None = None
     hidden_units: int = 128
-    conv_filters: int = 32
-    conv_kernel: int = 3
     dropout_rate: float = 0.1
     l1_lambda: float = 0.01
     learning_rate: float = 0.001
@@ -167,7 +173,6 @@ class DesignRun:
     alpha: float = 0.05
     cluster_threshold: float = 0.70
     max_len: int = 14
-    dedup_threshold: float = 0.9
     generation_mode: str = "prior"
     tau: float = 0.5
     distance_space: str = "pca2"
@@ -178,7 +183,7 @@ class DesignRun:
                 f"distance_space must be 'pca2' or 'latent', got {self.distance_space!r}"
             )
         # rejects bad settings before run_design reads any input
-        _vae_config(self, "vae-positive")
+        _vae_config(self)
         if self.candidates < 1:
             raise ConfigError(f"candidates must be >= 1, got {self.candidates}")
         vae.check_generation_mode(self.generation_mode)
@@ -186,7 +191,6 @@ class DesignRun:
         latent.check_fraction("keep_fraction", self.keep_fraction)
         latent.check_fraction("alpha", self.alpha)
         latent.check_fraction("cluster_threshold", self.cluster_threshold)
-        latent.check_fraction("dedup_threshold", self.dedup_threshold)
         if not math.isfinite(self.tau):
             raise ConfigError(f"tau must be finite, got {self.tau}")
 
@@ -214,8 +218,7 @@ CANDIDATE_COLUMNS = (
 @dataclass
 class DesignReport:
     candidates: list[dict]
-    outcome_positive: vae.TrainOutcome
-    outcome_negative: vae.TrainOutcome | None
+    outcome: vae.TrainOutcome
     counts: dict
     out_dir: str
 
@@ -227,9 +230,9 @@ def field_values(cls, source) -> dict:
     }
 
 
-def _vae_config(run: DesignRun, stage: str) -> vae.VaeConfig:
+def _vae_config(run: DesignRun) -> vae.VaeConfig:
     shared = field_values(vae.VaeConfig, run)
-    shared.update(seed=derive_seed(run.seed, stage))
+    shared.update(seed=derive_seed(run.seed, VAE_STAGE))
     return vae.VaeConfig(**shared)
 
 
@@ -278,7 +281,7 @@ def run_design(run: DesignRun) -> DesignReport:
 
     def prepare(peptides, role):
         kept, _ = corpus_mod.length_filter(peptides, run.max_len)
-        kept = corpus_mod.dedup_greedy(kept, run.dedup_threshold)
+        kept = corpus_mod.dedup_greedy(kept, DESIGN_DEDUP_THRESHOLD)
         if len(kept) < run.k:
             raise DataError(
                 f"{role} set has {len(kept)} peptides after length filtering at "
@@ -295,32 +298,26 @@ def run_design(run: DesignRun) -> DesignReport:
                 f"peptides, got {n} ({' + '.join(roles)})"
             )
 
-    # the loss history is written even when training fails, and before
-    # any sampling
-    trained, outcomes, data = {}, {}, {}
+    # one model, trained on the positives, encodes every role: avoidance
+    # mode screens in its latent space.  The loss history is written even
+    # when training fails, and before any sampling
+    positive = vae.SequenceVae(_vae_config(run))
     try:
-        for role in roles:
-            with _stage(f"train-{role}"):
-                model = trained[role] = vae.SequenceVae(_vae_config(run, f"vae-{role}"))
-                data[role] = encode_batch(prepared[role], run.max_len)
-                outcomes[role] = vae.train_la(model, data[role])
+        with _stage("train-positive"):
+            x = encode_batch(prepared["positive"], run.max_len)
+            outcome = vae.train_la(positive, x)
     finally:
-        if trained:
-            textio.write_table(
-                out("loss_history.tsv"),
-                ("model", "epoch", "loss_tol", "loss_rec", "loss_kl", "l1_penalty"),
-                [
-                    (role, epoch, r.loss_tol, r.loss_rec, r.loss_kl, r.l1_penalty)
-                    for role, model in trained.items()
-                    for epoch, r in enumerate(model.history, start=1)
-                ],
-            )
+        textio.write_table(
+            out("loss_history.tsv"),
+            ("model", "epoch", "loss_tol", "loss_rec", "loss_kl", "l1_penalty"),
+            [
+                ("positive", epoch, r.loss_tol, r.loss_rec, r.loss_kl, r.l1_penalty)
+                for epoch, r in enumerate(positive.history, start=1)
+            ],
+        )
 
-    # all latent coordinates come from the positive model's encoder so
-    # Euclidean comparison happens in one shared space
-    positive = trained["positive"]
     with _stage("generate"):
-        latents = {role: positive.encode_matrix(x) for role, x in data.items()}
+        latents = {role: positive.encode(peps) for role, peps in prepared.items()}
         candidates = positive.generate(
             run.candidates,
             mode=run.generation_mode,
@@ -420,9 +417,7 @@ def run_design(run: DesignRun) -> DesignReport:
         "representatives": len(reps),
     }
     _write_manifest(run, counts)
-    return DesignReport(
-        candidate_rows, outcomes["positive"], outcomes.get("negative"), counts, run.out_dir
-    )
+    return DesignReport(candidate_rows, outcome, counts, run.out_dir)
 
 
 def _write_manifest(run: DesignRun, counts: dict):
@@ -433,10 +428,7 @@ def _write_manifest(run: DesignRun, counts: dict):
     manifest = {
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
         "design": design,
-        "stage_seeds": {
-            stage: derive_seed(run.seed, stage)
-            for stage in ("vae-positive", "vae-negative")
-        },
+        "stage_seeds": {VAE_STAGE: derive_seed(run.seed, VAE_STAGE)},
         "inputs": {
             "corpus": _sha256(run.corpus_path),
             "tox_model": _sha256(run.tox_model_path),
@@ -453,9 +445,6 @@ def _write_manifest(run: DesignRun, counts: dict):
 
 
 # --- toxicity model lifecycle -------------------------------------------------
-
-# identity at which run_toxtrain keeps one of two similar peptides per class
-TOXTRAIN_DEDUP_THRESHOLD = 0.9
 
 
 @dataclass

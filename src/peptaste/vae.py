@@ -55,6 +55,10 @@ class VaeConfig:
             raise ConfigError(f"latent_dim must be >= 2, got {self.latent_dim}")
         if self.epochs < 2:
             raise ConfigError(f"epochs must be >= 2, got {self.epochs}")
+        if self.hidden_units < 1:
+            raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
+        if self.conv_filters < 1:
+            raise ConfigError(f"conv_filters must be >= 1, got {self.conv_filters}")
         if self.extension_epochs is not None and self.extension_epochs < 0:
             raise ConfigError("extension_epochs must be >= 0")
         if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:

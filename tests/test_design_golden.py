@@ -9,15 +9,15 @@ the PCA plane with prior sampling; standard mode in the full latent space
 with jitter sampling; and avoidance mode with the significance gate stubbed
 to accept every candidate.  Each run gave the same digests with one and
 with two BLAS threads on a 2-core x86-64 machine (OpenBLAS).  The same
-runs also show that avoidance mode trains its positive model exactly as
-standard mode does.
+runs also show that a run trains one model, and that avoidance mode trains
+it exactly as standard mode does.
 """
 
 import hashlib
 
 import pytest
 
-from peptaste import latent, pipeline
+from peptaste import latent, pipeline, vae
 from peptaste.sequences import PatternMode, parse_pattern
 
 OUTPUTS = (
@@ -36,7 +36,7 @@ GOLDEN = {
         "clusters.tsv": "fec199ba3b9df1a1bbaaaf2238a7c5277fd1dc0ba089ecd8bfd78881f80aa668",
         "loss_history.tsv": "2d5d3af8904177ac37f33cf62039829257084f108b92c211893bbb67e3c5b43f",
         "latent_coords.tsv": "d733f205372309bab94d291a7ef1e4d528c49c2cf6749b4b982b1c8dfc212f51",
-        "run_manifest.json": "88073ac798a8b1f9579e99dd68380d64da0bb9f669202adbc52cf0f00aa3124d",
+        "run_manifest.json": "b5b7e58c22e00892a29c7db7125d6184cedd0a9bc05a302d2c5469cc6aa9e364",
     },
     "standard_latent_jitter": {
         "candidates.tsv": "75b9c2449022d6ba9ead40ea5b6487234d6501c87282bc281dae83e59d2f8a92",
@@ -44,15 +44,15 @@ GOLDEN = {
         "clusters.tsv": "d704ecaf3058d71ae777d7962989d0d90adc97fb5ffd1e9b599847ae1bfee699",
         "loss_history.tsv": "2d5d3af8904177ac37f33cf62039829257084f108b92c211893bbb67e3c5b43f",
         "latent_coords.tsv": "2dc5f965f8b90e8ddba3e46b47e1ff215575b777b854b3d83f533226cf3698ca",
-        "run_manifest.json": "093781508bbd554bbc47005ed9af537341d3ebee390e37b461ddbf6afc3f3878",
+        "run_manifest.json": "0f0774fc8b3dc6c72ed73ff8dff244696c1509f7c2f6037a7c8b0aeb6a29366c",
     },
     "avoidance_stubbed_gate": {
         "candidates.tsv": "b242610ed876beaef5df20ad20f568cb3b4095d50f5179bdb2bf2a93e8c60b16",
         "filter_scores.tsv": "b6052166381ed991c03889164cbd83aa3e0aac123dc8678c0f0afa5ce825a360",
         "clusters.tsv": "97040cc8bfaf830d2d78f927e8c7dc5526e635d922b6d56aa8d1b521b6651a35",
-        "loss_history.tsv": "9e389122ae50255b3e6b29745181c7d6a568dfe46db7a9b0045f5c2266e6a4d7",
+        "loss_history.tsv": "2d5d3af8904177ac37f33cf62039829257084f108b92c211893bbb67e3c5b43f",
         "latent_coords.tsv": "f3718bb27a5f58857a3ed45b827e23c6255f8700497b73ed5582d4afc2076f6f",
-        "run_manifest.json": "b0ae7f07e369721361e9ee7a135619e187cb2b685d82e97eb5c071ee747535f2",
+        "run_manifest.json": "6f3bc5d9bbfec29057f702c83689191569a8d37029218d729d59732053b0038c",
     },
 }
 
@@ -100,11 +100,24 @@ CONFIGS = {
 
 
 @pytest.fixture(scope="module")
-def design_dirs(tmp_path_factory, toy_corpus_path, small_tox_model):
+def train_calls():
+    """The golden runs' vae.train_la calls: (run name, model seed)."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def design_dirs(tmp_path_factory, toy_corpus_path, small_tox_model, train_calls):
     dirs = {}
+    real_train = vae.train_la
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline.latent, "select_avoidance", accept_all(latent.select_avoidance))
         for name, overrides in CONFIGS.items():
+
+            def counted(model, data, name=name):
+                train_calls.append((name, model.config.seed))
+                return real_train(model, data)
+
+            mp.setattr(pipeline.vae, "train_la", counted)
             out = tmp_path_factory.mktemp(name)
             pipeline.run_design(
                 golden_run(toy_corpus_path, small_tox_model[0], out, **overrides)
@@ -125,15 +138,15 @@ def test_design_outputs_match_golden(design_dirs, name):
     assert digests(design_dirs[name]) == GOLDEN[name]
 
 
-def test_avoidance_trains_the_positive_model_as_standard_mode(design_dirs):
-    # x1xxx and x1x00 select the same positives, and a model's seed depends
-    # only on the master seed and its stage, so the positive model trains
-    # the same whether or not a negative model is trained after it
-    def history(name, model):
-        lines = (design_dirs[name] / "loss_history.tsv").read_text().splitlines()
-        return [line for line in lines[1:] if line.split("\t")[0] == model]
+def test_each_run_trains_one_model(design_dirs, train_calls):
+    seed = pipeline.derive_seed(11, "vae-positive")
+    assert train_calls == [(name, seed) for name in CONFIGS]
 
-    positive = history("avoidance_stubbed_gate", "positive")
-    assert positive and positive == history("standard_pca2_prior", "positive")
-    assert history("avoidance_stubbed_gate", "negative")
-    assert not history("standard_pca2_prior", "negative")
+
+def test_avoidance_trains_the_positive_model_as_standard_mode(design_dirs):
+    # x1xxx and x1x00 select the same positives, and the model's seed
+    # depends only on the master seed, so both modes train the same model
+    def history(name):
+        return (design_dirs[name] / "loss_history.tsv").read_bytes()
+
+    assert history("avoidance_stubbed_gate") == history("standard_pca2_prior")

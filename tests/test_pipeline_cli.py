@@ -241,7 +241,7 @@ class TestDesignPipeline:
     def test_loss_history_rows(self, design_out):
         run, report, out = design_out
         rows = parse_tsv(out / "loss_history.tsv")
-        assert len(rows) == len(report.outcome_positive.history)
+        assert len(rows) == len(report.outcome.history)
         for row in rows:
             tol = float(row["loss_tol"])
             parts = (
@@ -263,6 +263,8 @@ class TestDesignPipeline:
         }
         for name, digest in manifest["outputs"].items():
             assert len(digest) == 64
+        assert manifest["stage_seeds"] == {"vae-positive": derive_seed(11, "vae-positive")}
+        assert not {"conv_filters", "conv_kernel", "dedup_threshold"} & set(manifest["design"])
 
     def test_empty_positive_set_errors(self, toy_corpus_path, small_tox_model, tmp_path):
         run = toy_design_run(
@@ -303,12 +305,7 @@ class TestDesignPipeline:
         "fields, message",
         [
             ({"generation_mode": "bogus"}, "unknown generation mode 'bogus'"),
-            # explicit ids keep these cases' names from before the message named the setting
-            pytest.param(
-                {"dedup_threshold": 0.0},
-                r"^dedup_threshold must be in \(0, 1\], got 0.0",
-                id=r"fields1-threshold must be in \(0, 1\], got 0.0",
-            ),
+            ({"hidden_units": 0}, "^hidden_units must be >= 1, got 0"),
         ],
     )
     def test_bad_settings_fail_when_the_run_is_built(self, tmp_path, fields, message):
@@ -331,7 +328,7 @@ class TestDesignPipeline:
         def stop(points):
             raise Stop
 
-        # every model has trained and sampled by the time the projection is fitted
+        # the model has trained and sampled by the time the projection is fitted
         monkeypatch.setattr(vae.SequenceVae, "generate", record)
         monkeypatch.setattr(pipeline.latent, "pca2", stop)
         run = toy_design_run(
@@ -415,7 +412,7 @@ class TestDesignPipeline:
         out, _ = rejected_run
         assert not (out / "run_manifest.json").exists()
         history = parse_tsv(out / "loss_history.tsv")
-        assert {row["model"] for row in history} == {"positive", "negative"}
+        assert {row["model"] for row in history} == {"positive"}
         coords = parse_tsv(out / "latent_coords.tsv")
         assert {row["role"] for row in coords} == {"positive", "negative", "candidate"}
         scores = parse_tsv(out / "filter_scores.tsv")
@@ -425,7 +422,7 @@ class TestDesignPipeline:
     def test_avoidance_plumbing_with_stubbed_gate(
         self, toy_corpus_path, small_tox_model, tmp_path, monkeypatch
     ):
-        # exercise the dual-model path end to end by accepting every
+        # exercise the bilateral screen end to end by accepting every
         # candidate at the gate (the gate itself is covered at unit level)
         from peptaste import latent
 
@@ -449,10 +446,9 @@ class TestDesignPipeline:
             pattern=parse_pattern(">x1x00"),
             epochs=150,
         )
-        report = run_design(run)
-        assert report.outcome_negative is not None
+        run_design(run)
         history = parse_tsv(out / "loss_history.tsv")
-        assert {row["model"] for row in history} == {"positive", "negative"}
+        assert {row["model"] for row in history} == {"positive"}
         rows = parse_tsv(out / "candidates.tsv")
         for row in rows:
             assert row["d_minus"] != "" and row["delta"] != "" and row["p_value"] != ""
@@ -1044,6 +1040,21 @@ class TestCli:
         assert f"error: {message}" in capsys.readouterr().err
         assert main(argv) == 3
         assert not out.exists()
+
+    def test_bad_setting_keeps_the_earlier_manifest(
+        self, toy_corpus_path, small_tox_model, tmp_path, capsys
+    ):
+        # the inputs exist, so only the setting check stands between the
+        # command and the manifest of an earlier run in --out
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "run_manifest.json").write_text("{}\n")
+        argv = ["design", "--pattern", "x1xxx", "--corpus", toy_corpus_path]
+        argv += ["--tox-model", small_tox_model[0], "--out", str(out)]
+        assert main(argv + ["--hidden-units", "0"]) == 2
+        assert "error: hidden_units must be >= 1, got 0" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+        assert (out / "run_manifest.json").read_text() == "{}\n"
 
     @pytest.mark.parametrize("value", ["nan", "-0.5"])
     def test_toxtrain_rejects_bad_epsilon(self, tox_corpus_files, tmp_path, capsys, value):

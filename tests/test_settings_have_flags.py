@@ -12,9 +12,6 @@ from peptaste import pipeline
 from peptaste.cli import build_parser
 
 WITHOUT_FLAG = {
-    ("design", "conv_filters"): "the design goldens' manifest records it",
-    ("design", "conv_kernel"): "the design goldens' manifest records it",
-    ("design", "dedup_threshold"): "the design goldens' manifest records it",
     ("toxtrain", "member_names"): "the toxtrain golden's way to cover ERT and AdaBoost",
 }
 

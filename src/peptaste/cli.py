@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure.  Subcommands: design, toxtrain, toxpredict, physchem, encode,
-align, cluster, census.
+failure.  Subcommands: design, toxtrain, toxpredict, toxbench, physchem,
+encode, align, cluster, census.
 """
 
 from __future__ import annotations

@@ -67,18 +67,29 @@ def dedup_greedy(
     Peptides are visited by descending length (ties lexicographic); one is
     kept only if its normalized alignment similarity to every peptide kept
     so far stays below the threshold.  Deterministic and idempotent.
+
+    The pairs that Scorer.near_pairs lets reach the threshold are walked by
+    their later peptide, the query, in chunks of one packed pass that skip
+    the pairs holding a peptide already dropped.
     """
     check_fraction("identity_threshold", identity_threshold)
     seqs = [p.sequence for p in corpus]
     order = sorted(range(len(seqs)), key=lambda i: (-len(seqs[i]), seqs[i], i))
-    scorer = similarity.Scorer(seqs, params)
-    kept_idx: list[int] = []
-    for i in order:
-        # only kept peptides whose score bound can reach the threshold are aligned
-        _, sims = scorer.bounded(i, kept_idx, identity_threshold)
-        if not np.any(sims >= identity_threshold):
-            kept_idx.append(i)
-    return [corpus[i] for i in sorted(kept_idx)]
+    scorer = similarity.Scorer([seqs[i] for i in order], params)
+    earlier, later = scorer.near_pairs(identity_threshold)
+    by_later = np.argsort(later, kind="stable")
+    earlier, later = earlier[by_later], later[by_later]
+    dropped = np.zeros(len(seqs), dtype=bool)
+    step = similarity._BOUND_PAIRS
+    for lo in range(0, len(later), step):
+        e, l = earlier[lo : lo + step], later[lo : lo + step]
+        live = ~(dropped[e] | dropped[l])
+        e, l = e[live], l[live]
+        hit = scorer.similarities(l, e) >= identity_threshold
+        # pairs come by later peptide: each earlier one is decided, and a kept one drops b
+        for a, b in zip(e[hit].tolist(), l[hit].tolist()):
+            dropped[b] |= not dropped[a]
+    return [corpus[i] for i in sorted(np.asarray(order)[~dropped].tolist())]
 
 
 TRAIN_FRACTION = 0.9  # of each class, after balancing

@@ -190,6 +190,16 @@ class DesignRun:
         latent.check_k(self.k)
         latent.check_fraction("keep_fraction", self.keep_fraction)
         latent.check_fraction("alpha", self.alpha)
+        # two k-samples get a rank-test p of at least 1 / C(2k, k); avoidance needs p < alpha
+        need = self.k
+        while self.pattern.avoidance_mode and 1 / math.comb(2 * need, need) >= self.alpha:
+            need += 1
+        if need > self.k:
+            raise ConfigError(
+                f"avoidance mode can accept no candidate at k={self.k}, alpha={self.alpha}: "
+                f"the rank test's smallest p-value, 1/C({2 * self.k}, {self.k}), is not "
+                f"below alpha; the smallest k that can is {need}"
+            )
         latent.check_fraction("cluster_threshold", self.cluster_threshold)
         if not math.isfinite(self.tau):
             raise ConfigError(f"tau must be finite, got {self.tau}")

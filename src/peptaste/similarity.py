@@ -10,10 +10,10 @@ takes the 20 canonical residues only; nw_align, the traceback reference,
 compares any characters.  The redundancy sweep and the similarity graph
 align only the pairs whose exact score bound can reach their threshold, and
 representatives reuse the graph's similarities; all three ask one Scorer.
-The graph bounds every pair in one pass over blocks of query rows and
-aligns the survivors in packed chunks of one DP (nw_score_pairs), as do the
-representatives' missing pairs and similarity_matrix; the sweep stays one
-query at a time, since each keep decision depends on the kept set.
+The graph and the sweep bound every pair in one pass (Scorer.near_pairs)
+and align the survivors in packed chunks of one DP (nw_score_pairs), as do
+the representatives' missing pairs and similarity_matrix; the sweep skips
+the pairs of the peptides it has dropped.
 """
 
 from __future__ import annotations
@@ -214,11 +214,8 @@ def _score_chunk(qcodes, qlens, rcodes, rlens, params):
     return out
 
 
-def nw_score_block(
-    query, refs, params: AlignParams = DEFAULT_PARAMS
-) -> np.ndarray:
-    """Alignment scores of one query against many references: the one-query
-    case of nw_score_pairs."""
+def nw_score_block(query, refs, params: AlignParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Scores of one query against many references, through nw_score_pairs."""
     refs = list(refs)
     return nw_score_pairs([_as_seq(query)] * len(refs), refs, params)
 
@@ -244,7 +241,14 @@ BOUND_SLACK = 1e-9
 
 def _may_reach(own, other, threshold, params):
     """Whether the score bound of each pair of residue-count rows (own[...],
-    other[...], broadcast) lets it reach the threshold; see reachable."""
+    other[...], broadcast) lets its similarity reach the threshold.
+
+    The bound is exact and symmetric: an alignment scores at most one match
+    per residue both sequences share, mismatches and gaps only subtract, and
+    sequences whose lengths differ by D > 0 need gaps costing at least one
+    gap of length D (a split gap opens twice and |gap_extend| <= |gap_open|).
+    It is CD-HIT's short-word filter (Li & Godzik 2006) with one-residue words.
+    """
     shared = np.minimum(own, other).sum(axis=-1)
     own_len, lens = own.sum(axis=-1), other.sum(axis=-1)
     gap = np.abs(lens - own_len)
@@ -255,18 +259,9 @@ def _may_reach(own, other, threshold, params):
     return bound >= (threshold - BOUND_SLACK) * denom
 
 
-def reachable(query, refs, counts, threshold, params: AlignParams = DEFAULT_PARAMS):
-    """The refs (row indices into counts) whose normalized similarity to the
-    query row may reach the threshold; the others provably cannot.
-
-    The bound is exact: an alignment scores at most one match per residue
-    both sequences share, mismatches and gaps only subtract, and sequences
-    whose lengths differ by D > 0 need gaps costing at least one gap of
-    length D (a split gap opens twice and |gap_extend| <= |gap_open|).  It is
-    CD-HIT's short-word filter (Li & Godzik 2006) with one-residue words.
-    """
-    refs = np.asarray(refs, dtype=np.intp)
-    return refs[_may_reach(counts[query], counts[refs], threshold, params)]
+# Query rows times reference columns per block of the all-pairs bound: its
+# (rows, columns, 20) residue-count temporaries stay under 1 MB.
+_BOUND_PAIRS = 1 << 12
 
 
 class Scorer:
@@ -283,9 +278,6 @@ class Scorer:
         self.selfs = np.array([self_score(s, params) for s in self.seqs])
         self.counts = residue_counts(residue_codes(self.seqs))
 
-    def _normalized(self, raw, queries, refs) -> np.ndarray:
-        return np.maximum(raw / np.maximum(self.selfs[queries], self.selfs[refs]), 0.0)
-
     def similarities(self, queries, refs) -> np.ndarray:
         """Normalized similarity of each pair seqs[queries[k]], seqs[refs[k]],
         aligned in one nw_score_pairs pass."""
@@ -296,15 +288,21 @@ class Scorer:
             [self.seqs[j] for j in refs.tolist()],
             self.params,
         )
-        return self._normalized(raw, queries, refs)
+        return np.maximum(raw / np.maximum(self.selfs[queries], self.selfs[refs]), 0.0)
 
-    def bounded(self, i, refs, threshold) -> tuple[np.ndarray, np.ndarray]:
-        """The refs whose score bound lets them reach the threshold against
-        seqs[i] (see reachable), and their similarities, aligned with
-        nw_score_block; the rest are not aligned."""
-        near = reachable(i, refs, self.counts, threshold, self.params)
-        raw = nw_score_block(self.seqs[i], [self.seqs[j] for j in near.tolist()], self.params)
-        return near, self._normalized(raw, i, near)
+    def near_pairs(self, threshold) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (i, j), i < j, whose score bound (_may_reach, computed in
+        blocks of rows i) lets them reach the threshold, in (i, j) order."""
+        counts, n = self.counts, len(self.seqs)
+        near = [np.zeros((0, 2), np.intp)]
+        step = max(1, _BOUND_PAIRS // max(n, 1))
+        for lo in range(0, n - 1, step):
+            rows = np.arange(lo, min(lo + step, n - 1))
+            # columns from lo + 1 on; the mask keeps j > i
+            ok = _may_reach(counts[rows, None], counts[None, lo + 1 :], threshold, self.params)
+            ok &= np.arange(lo + 1, n) > rows[:, None]
+            near.append(np.argwhere(ok) + (lo, lo + 1))
+        return tuple(np.concatenate(near).T)
 
 
 def similarity_matrix(seqs, params: AlignParams = DEFAULT_PARAMS) -> np.ndarray:
@@ -313,15 +311,8 @@ def similarity_matrix(seqs, params: AlignParams = DEFAULT_PARAMS) -> np.ndarray:
     scorer = Scorer(seqs, params)
     sim = np.eye(len(scorer.seqs))
     i, j = np.triu_indices(len(scorer.seqs), 1)
-    vals = scorer.similarities(i, j)
-    sim[i, j] = vals
-    sim[j, i] = vals
+    sim[i, j] = sim[j, i] = scorer.similarities(i, j)
     return sim
-
-
-# Query rows times reference columns per block of the all-pairs bound: its
-# (rows, columns, 20) residue-count temporaries stay under 1 MB.
-_BOUND_PAIRS = 1 << 12
 
 
 def build_components(
@@ -330,25 +321,15 @@ def build_components(
     """Connected components of the similarity graph (edges >= threshold),
     and the similarities aligned to find them, keyed (i, j) with i < j.
 
-    The score bound (see reachable) is computed for every pair i < j, in
-    blocks of query rows; the pairs it lets reach the threshold are aligned
+    The pairs that Scorer.near_pairs lets reach the threshold are aligned
     in one packed pass, with seqs[i] as the query as in similarity_matrix,
     so each similarity equals the matrix's bit for bit.  Clusters are
     ordered by their smallest member index; members ascend.
     """
     check_fraction("threshold", threshold)
     scorer = Scorer(seqs, params)
-    counts = scorer.counts
     n = len(scorer.seqs)
-    near = [np.zeros((0, 2), np.intp)]
-    step = max(1, _BOUND_PAIRS // max(n, 1))
-    for lo in range(0, n - 1, step):
-        rows = np.arange(lo, min(lo + step, n - 1))
-        # columns from lo + 1 on; the mask keeps j > i
-        ok = _may_reach(counts[rows, None], counts[None, lo + 1 :], threshold, params)
-        ok &= np.arange(lo + 1, n) > rows[:, None]
-        near.append(np.argwhere(ok) + (lo, lo + 1))  # (i, j) order
-    near_i, near_j = np.concatenate(near).T
+    near_i, near_j = scorer.near_pairs(threshold)
     sims = scorer.similarities(near_i, near_j)
 
     root = list(range(n))

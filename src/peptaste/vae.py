@@ -300,7 +300,6 @@ class SequenceVae:
         n: int,
         mode: str = "prior",
         tau: float = 0.5,
-        seed=None,
         source_mu: np.ndarray | None = None,
     ) -> list[Peptide]:
         """Sample decoded peptides, rejecting decodes shorter than 2 residues.
@@ -308,8 +307,8 @@ class SequenceVae:
         Prior mode draws z from the standard normal; jitter mode perturbs
         the latent mean of a random source row by tau-scaled noise.  The
         rejection budget is 100 * n attempts.  The draws come from the
-        model's generation stream, [config.seed, 2], unless seed is given;
-        training uses [config.seed, 1].
+        model's generation stream, [config.seed, 2]; training uses
+        [config.seed, 1].
         """
         if n < 1:
             raise ConfigError(f"generation count must be >= 1, got {n}")
@@ -317,9 +316,7 @@ class SequenceVae:
         if mode == "jitter":
             if source_mu is None or len(source_mu) == 0:
                 raise ConfigError("jitter mode needs source latent means")
-        if seed is None:
-            seed = [self.config.seed, 2]
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng([self.config.seed, 2])
         out: list[Peptide] = []
         attempts = 0
         budget = 100 * n

@@ -6,9 +6,11 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from peptaste import corpus as corpus_mod
-from peptaste import descriptors, pipeline, vae
+from peptaste import descriptors, latent, pipeline, vae
 from peptaste.cli import build_parser, design_run, main, toxtrain_options
 from peptaste.descriptors import encode_matrix
 from peptaste.errors import ConfigError, DataError, NumericError, ParseError, TrainingDiverged
@@ -312,6 +314,22 @@ class TestDesignPipeline:
         missing = str(tmp_path / "missing")
         with pytest.raises(ConfigError, match=message):
             toy_design_run(missing, missing, tmp_path / "run", **fields)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.floats(0, 1, exclude_min=True))
+    @example(3, 0.05)
+    @example(5, 0.003)
+    @example(4, 1 / 70)
+    def test_avoidance_rejects_exactly_the_settings_that_accept_nothing(self, k, alpha):
+        separated = latent.mann_whitney_exact_less(np.arange(k), np.arange(k, 2 * k))
+        fields = dict(k=k, alpha=alpha, pattern=parse_pattern(">x1x00"))
+        if separated >= alpha:
+            with pytest.raises(ConfigError, match=f"at k={k}, alpha="):
+                toy_design_run("c.tsv", "m.json", "out", **fields)
+        else:
+            assert toy_design_run("c.tsv", "m.json", "out", **fields).k == k
+        fields["pattern"] = parse_pattern(">x1xxx")
+        assert toy_design_run("c.tsv", "m.json", "out", **fields).alpha == alpha
 
     def test_avoidance_run_samples_once_from_the_positive_model(
         self, toy_corpus_path, small_tox_model, tmp_path, monkeypatch
@@ -1055,6 +1073,27 @@ class TestCli:
         assert "error: hidden_units must be >= 1, got 0" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
         assert (out / "run_manifest.json").read_text() == "{}\n"
+
+    def test_avoidance_k_that_can_accept_nothing_exits_before_reading(
+        self, tmp_path, capsys
+    ):
+        # with 3 distances per side the smallest p-value is 1/C(6, 3) = 0.05,
+        # not below the default alpha; the input files do not exist
+        missing = str(tmp_path / "missing.tsv")
+        out = tmp_path / "run"
+        argv = ["design", "--corpus", missing, "--tox-model", missing, "--out", str(out)]
+        argv += ["--k", "3"]
+        assert main(argv + ["--pattern", "x1x00"]) == 2
+        err = capsys.readouterr().err
+        assert "error: avoidance mode can accept no candidate at k=3, alpha=0.05" in err
+        assert "the smallest k that can is 4" in err
+        assert not out.exists()
+        # standard mode screens without the rank test: the run is built, and
+        # stops only at the missing model file
+        standard = argv + ["--pattern", "x1xxx"]
+        assert design_run(build_parser().parse_args(standard)).k == 3
+        assert main(standard) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "-0.5"])
     def test_toxtrain_rejects_bad_epsilon(self, tox_corpus_files, tmp_path, capsys, value):

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from peptaste.corpus import dedup_greedy
 from peptaste.errors import ConfigError
-from peptaste.sequences import Peptide, residue_codes, residue_counts
+from peptaste.sequences import Peptide
 from peptaste.similarity import (
     DEFAULT_PARAMS,
     AlignParams,
+    Scorer,
     build_components,
     normalized_similarity,
     nw_align,
     nw_score_block,
     pick_representatives,
-    reachable,
     self_score,
     similarity_matrix,
 )
@@ -310,8 +310,9 @@ class TestBoundPruning:
         # to the pair's similarity, the pair is always aligned
         sim = normalized_similarity(a, b, params)
         if sim > 0:
-            counts = residue_counts(residue_codes([a, b]))
-            assert list(reachable(0, [1], counts, sim, params)) == [1]
+            for pair in ([a, b], [b, a]):
+                near_i, near_j = Scorer(pair, params).near_pairs(sim)
+                assert (near_i.tolist(), near_j.tolist()) == ([0], [1])
 
     @settings(max_examples=150, deadline=None)
     @given(small_seqs, st.floats(0.3, 1.0))

@@ -306,13 +306,13 @@ class TestEncodeGenerate:
 
     def test_generate_deterministic(self):
         model = SequenceVae(tiny_config())
-        a = model.generate(6, seed=3)
-        b = model.generate(6, seed=3)
+        a = model.generate(6)
+        b = model.generate(6)
         assert [str(p) for p in a] == [str(p) for p in b]
 
     def test_generate_outputs_valid_peptides(self):
         model = SequenceVae(tiny_config())
-        for pep in model.generate(10, seed=1):
+        for pep in model.generate(10):
             assert len(pep) >= 2
 
     def test_jitter_zero_reproduces_reconstructions(self):
@@ -321,9 +321,10 @@ class TestEncodeGenerate:
         vae.train_la(model, data)
         mu = model.encode(peps)
         recon = reconstructions(model, peps)
-        rng = np.random.default_rng(17)
+        # the model's generation stream draws the source rows
+        rng = np.random.default_rng([model.config.seed, 2])
         idx = rng.integers(0, len(mu), size=10)
-        got = model.generate(10, mode="jitter", tau=0.0, seed=17, source_mu=mu)
+        got = model.generate(10, mode="jitter", tau=0.0, source_mu=mu)
         # the same index draw drives both paths, so compare directly where
         # the model's own reconstruction is valid
         matches = 0
@@ -347,4 +348,4 @@ class TestEncodeGenerate:
         model.decoder.layers[-2].params["b"][20] = 50.0
         model.decoder.layers[-2].params["W"][...] = 0.0
         with pytest.raises(NumericError, match="acceptance rate"):
-            model.generate(3, seed=0)
+            model.generate(3)

@@ -231,12 +231,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    params = similarity.AlignParams(
-        match=args.match,
-        mismatch=args.mismatch,
-        gap_open=args.gap_open,
-        gap_extend=args.gap_extend,
-    )
+    params = similarity.AlignParams(**pipeline.field_values(similarity.AlignParams, args))
     result = similarity.nw_align(args.seq_a, args.seq_b, params)
     sim = similarity.normalized_similarity(args.seq_a, args.seq_b, params)
     print(f"score: {result.score!r}")

@@ -68,17 +68,17 @@ def dedup_greedy(
     kept only if its normalized alignment similarity to every peptide kept
     so far stays below the threshold.  Deterministic and idempotent.
 
-    The pairs that Scorer.near_pairs lets reach the threshold are walked by
-    their later peptide, the query, in chunks of one packed pass that skip
-    the pairs holding a peptide already dropped.
+    The Scorer holds the peptides in reverse sweep order, so each pair that
+    Scorer.near_pairs lets reach the threshold comes as (later, earlier),
+    grouped by the later peptide, the query.  The sweep walks those pairs
+    from the end, by ascending later peptide, in chunks of one packed pass
+    that skip the pairs holding a peptide already dropped.
     """
     check_fraction("identity_threshold", identity_threshold)
     seqs = [p.sequence for p in corpus]
-    order = sorted(range(len(seqs)), key=lambda i: (-len(seqs[i]), seqs[i], i))
+    order = sorted(range(len(seqs)), key=lambda i: (-len(seqs[i]), seqs[i], i))[::-1]
     scorer = similarity.Scorer([seqs[i] for i in order], params)
-    earlier, later = scorer.near_pairs(identity_threshold)
-    by_later = np.argsort(later, kind="stable")
-    earlier, later = earlier[by_later], later[by_later]
+    later, earlier = (a[::-1] for a in scorer.near_pairs(identity_threshold))
     dropped = np.zeros(len(seqs), dtype=bool)
     step = similarity._BOUND_PAIRS
     for lo in range(0, len(later), step):

@@ -11,9 +11,10 @@ compares any characters.  The redundancy sweep and the similarity graph
 align only the pairs whose exact score bound can reach their threshold, and
 representatives reuse the graph's similarities; all three ask one Scorer.
 The graph and the sweep bound every pair in one pass (Scorer.near_pairs)
-and align the survivors in packed chunks of one DP (nw_score_pairs), as do
-the representatives' missing pairs and similarity_matrix; the sweep skips
-the pairs of the peptides it has dropped.
+and align the survivors in packed chunks of one DP (Scorer._scores, on the
+residue codes the Scorer made once), as do the representatives' missing
+pairs, similarity_matrix and nw_score_pairs; the sweep skips the pairs of
+the peptides it has dropped.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ class AlignParams:
     gap_extend: float = -0.1
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ConfigError(f"alignment parameter {name} must be finite, got {value}")
         if not (self.match > 0 > self.mismatch):
             raise ConfigError("alignment requires match > 0 > mismatch")
         if self.gap_open > 0 or self.gap_extend > 0:
@@ -79,12 +83,9 @@ def nw_align(a, b, params: AlignParams = DEFAULT_PARAMS) -> Alignment:
     # back[state, i, j] = predecessor state
     back = np.zeros((3, la + 1, lb + 1), dtype=np.int8)
     score[_M, 0, 0] = 0.0
-    for i in range(1, la + 1):
-        score[_X, i, 0] = op + (i - 1) * ext
-        back[_X, i, 0] = _X if i > 1 else _M
-    for j in range(1, lb + 1):
-        score[_Y, 0, j] = op + (j - 1) * ext
-        back[_Y, 0, j] = _Y if j > 1 else _M
+    score[_X, 1:, 0] = op + np.arange(la) * ext
+    score[_Y, 0, 1:] = op + np.arange(lb) * ext
+    back[_X, 2:, 0], back[_Y, 0, 2:] = _X, _Y
 
     for i in range(1, la + 1):
         for j in range(1, lb + 1):
@@ -124,20 +125,11 @@ def nw_align(a, b, params: AlignParams = DEFAULT_PARAMS) -> Alignment:
     out_a, out_b = [], []
     i, j = la, lb
     while i > 0 or j > 0:
-        prev = back[state, i, j]
-        if state == _M:
-            out_a.append(sa[i - 1])
-            out_b.append(sb[j - 1])
-            i, j = i - 1, j - 1
-        elif state == _X:
-            out_a.append(sa[i - 1])
-            out_b.append("-")
-            i -= 1
-        else:
-            out_a.append("-")
-            out_b.append(sb[j - 1])
-            j -= 1
-        state = int(prev)
+        # M consumes both, X (gap in b) only a, Y (gap in a) only b
+        di, dj = int(state != _Y), int(state != _X)
+        out_a.append(sa[i - 1] if di else "-")
+        out_b.append(sb[j - 1] if dj else "-")
+        state, i, j = int(back[state, i, j]), i - di, j - dj
     return Alignment(float(best), "".join(reversed(out_a)), "".join(reversed(out_b)))
 
 
@@ -147,36 +139,25 @@ _PAIR_CELLS = 1 << 14
 
 
 def nw_score_pairs(queries, refs, params: AlignParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Alignment scores of the pairs (queries[k], refs[k]), vectorized over pairs.
+    """Alignment scores of the pairs (queries[k], refs[k]), vectorized over
+    pairs by _score_chunk.  The two lists are coded once, as one Scorer, and
+    go through its chunks.  Produces identical scores to nw_align."""
+    qs, rs = list(queries), list(refs)
+    if len(qs) != len(rs):
+        raise ValueError(f"{len(qs)} queries for {len(rs)} references")
+    k = np.arange(len(qs))
+    return Scorer(qs + rs, params)._scores(k, k + len(qs))
+
+
+def _score_chunk(qcodes, qlens, rcodes, rlens, params):
+    """Alignment scores of pairs of residue-code rows with their lengths.
 
     Row i of the DP compares each pair's i-th query residue with its
     reference; it depends only on row i-1 for the M and X states, and the Y
     state is a running max along the row, folded with maximum.accumulate.
     A pair's score is read at row len(query) and column len(ref), so the
-    pad rows and columns of shorter pairs never reach it.  Pairs go through
-    in chunks of at most _PAIR_CELLS cells per row.  Produces identical
-    scores to nw_align.
+    pad rows and columns of shorter pairs never reach it.
     """
-    qs = [_as_seq(q) for q in queries]
-    rs = [_as_seq(r) for r in refs]
-    if len(qs) != len(rs):
-        raise ValueError(f"{len(qs)} queries for {len(rs)} references")
-    out = np.zeros(len(qs))
-    if not qs:
-        return out
-    # residue codes; past a sequence's end the pad code stands in
-    qcodes, rcodes = residue_codes(qs), residue_codes(rs)
-    qlens = np.array([len(q) for q in qs])
-    rlens = np.array([len(r) for r in rs])
-    step = max(1, _PAIR_CELLS // (rcodes.shape[1] + 1))
-    for lo in range(0, len(qs), step):
-        chunk = slice(lo, lo + step)
-        out[chunk] = _score_chunk(qcodes[chunk], qlens[chunk], rcodes[chunk], rlens[chunk], params)
-    return out
-
-
-def _score_chunk(qcodes, qlens, rcodes, rlens, params):
-    """nw_score_pairs on one chunk of residue-code rows and their lengths."""
     n = len(qlens)
     rows, kmax = int(qlens.max()), int(rlens.max())
     codes = rcodes[:, :kmax]
@@ -265,7 +246,7 @@ _BOUND_PAIRS = 1 << 12
 
 
 class Scorer:
-    """Normalized similarities among a fixed list of sequences.
+    """Normalized similarities among fixed sequences, each coded and checked once.
 
     Every pair is aligned with its first index's sequence as the query, so a
     pair scores the same bits whichever caller asks for it, and in whatever
@@ -273,27 +254,35 @@ class Scorer:
     """
 
     def __init__(self, seqs, params: AlignParams = DEFAULT_PARAMS):
-        self.seqs = [_as_seq(s) for s in seqs]
+        seqs = [_as_seq(s) for s in seqs]
         self.params = params
-        self.selfs = np.array([self_score(s, params) for s in self.seqs])
-        self.counts = residue_counts(residue_codes(self.seqs))
+        self.codes = residue_codes(seqs)
+        self.lens = np.array([len(s) for s in seqs], dtype=np.intp)
+        self.selfs = params.match * self.lens
+
+    def _scores(self, queries, refs) -> np.ndarray:
+        """Alignment scores of the pairs of rows (queries[k], refs[k]), in
+        chunks of at most _PAIR_CELLS cells per DP row; a chunk cut never
+        moves a bit."""
+        codes, lens, out = self.codes, self.lens, np.zeros(len(queries))
+        step = max(1, _PAIR_CELLS // (int(lens[refs].max(initial=0)) + 1))
+        for lo in range(0, len(queries), step):
+            q, r = queries[lo : lo + step], refs[lo : lo + step]
+            out[lo : lo + step] = _score_chunk(codes[q], lens[q], codes[r], lens[r], self.params)
+        return out
 
     def similarities(self, queries, refs) -> np.ndarray:
-        """Normalized similarity of each pair seqs[queries[k]], seqs[refs[k]],
-        aligned in one nw_score_pairs pass."""
+        """Normalized similarity of each pair of sequences (queries[k],
+        refs[k]), aligned in one _scores pass."""
         queries = np.asarray(queries, dtype=np.intp)
         refs = np.asarray(refs, dtype=np.intp)
-        raw = nw_score_pairs(
-            [self.seqs[i] for i in queries.tolist()],
-            [self.seqs[j] for j in refs.tolist()],
-            self.params,
-        )
+        raw = self._scores(queries, refs)
         return np.maximum(raw / np.maximum(self.selfs[queries], self.selfs[refs]), 0.0)
 
     def near_pairs(self, threshold) -> tuple[np.ndarray, np.ndarray]:
         """The pairs (i, j), i < j, whose score bound (_may_reach, computed in
         blocks of rows i) lets them reach the threshold, in (i, j) order."""
-        counts, n = self.counts, len(self.seqs)
+        counts, n = residue_counts(self.codes), len(self.lens)
         near = [np.zeros((0, 2), np.intp)]
         step = max(1, _BOUND_PAIRS // max(n, 1))
         for lo in range(0, n - 1, step):
@@ -309,8 +298,8 @@ def similarity_matrix(seqs, params: AlignParams = DEFAULT_PARAMS) -> np.ndarray:
     """Symmetric matrix of pairwise normalized similarities (diagonal 1),
     the upper triangle aligned in one packed pass."""
     scorer = Scorer(seqs, params)
-    sim = np.eye(len(scorer.seqs))
-    i, j = np.triu_indices(len(scorer.seqs), 1)
+    sim = np.eye(len(scorer.lens))
+    i, j = np.triu_indices(len(scorer.lens), 1)
     sim[i, j] = sim[j, i] = scorer.similarities(i, j)
     return sim
 
@@ -328,7 +317,7 @@ def build_components(
     """
     check_fraction("threshold", threshold)
     scorer = Scorer(seqs, params)
-    n = len(scorer.seqs)
+    n = len(scorer.lens)
     near_i, near_j = scorer.near_pairs(threshold)
     sims = scorer.similarities(near_i, near_j)
 

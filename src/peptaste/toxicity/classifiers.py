@@ -109,6 +109,12 @@ class _Learner:
         return [self] + [copy.copy(self) for _ in range(k - 1)]
 
 
+def _check_finite(what, *arrays):
+    """Raise ValidationError naming what unless every value of arrays is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValidationError(f"{what} must be finite")
+
+
 # --- decision trees ---------------------------------------------------------
 
 
@@ -140,8 +146,8 @@ class _Tree:
 
     @classmethod
     def from_state(cls, state: dict, width: int) -> "_Tree":
-        """The tree saved as state, for rows of width columns: arrays of one
-        length, each split reading a column and leading to later nodes."""
+        """The tree saved as state, for rows of width columns: finite arrays of
+        one length, each split reading a column and leading to later nodes."""
         tree = cls(*(state[name] for name in cls.__slots__))
         n = len(tree.feature)
         if n == 0 or any(getattr(tree, name).shape != (n,) for name in cls.__slots__):
@@ -153,6 +159,7 @@ class _Tree:
                 f"a tree of {n} nodes needs features below {width} and each "
                 "child after its parent"
             )
+        _check_finite("a tree's thresholds and values", tree.threshold, tree.value)
         return tree
 
 
@@ -592,6 +599,7 @@ class GradientBoosting(_Learner):
         if not state["stages"]:
             raise ValidationError("gradient boosting needs at least one stage")
         self.f0 = float(state["f0"])
+        _check_finite("gradient boosting's f0", self.f0)
         self.stages = [_Tree.from_state(s, width) for s in state["stages"]]
         return self
 
@@ -667,6 +675,7 @@ class KNearest(_Learner):
                 f"k-NN needs X of shape (labels, {width}) and 1 <= k <= labels, got "
                 f"X of shape {self.X.shape}, {len(self.y)} labels and k={self.k}"
             )
+        _check_finite("k-NN training rows", self.X)
         return self
 
 
@@ -796,6 +805,7 @@ class LogisticRegressionGD(_Learner):
                 f"logistic regression has {self.coef.size} coefficients for "
                 f"{width} columns"
             )
+        _check_finite("logistic regression weights", self.coef, self.intercept)
         return self
 
 
@@ -875,6 +885,7 @@ class AdaBoostStumps(_Learner):
         self.alphas = [float(a) for a in state["alphas"]]
         if not self.stumps or len(self.alphas) != len(self.stumps):
             raise ValidationError("AdaBoost needs one or more stumps, one alpha each")
+        _check_finite("AdaBoost alphas", self.alphas)
         return self
 
 

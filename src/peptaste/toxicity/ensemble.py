@@ -286,9 +286,10 @@ def load_model(path) -> EnsembleModel:
     another format or version, with a field missing or of the wrong type,
     with encoding settings other than DESCRIPTOR_CONFIG, with no descriptor
     or an unknown or repeated one, with a scaler whose width is not the
-    descriptors' column count, with a member state that does not fit that
-    width, or with a weight that is negative or NaN) raises ValidationError
-    naming it."""
+    descriptors' column count or with a mean that is not finite or a scale
+    that is not finite and > 0, with a member state that does not fit that
+    width or holds a number that is not finite, or with a weight that is
+    negative or NaN) raises ValidationError naming it."""
     text = textio.read_text(path)
     try:
         doc = json.loads(text)
@@ -318,6 +319,10 @@ def load_model(path) -> EnsembleModel:
                 f"scaler has {scaler.mean.size} means and {scaler.scale.size} "
                 f"scales for the {width} columns of {','.join(descriptor_ids)}"
             )
+        if not np.isfinite(scaler.mean).all():
+            raise ValidationError("scaler means must be finite")
+        if not (np.isfinite(scaler.scale) & (scaler.scale > 0)).all():
+            raise ValidationError("scaler scales must be finite and > 0")
         states = doc["members"]
         members = {
             name: make_classifier(member_specs[name]).from_state(states[name], width)

@@ -61,6 +61,25 @@ def _first_split_set(tree, field, value):
     tree[field][next(i for i, f in enumerate(tree["feature"]) if f >= 0)] = value
 
 
+def _scaler_edited(text, field, value):
+    """The JSON document text with the first entry of the scaler's field set."""
+    doc = json.loads(text)
+    doc["scaler"][field][0] = value
+    return json.dumps(doc)
+
+
+def _adaboost_alpha(text, alpha):
+    """The JSON document text with member knn replaced by AdaBoost over one
+    of rf's trees, of weight alpha."""
+    doc = json.loads(text)
+    doc["member_specs"]["knn"]["algorithm"] = "adb"
+    doc["members"]["knn"] = {"stumps": [doc["members"]["rf"]["trees"][0]], "alphas": [alpha]}
+    return json.dumps(doc)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
 # encoding settings the descriptors module does not use
 OTHER_DESCRIPTOR_CONFIG = {
     "k_max": 3, "lam": 3, "pad_len": 20, "weight": 0.05, "window": 5
@@ -777,6 +796,17 @@ class TestCli:
         assert captured.out == ""
         assert f"invalid residue {residue!r}" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--gap-open=nan", "gap_open"), ("--gap-extend=nan", "gap_extend"),
+         ("--match=inf", "match"), ("--mismatch=-inf", "mismatch")],
+    )
+    def test_align_rejects_non_finite_parameters(self, capsys, flag, field):
+        assert main(["align", "ACDEFG", "ACDQFG", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} must be finite" in captured.err
+
     def test_physchem_tsv(self, tmp_path, capsys):
         src = tmp_path / "seqs.txt"
         src.write_text("VVVV\n")
@@ -1268,12 +1298,42 @@ class TestCli:
             (lambda text: _member_edited(
                 text, "gbt-l", lambda s: _first_split_set(s["stages"][0], "left", 10**6)
             ), "nodes needs features below "),
+            (lambda text: _scaler_edited(text, "mean", NAN), "scaler means must be finite"),
+            (lambda text: _scaler_edited(text, "mean", -INF), "scaler means must be finite"),
+            (lambda text: _scaler_edited(text, "scale", 0.0),
+             "scaler scales must be finite and > 0"),
+            (lambda text: _scaler_edited(text, "scale", -1.0),
+             "scaler scales must be finite and > 0"),
+            (lambda text: _scaler_edited(text, "scale", INF),
+             "scaler scales must be finite and > 0"),
+            (lambda text: _scaler_edited(text, "scale", NAN),
+             "scaler scales must be finite and > 0"),
+            (lambda text: _member_edited(text, "lr", lambda s: s["coef"].__setitem__(0, NAN)),
+             "logistic regression weights must be finite"),
+            (lambda text: _member_edited(text, "lr", lambda s: s.update(intercept=INF)),
+             "logistic regression weights must be finite"),
+            (lambda text: _member_edited(text, "gbt-x", lambda s: s.update(f0=NAN)),
+             "gradient boosting's f0 must be finite"),
+            (lambda text: _member_edited(
+                text, "rf",
+                lambda s: _first_split_set(s["trees"][0]["tree"], "threshold", NAN),
+            ), "a tree's thresholds and values must be finite"),
+            (lambda text: _member_edited(
+                text, "gbt-l", lambda s: s["stages"][0]["value"].__setitem__(-1, -INF)
+            ), "a tree's thresholds and values must be finite"),
+            (lambda text: _member_edited(text, "knn", lambda s: s["X"][0].__setitem__(0, NAN)),
+             "k-NN training rows must be finite"),
+            (lambda text: _adaboost_alpha(text, NAN), "AdaBoost alphas must be finite"),
         ],
         ids=["truncated", "no-member-specs", "no-scaler", "specs-a-list",
              "mcc-a-string", "weights-a-string", "no-member-state",
              "no-descriptor-config", "other-descriptor-config", "unknown-descriptor",
              "repeated-descriptor", "nan-weight", "knn-k-0", "knn-3-labels",
-             "lr-3-coefficients", "rf-feature-999", "rf-no-trees", "gbt-child-1e6"],
+             "lr-3-coefficients", "rf-feature-999", "rf-no-trees", "gbt-child-1e6",
+             "scaler-mean-nan", "scaler-mean-inf", "scaler-scale-0", "scaler-scale-negative",
+             "scaler-scale-inf", "scaler-scale-nan", "lr-coef-nan", "lr-intercept-inf",
+             "gbt-f0-nan", "rf-threshold-nan", "gbt-value-inf", "knn-x-nan",
+             "adb-alpha-nan"],
     )
     def test_malformed_model_file_is_a_data_error(
         self, small_tox_model, tox_corpus_files, toy_corpus_path, tmp_path, capsys,

@@ -186,6 +186,10 @@ class TestAlignment:
             AlignParams(match=-1.0)
         with pytest.raises(ConfigError):
             AlignParams(gap_open=-0.1, gap_extend=-0.5)
+        for field in ("match", "mismatch", "gap_open", "gap_extend"):
+            for value in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ConfigError, match=f"{field} must be finite"):
+                    AlignParams(**{field: value})
 
 
 class TestNormalizedSimilarity:
@@ -340,13 +344,13 @@ class TestBoundPruning:
         import peptaste.similarity as sim_mod
 
         aligned = []
-        original = sim_mod.nw_score_pairs
+        original = sim_mod.Scorer._scores
 
-        def counting(queries, refs, params=DEFAULT_PARAMS):
+        def counting(scorer, queries, refs):
             aligned.append(len(refs))
-            return original(queries, refs, params)
+            return original(scorer, queries, refs)
 
-        monkeypatch.setattr(sim_mod, "nw_score_pairs", counting)
+        monkeypatch.setattr(sim_mod.Scorer, "_scores", counting)
         seqs = ["ACDEFGHIK", "ACDEFGHIR", "WWWWWWW", "PPPPPPP", "YYYYMMMM"]
         clusters, scores = build_components(seqs, threshold=0.7)
         assert clusters == [[0, 1], [2], [3], [4]]
@@ -357,13 +361,14 @@ class TestBoundPruning:
         import peptaste.similarity as sim_mod
 
         aligned = []
-        original = sim_mod.nw_score_pairs
+        original = sim_mod.Scorer._scores
 
-        def counting(queries, refs, params=DEFAULT_PARAMS):
-            aligned.extend(zip(queries, refs))
-            return original(queries, refs, params)
+        def counting(scorer, queries, refs):
+            # the scorer's rows are seqs, in order
+            aligned.extend((seqs[i], seqs[j]) for i, j in zip(queries, refs))
+            return original(scorer, queries, refs)
 
-        monkeypatch.setattr(sim_mod, "nw_score_pairs", counting)
+        monkeypatch.setattr(sim_mod.Scorer, "_scores", counting)
         # a chain: b is three substitutions from a, c three more from b, so
         # a and c join one cluster through b, but their bound (14 shared
         # residues of 20) cannot reach 0.75 and the graph never aligns them
@@ -378,3 +383,24 @@ class TestBoundPruning:
         reps = pick_representatives(clusters, seqs, scores)
         assert aligned == [(a, c)]
         assert reps == representatives_from_matrix(clusters, similarity_matrix(seqs))
+
+    def test_each_sequence_is_checked_once(self, monkeypatch):
+        import peptaste.sequences as seq_mod
+
+        seqs = ["ACDEFGHIK", "ACDEFGHIR", "ACDEFGHKK", "WWWWWWW", "WWWWWWY", "PPPP"]
+        corpus = [Peptide(s) for s in seqs]
+        checked = []
+        original = seq_mod.check_residues
+
+        def counting(seq):
+            checked.append(seq)
+            return original(seq)
+
+        monkeypatch.setattr(seq_mod, "check_residues", counting)
+        clusters, _ = build_components(seqs, threshold=0.7)
+        assert clusters == [[0, 1, 2], [3, 4], [5]]
+        assert sorted(checked) == sorted(seqs)
+        del checked[:]
+        kept = dedup_greedy(corpus, 0.75)
+        assert [p.sequence for p in kept] == ["ACDEFGHIK", "WWWWWWW", "PPPP"]
+        assert sorted(checked) == sorted(seqs)

@@ -370,6 +370,11 @@ def run_design(run: DesignRun) -> DesignReport:
                 )
                 for s in scores
             ]
+            far = sum(s.d_plus >= s.d_minus for s in scores)  # the rest fail p < alpha
+            why = (
+                f" ({far} on distance, d_plus >= d_minus, and {len(scores) - far} on "
+                f"significance only, p_value >= alpha {run.alpha})"
+            )
         else:
             kept_order, dists = latent.select_standard(
                 points["candidate"],
@@ -382,10 +387,11 @@ def run_design(run: DesignRun) -> DesignReport:
                 (str(pep), d, None, None, None, i in kept)
                 for i, (pep, d) in enumerate(zip(candidates, dists.tolist()))
             ]
+            why = ""
         textio.write_table(out("filter_scores.tsv"), SCORE_COLUMNS, score_rows)
         if not kept_order:
             raise DataError(
-                "latent filtering rejected every candidate; relax the filter "
+                f"latent filtering rejected every candidate{why}; relax the filter "
                 "parameters or generate more candidates"
             )
 
@@ -565,15 +571,18 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
     def x_builder(ids) -> np.ndarray:
         return np.hstack([block(d)[1] for d in ids])
 
-    selection = ens.forward_select(
-        options.universe,
-        options.selector_spec(),
-        x_builder,
-        y_train,
-        folds=options.folds,
-        seed=derive_seed(options.seed, "selection-folds"),
-        epsilon=options.epsilon,
-    )
+    selector = options.selector_spec()
+    selection_seed = derive_seed(options.seed, "selection-folds")
+
+    def selection_mcc(ids) -> float:
+        """The selector's pooled cross-validated MCC on the ids' columns."""
+        X = x_builder(ids)
+        probas = tox_metrics.cross_val_probas(
+            lambda: clf.make_classifier(selector), X, y_train, options.folds, selection_seed
+        )
+        return tox_metrics.metrics_from_probas(y_train, probas).mcc
+
+    selection = ens.forward_select(options.universe, selection_mcc, options.epsilon)
 
     member_specs = options.member_specs()
     scalers = [block(d)[0] for d in selection.selected]

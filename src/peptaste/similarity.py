@@ -196,9 +196,10 @@ def _score_chunk(qcodes, qlens, rcodes, rlens, params):
 
 
 def nw_score_block(query, refs, params: AlignParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Scores of one query against many references, through nw_score_pairs."""
-    refs = list(refs)
-    return nw_score_pairs([_as_seq(query)] * len(refs), refs, params)
+    """Scores of one query, coded once as Scorer row 0, against many references."""
+    scorer = Scorer([query, *refs], params)
+    n = len(scorer.lens) - 1
+    return scorer._scores(np.zeros(n, np.intp), np.arange(1, n + 1))
 
 
 def nw_score(a, b, params: AlignParams = DEFAULT_PARAMS) -> float:

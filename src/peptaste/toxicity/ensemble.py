@@ -1,8 +1,9 @@
 """Descriptor selection, weight search, and the weighted soft-voting ensemble.
 
-Forward selection scores every single descriptor, then every pair, seeds
-the greedy stage with the best of those, and keeps adding the descriptor
-that most improves cross-validated MCC until the improvement falls to the
+Forward selection searches over a caller-given scorer (toxtrain's is
+cross-validated MCC): it scores every single descriptor and every pair,
+seeds the greedy stage with the best of those, and keeps adding the
+descriptor that most improves the score until the improvement falls to the
 epsilon threshold.  Weight search enumerates the full WEIGHT_STEP simplex
 over the fitted members and scores each vector by pooled out-of-fold MCC.
 """
@@ -53,66 +54,43 @@ class SelectionResult:
     trace: list[SelectionTraceRow]
 
 
-def forward_select(
-    universe,
-    selector_spec: ClassifierSpec,
-    x_builder,
-    y,
-    folds: int = 10,
-    seed: int = 0,
-    epsilon: float = 0.001,
-) -> SelectionResult:
-    """Stagewise descriptor selection by cross-validated MCC.
-
-    x_builder(ids) must return the feature matrix for an ordered descriptor
-    tuple.  Ties keep the earlier-evaluated candidate, so results are
-    deterministic for a fixed universe order.
-    """
+def forward_select(universe, score, epsilon: float = 0.001) -> SelectionResult:
+    """Stagewise descriptor selection by score(ids), an MCC for an ordered
+    descriptor tuple.  Singles and pairs are one stage, so a pair must beat
+    the best single; greedy rounds follow until one gains no more than
+    epsilon.  Each stage scores its candidates in order, one trace row each,
+    and a tie keeps the earlier candidate."""
     # +inf is allowed: it stops selection after the pair stage
     if not epsilon >= 0:
         raise ConfigError(f"epsilon must be >= 0 and not NaN, got {epsilon}")
     universe = tuple(universe)
     if not universe:
         raise ConfigError("descriptor universe must be non-empty")
-    y = np.asarray(y).astype(np.int64)
     trace: list[SelectionTraceRow] = []
 
-    def score(ids: tuple[str, ...]) -> float:
-        X = x_builder(ids)
-        report = metrics.cross_validate(
-            lambda: make_classifier(selector_spec), X, y, folds=folds, seed=seed
-        )
-        return report.mcc
-
-    best_ids: tuple[str, ...] | None = None
-    best_mcc = -2.0
-    for did in universe:
-        mcc = score((did,))
-        trace.append(SelectionTraceRow("single", (did,), mcc))
-        if mcc > best_mcc:
-            best_ids, best_mcc = (did,), mcc
-    for a, b in itertools.combinations(universe, 2):
-        mcc = score((a, b))
-        trace.append(SelectionTraceRow("pair", (a, b), mcc))
-        if mcc > best_mcc:
-            best_ids, best_mcc = (a, b), mcc
-
-    current, current_mcc = best_ids, best_mcc
-    while True:
-        remaining = [d for d in universe if d not in current]
-        if not remaining:
-            break
-        round_best = None
-        round_mcc = -2.0
-        for did in remaining:
-            ids = tuple(d for d in universe if d in current or d == did)
+    def best_of(candidates) -> tuple[tuple[str, ...], float]:
+        """The first best of (stage, ids) candidates, scored in order."""
+        best = None, -2.0
+        for stage, ids in candidates:
             mcc = score(ids)
-            trace.append(SelectionTraceRow("greedy", ids, mcc))
-            if mcc > round_mcc:
-                round_best, round_mcc = ids, mcc
-        if round_best is None or round_mcc <= current_mcc + epsilon:
+            trace.append(SelectionTraceRow(stage, ids, mcc))
+            if mcc > best[1]:
+                best = ids, mcc
+        return best
+
+    current, current_mcc = best_of(
+        [("single", (d,)) for d in universe]
+        + [("pair", ab) for ab in itertools.combinations(universe, 2)]
+    )
+    while len(current) < len(universe):
+        ids, mcc = best_of(
+            ("greedy", tuple(d for d in universe if d in current or d == add))
+            for add in universe
+            if add not in current
+        )
+        if mcc <= current_mcc + epsilon:
             break
-        current, current_mcc = round_best, round_mcc
+        current, current_mcc = ids, mcc
     return SelectionResult(current, current_mcc, trace)
 
 

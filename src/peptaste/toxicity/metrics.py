@@ -1,8 +1,8 @@
 """Confusion-count metrics and stratified cross-validation.
 
-Cross-validation pools the per-fold confusion counts and computes metrics
-once on the pooled table (micro pooling).  Predicted probabilities call
-toxic at >= 0.5, so an exact tie is treated as toxic.
+Cross-validation returns out-of-fold probabilities, so metrics are computed
+once on the pooled confusion table (micro pooling).  Predicted probabilities
+call toxic at >= 0.5, so an exact tie is treated as toxic.
 """
 
 from __future__ import annotations
@@ -110,9 +110,3 @@ def cross_val_probas(factory, X, y, folds: int = 10, seed: int = 0) -> np.ndarra
         test = fold_of == f
         out[test] = model.predict_proba(X[test])
     return out
-
-
-def cross_validate(factory, X, y, folds: int = 10, seed: int = 0) -> MetricReport:
-    """Pooled-confusion metrics over stratified folds."""
-    probas = cross_val_probas(factory, X, y, folds, seed)
-    return metrics_from_probas(y, probas)

@@ -106,9 +106,10 @@ def test_import_and_screens_start_no_thread(tmp_path):
     code = f"""
 import contextlib, io, sys, threading
 import peptaste.cli
-print("concurrent.futures" in sys.modules, threading.active_count())
+print("concurrent.futures" in sys.modules, "multiprocessing" in sys.modules)
+print(threading.active_count())
 with contextlib.redirect_stdout(io.StringIO()):
     code = peptaste.cli.main(["physchem", "--input", {str(peptides)!r}])
 print(code, threading.active_count())
 """
-    assert python(code).split() == ["False", "1", "0", "1"]
+    assert python(code).split() == ["False", "False", "1", "0", "1"]

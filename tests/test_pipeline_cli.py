@@ -442,6 +442,23 @@ class TestDesignPipeline:
         _, error = rejected_run
         assert re.search("stage latent-filter.*rejected every candidate", str(error))
 
+    def test_rejection_error_counts_each_reason(self, rejected_run):
+        # every candidate fails on distance or, failing only the rank test,
+        # on significance; the error counts both from the scores it wrote
+        out, error = rejected_run
+        scores = parse_tsv(out / "filter_scores.tsv")
+        alpha = DesignRun.alpha
+        far = sum(float(r["d_plus"]) >= float(r["d_minus"]) for r in scores)
+        weak = sum(
+            float(r["d_plus"]) < float(r["d_minus"]) and float(r["p_value"]) >= alpha
+            for r in scores
+        )
+        assert far + weak == len(scores) == 24
+        assert (
+            f"rejected every candidate ({far} on distance, d_plus >= d_minus, and "
+            f"{weak} on significance only, p_value >= alpha {alpha}); relax"
+        ) in str(error)
+
     def test_rejected_run_keeps_stage_artifacts(self, rejected_run):
         # the stages before the filter leave their artifacts; the manifest
         # of the earlier successful run in the same directory is gone, so

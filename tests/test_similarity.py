@@ -145,6 +145,22 @@ class TestAlignment:
             for ref, got in zip(refs, block):
                 assert got == pytest.approx(nw_align(query, ref).score, abs=1e-9)
 
+    def test_block_checks_its_query_once(self, monkeypatch):
+        import peptaste.sequences as seq_mod
+
+        refs = ["ACDEFGHIR", "WWWWWWW", "PPPP", "ACDEFGHIK", "KLMNPQ"]
+        checked = []
+        original = seq_mod.check_residues
+
+        def counting(seq):
+            checked.append(seq)
+            return original(seq)
+
+        monkeypatch.setattr(seq_mod, "check_residues", counting)
+        block = nw_score_block("ACDEFGHIK", refs)
+        assert checked == ["ACDEFGHIK", *refs]
+        assert block.tolist() == [nw_align("ACDEFGHIK", ref).score for ref in refs]
+
     def test_dp_equals_enumeration_small(self):
         # spot sample here; the exhaustive cross-product runs in acceptance
         alphabet = "ACD"

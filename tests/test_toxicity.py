@@ -30,7 +30,6 @@ from peptaste.toxicity.ensemble import (
 from peptaste.toxicity.metrics import (
     compute_metrics,
     cross_val_probas,
-    cross_validate,
     metrics_from_probas,
     stratified_fold_ids,
 )
@@ -107,7 +106,7 @@ class TestFolds:
             def predict_proba(self, X):
                 return np.ones(len(X))
 
-        report = cross_validate(Constant, X, y, folds=4, seed=0)
+        report = metrics_from_probas(y, cross_val_probas(Constant, X, y, folds=4, seed=0))
         assert report.mcc == 0.0
 
     def test_pooled_equals_per_fold_sum(self):
@@ -181,7 +180,7 @@ class TestBaseClassifiers:
     )
     def test_every_learner_separates(self, factory):
         X, y = separable_data(200, 10, margin=1.0, seed=7)
-        report = cross_validate(factory, X, y, folds=5, seed=8)
+        report = metrics_from_probas(y, cross_val_probas(factory, X, y, folds=5, seed=8))
         assert report.mcc >= 0.9
 
     def test_single_class_rejected(self):
@@ -336,6 +335,29 @@ class TestWeightSearch:
         assert weights == (0.0, 1.0)
 
 
+def cv_scorer(spec, builder, y, folds=10, seed=0):
+    """score(ids): the pooled cross-validated MCC of spec on builder(ids),
+    the way toxtrain scores a descriptor tuple."""
+
+    def score(ids):
+        probas = cross_val_probas(lambda: make_classifier(spec), builder(ids), y, folds, seed)
+        return metrics_from_probas(y, probas).mcc
+
+    return score
+
+
+def scripted(mccs):
+    """score(ids) reading mccs[ids] (0.0 for a tuple not listed); its calls
+    are kept in score.calls, in order."""
+
+    def score(ids):
+        score.calls.append(ids)
+        return mccs.get(ids, 0.0)
+
+    score.calls = []
+    return score
+
+
 class TestForwardSelect:
     def test_informative_descriptor_found_first(self):
         # synthetic features: id "good" carries the labels, others are noise
@@ -353,11 +375,7 @@ class TestForwardSelect:
 
         result = forward_select(
             ("noise1", "good", "noise2"),
-            ClassifierSpec("dt", depth=2),
-            builder,
-            y,
-            folds=4,
-            seed=13,
+            cv_scorer(ClassifierSpec("dt", depth=2), builder, y, folds=4, seed=13),
         )
         singles = [r for r in result.trace if r.stage == "single"]
         best_single = max(singles, key=lambda r: r.mcc)
@@ -369,9 +387,11 @@ class TestForwardSelect:
         with pytest.raises(ConfigError, match="nan"):
             forward_select(
                 ("a", "b"),
-                ClassifierSpec("dt", depth=2),
-                lambda ids: np.zeros((4, len(ids))),
-                np.array([0, 1, 0, 1]),
+                cv_scorer(
+                    ClassifierSpec("dt", depth=2),
+                    lambda ids: np.zeros((4, len(ids))),
+                    np.array([0, 1, 0, 1]),
+                ),
                 epsilon=float("nan"),
             )
 
@@ -386,14 +406,65 @@ class TestForwardSelect:
         }
         result = forward_select(
             ("a", "b", "c"),
-            ClassifierSpec("dt", depth=2),
-            lambda ids: np.hstack([blocks[d] for d in ids]),
-            y,
-            folds=4,
-            seed=15,
+            cv_scorer(
+                ClassifierSpec("dt", depth=2),
+                lambda ids: np.hstack([blocks[d] for d in ids]),
+                y,
+                folds=4,
+                seed=15,
+            ),
             epsilon=np.inf,
         )
         assert len(result.selected) <= 2
+
+    def test_tied_singles_keep_the_earlier_descriptor(self):
+        score = scripted({("a",): 0.5, ("b",): 0.5, ("a", "b"): 0.25})
+        result = forward_select(("a", "b"), score)
+        assert (result.selected, result.mcc) == (("a",), 0.5)
+
+    def test_pair_equal_to_best_single_does_not_replace_it(self):
+        score = scripted({("a",): 0.25, ("b",): 0.5, ("a", "b"): 0.5, ("b", "c"): 0.375})
+        result = forward_select(("a", "b", "c"), score)
+        assert (result.selected, result.mcc) == (("b",), 0.5)
+
+    def test_greedy_tie_keeps_the_earlier_candidate_in_universe_order(self):
+        # from the pair (c, e), adding b or d ties at 0.75; b comes first
+        score = scripted(
+            {("c", "e"): 0.5, ("a", "c", "e"): 0.625, ("b", "c", "e"): 0.75, ("c", "d", "e"): 0.75}
+        )
+        result = forward_select(("a", "b", "c", "d", "e"), score)
+        assert (result.selected, result.mcc) == (("b", "c", "e"), 0.75)
+        greedy = [r.ids for r in result.trace if r.stage == "greedy"]
+        assert greedy == [
+            ("a", "c", "e"), ("b", "c", "e"), ("c", "d", "e"),
+            ("a", "b", "c", "e"), ("b", "c", "d", "e"),
+        ]
+
+    @pytest.mark.parametrize(
+        "greedy_mcc, selected", [(0.75, ("a", "b")), (np.nextafter(0.75, 1.0), ("a", "b", "c"))]
+    )
+    def test_a_gain_of_exactly_epsilon_stops_the_search(self, greedy_mcc, selected):
+        # the best pair scores 0.5, so 0.75 gains exactly epsilon
+        score = scripted({("a", "b"): 0.5, ("a", "b", "c"): greedy_mcc})
+        result = forward_select(("a", "b", "c"), score, epsilon=0.25)
+        assert result.selected == selected
+        assert [r.stage for r in result.trace] == ["single"] * 3 + ["pair"] * 3 + ["greedy"]
+
+    def test_one_descriptor_universe_selects_that_single(self):
+        score = scripted({("a",): -0.25})
+        result = forward_select(("a",), score)
+        assert (result.selected, result.mcc) == (("a",), -0.25)
+        assert [(r.stage, r.ids) for r in result.trace] == [("single", ("a",))]
+
+    def test_score_is_called_once_per_trace_row_in_trace_order(self):
+        mccs = {("b",): 0.25, ("a", "b"): 0.5, ("a", "b", "d"): 0.75, ("a", "b", "c", "d"): 0.75}
+        score = scripted(mccs)
+        result = forward_select(("a", "b", "c", "d"), score)
+        assert (result.selected, result.mcc) == (("a", "b", "d"), 0.75)
+        assert score.calls == [r.ids for r in result.trace]
+        assert [r.mcc for r in result.trace] == [mccs.get(r.ids, 0.0) for r in result.trace]
+        stages = [r.stage for r in result.trace]
+        assert stages == ["single"] * 4 + ["pair"] * 6 + ["greedy"] * (2 + 1)
 
 
 class TestEnsembleModel:

@@ -483,6 +483,11 @@ class ToxTrainOptions:
         if not self.epsilon >= 0:
             raise ConfigError(f"epsilon must be >= 0 and not NaN, got {self.epsilon}")
         corpus_mod.check_max_len(self.max_len)
+        if self.max_len > descriptors.PAD_LEN:
+            raise ConfigError(
+                f"max_len must be <= {descriptors.PAD_LEN}, the longest peptide "
+                f"a toxicity model scores, got {self.max_len}"
+            )
         self.selector_spec()
         self.member_specs()
         for i, name in enumerate(self.member_names):
@@ -551,10 +556,6 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
     y_train = np.array(
         [1] * len(split.train_pos) + [0] * len(split.train_neg), dtype=np.int64
     )
-    test_peps = split.test_pos + split.test_neg
-    y_test = np.array(
-        [1] * len(split.test_pos) + [0] * len(split.test_neg), dtype=np.int64
-    )
 
     # each descriptor's scaler and scaled training block, encoded and fitted
     # once per run.  A block of 2 or more columns (every registry block has
@@ -578,7 +579,7 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
         """The selector's pooled cross-validated MCC on the ids' columns."""
         X = x_builder(ids)
         probas = tox_metrics.cross_val_probas(
-            lambda: clf.make_classifier(selector), X, y_train, options.folds, selection_seed
+            clf.make_classifier(selector), X, y_train, options.folds, selection_seed
         )
         return tox_metrics.metrics_from_probas(y_train, probas).mcc
 
@@ -601,7 +602,6 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
 
     members = ens.fit_members(member_specs, X_train, y_train)
     model = ens.EnsembleModel(
-        member_names=tuple(options.member_names),
         member_specs=member_specs,
         members=members,
         weights=weights,
@@ -616,9 +616,7 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
         },
     )
 
-    raw_test = descriptors.encode_matrix(selection.selected, test_peps)
-    test_probas = model.predict_proba_features(scaler.transform(raw_test))
-    heldout = tox_metrics.metrics_from_probas(y_test, test_probas)
+    heldout, _ = model.evaluate(split.test_pos, split.test_neg)
 
     counts = {
         "pos_after_prep": len(pos_c),
@@ -632,7 +630,6 @@ def run_toxtrain(pos_path, neg_path, model_out, options: ToxTrainOptions) -> Tox
 
 
 def toxtrain_report_text(result: ToxTrainResult) -> str:
-    h = result.heldout
     lines = [
         f"selected descriptors: {'+'.join(result.selection.selected)}",
         f"cross-validated MCC: {result.cv_mcc!r}",
@@ -643,13 +640,8 @@ def toxtrain_report_text(result: ToxTrainResult) -> str:
         ),
         f"train per class: {result.counts['train_per_class']}",
         f"test per class: {result.counts['test_per_class']}",
-        (
-            "held-out: "
-            f"TP={h.tp} FP={h.fp} TN={h.tn} FN={h.fn} "
-            f"accuracy={h.accuracy!r} recall={h.recall!r} "
-            f"precision={h.precision!r} specificity={h.specificity!r} "
-            f"F1={h.f1!r} MCC={h.mcc!r}"
-        ),
+        "held-out: "
+        + " ".join(f"{k}={v!r}" for k, v in result.heldout.as_dict().items()),
     ]
     return "\n".join(lines) + "\n"
 
@@ -661,24 +653,14 @@ def run_toxpredict(model_path, input_path) -> list[dict]:
 
 
 def run_toxbench(model_path, pos_path, neg_path) -> tuple[tox_metrics.MetricReport, int]:
-    """Confusion metrics of a fitted model on labeled benchmark files, and
-    the number of rows it could not score (bad residues, over-length
-    sequences): those are excluded from the counts rather than guessed.
-    """
+    """EnsembleModel.evaluate of the model file on labeled benchmark files:
+    its metrics and the number of rows it could not score (bad residues,
+    over-length sequences)."""
     model = ens.load_model(model_path)
-    y_true, y_pred = [], []
-    excluded = 0
-    for path, truth in ((pos_path, 1), (neg_path, 0)):
-        for row in model.predict(read_sequences(path)):
-            if row["call"] is None:
-                excluded += 1
-                continue
-            y_true.append(truth)
-            y_pred.append(1 if row["call"] == "toxic" else 0)
-    if not y_true:
+    positives, negatives = read_sequences(pos_path), read_sequences(neg_path)
+    try:
+        return model.evaluate(positives, negatives)
+    except DataError as exc:
         raise DataError(
-            f"the model can score no row of {pos_path} or {neg_path}: "
-            f"all {excluded} excluded"
-        )
-    counts = tox_metrics.confusion_counts(y_true, y_pred)
-    return tox_metrics.compute_metrics(*counts), excluded
+            f"the model can score no row of {pos_path} or {neg_path}: {exc}"
+        ) from exc

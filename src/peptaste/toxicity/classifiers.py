@@ -669,11 +669,12 @@ class KNearest(_Learner):
         self.X = np.asarray(state["X"], dtype=float)
         self.y = np.asarray(state["y"], dtype=np.int64)
         self.rows = np.arange(len(self.y))
-        self.k = int(state["k"])
-        if self.X.shape != (len(self.y), width) or not 1 <= self.k <= len(self.y):
+        self.k = state["k"]
+        k_ok = type(self.k) is int and 1 <= self.k <= len(self.y)
+        if self.X.shape != (len(self.y), width) or not k_ok:
             raise ValidationError(
-                f"k-NN needs X of shape (labels, {width}) and 1 <= k <= labels, got "
-                f"X of shape {self.X.shape}, {len(self.y)} labels and k={self.k}"
+                f"k-NN needs X of shape (labels, {width}) and an integer 1 <= k <= labels,"
+                f" got X of shape {self.X.shape}, {len(self.y)} labels and k={self.k!r}"
             )
         _check_finite("k-NN training rows", self.X)
         return self

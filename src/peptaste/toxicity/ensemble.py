@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .. import descriptors, textio
-from ..errors import ConfigError, PeptasteError, ValidationError
+from ..errors import ConfigError, DataError, PeptasteError, ValidationError
 from ..sequences import Peptide
 from . import metrics
 from .classifiers import ClassifierSpec, make_classifier
@@ -82,7 +83,8 @@ def forward_select(universe, score, epsilon: float = 0.001) -> SelectionResult:
         [("single", (d,)) for d in universe]
         + [("pair", ab) for ab in itertools.combinations(universe, 2)]
     )
-    while len(current) < len(universe):
+    # from a single, a round rescores the pairs it beat; at inf none is kept
+    while 1 < len(current) < len(universe) and math.isfinite(epsilon):
         ids, mcc = best_of(
             ("greedy", tuple(d for d in universe if d in current or d == add))
             for add in universe
@@ -134,10 +136,8 @@ def weight_grid_search(
     y = np.asarray(y).astype(np.int64)
     probas = np.column_stack(
         [
-            metrics.cross_val_probas(
-                lambda spec=spec: make_classifier(spec), X, y, folds=folds, seed=seed
-            )
-            for spec in member_specs.values()
+            metrics.cross_val_probas(make_classifier(s), X, y, folds=folds, seed=seed)
+            for s in member_specs.values()
         ]
     )
     best_w = None
@@ -154,7 +154,6 @@ def weight_grid_search(
 class EnsembleModel:
     """Fitted voting ensemble plus everything needed to encode new peptides."""
 
-    member_names: tuple[str, ...]
     member_specs: dict[str, ClassifierSpec]
     members: dict[str, object]
     weights: tuple[float, ...]
@@ -164,23 +163,25 @@ class EnsembleModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.member_names) != len(self.weights):
+        if tuple(self.member_specs) != self.member_names:
+            raise ValidationError("one spec per member, in the members' order, required")
+        if len(self.members) != len(self.weights):
             raise ValidationError("one weight per member required")
         if not all(w >= 0 for w in self.weights):
             raise ValidationError(f"weights must be non-negative, got {self.weights}")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValidationError("weights must sum to 1")
 
-    def _encode(self, peptides) -> np.ndarray:
-        raw = descriptors.encode_matrix(self.descriptor_ids, peptides)
-        return self.scaler.transform(raw)
+    @property
+    def member_names(self) -> tuple[str, ...]:
+        return tuple(self.members)
 
     def predict_proba_features(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         combined = np.zeros(X.shape[0])
-        for name, w in zip(self.member_names, self.weights):
+        for member, w in zip(self.members.values(), self.weights):
             if w:
-                combined += w * self.members[name].predict_proba(X)
+                combined += w * member.predict_proba(X)
         return combined
 
     def row_error(self, peptide) -> str:
@@ -209,7 +210,7 @@ class EnsembleModel:
         peptides = list(peptides)
         errors = [self.row_error(p) for p in peptides]
         valid = [p for p, err in zip(peptides, errors) if not err]
-        X = self._encode(valid)
+        X = self.scaler.transform(descriptors.encode_matrix(self.descriptor_ids, valid))
         probas = iter(self.predict_proba_features(X).tolist())
         rows = []
         for pep, err in zip(peptides, errors):
@@ -222,16 +223,24 @@ class EnsembleModel:
             )
         return rows
 
+    def evaluate(self, positives, negatives) -> tuple[metrics.MetricReport, int]:
+        """Confusion metrics of the calls on toxic positives and non-toxic
+        negatives over the rows the model can score, and the number of rows
+        it cannot, which are excluded rather than guessed."""
+        scored = [
+            (truth, row["call"] == "toxic")
+            for peptides, truth in ((positives, 1), (negatives, 0))
+            for row in self.predict(peptides)
+            if row["call"]
+        ]
+        excluded = len(positives) + len(negatives) - len(scored)
+        if not scored:
+            raise DataError(f"all {excluded} excluded")
+        return metrics.compute_metrics(*metrics.confusion_counts(*zip(*scored))), excluded
 
-def fit_members(
-    member_specs: dict[str, ClassifierSpec], X, y
-) -> dict[str, object]:
-    fitted = {}
-    for name, spec in member_specs.items():
-        model = make_classifier(spec)
-        model.fit(X, y)
-        fitted[name] = model
-    return fitted
+
+def fit_members(member_specs: dict[str, ClassifierSpec], X, y) -> dict[str, object]:
+    return {name: make_classifier(spec).fit(X, y) for name, spec in member_specs.items()}
 
 
 # --- serialization ----------------------------------------------------------
@@ -245,7 +254,7 @@ def save_model(model: EnsembleModel, path):
         "member_specs": {
             name: asdict(s) for name, s in model.member_specs.items()
         },
-        "members": {n: model.members[n].to_state() for n in model.member_names},
+        "members": {name: m.to_state() for name, m in model.members.items()},
         "weights": list(model.weights),
         "descriptor_ids": list(model.descriptor_ids),
         "descriptor_config": DESCRIPTOR_CONFIG,
@@ -262,11 +271,12 @@ def save_model(model: EnsembleModel, path):
 def load_model(path) -> EnsembleModel:
     """The model saved at path.  A file that is not one (not JSON, of
     another format or version, with a field missing or of the wrong type,
-    with encoding settings other than DESCRIPTOR_CONFIG, with no descriptor
-    or an unknown or repeated one, with a scaler whose width is not the
-    descriptors' column count or with a mean that is not finite or a scale
-    that is not finite and > 0, with a member state that does not fit that
-    width or holds a number that is not finite, or with a weight that is
+    with a member listed twice, with encoding settings other than
+    DESCRIPTOR_CONFIG, with no descriptor or an unknown or repeated one,
+    with a scaler whose width is not the descriptors' column count or with
+    a mean that is not finite or a scale that is not finite and > 0, with a
+    member state that does not fit that width or holds a number that is not
+    finite or a k-NN k that is not an integer, or with a weight that is
     negative or NaN) raises ValidationError naming it."""
     text = textio.read_text(path)
     try:
@@ -275,9 +285,12 @@ def load_model(path) -> EnsembleModel:
             raise ValidationError(f"format is not {FORMAT_NAME}")
         if doc.get("version") != FORMAT_VERSION:
             raise ValidationError(f"unsupported model version {doc.get('version')}")
+        names = doc["member_names"]
         member_specs = {
-            name: ClassifierSpec(**spec) for name, spec in doc["member_specs"].items()
+            name: ClassifierSpec(**doc["member_specs"][name]) for name in names
         }
+        if len(member_specs) != len(names):
+            raise ValidationError(f"member_names lists a member twice: {names}")
         if doc["descriptor_config"] != DESCRIPTOR_CONFIG:
             raise ValidationError(
                 f"descriptor_config must be {DESCRIPTOR_CONFIG}, "
@@ -301,13 +314,11 @@ def load_model(path) -> EnsembleModel:
             raise ValidationError("scaler means must be finite")
         if not (np.isfinite(scaler.scale) & (scaler.scale > 0)).all():
             raise ValidationError("scaler scales must be finite and > 0")
-        states = doc["members"]
         members = {
-            name: make_classifier(member_specs[name]).from_state(states[name], width)
-            for name in doc["member_names"]
+            name: make_classifier(spec).from_state(doc["members"][name], width)
+            for name, spec in member_specs.items()
         }
         return EnsembleModel(
-            member_names=tuple(doc["member_names"]),
             member_specs=member_specs,
             members=members,
             weights=tuple(doc["weights"]),

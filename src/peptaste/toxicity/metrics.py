@@ -95,14 +95,14 @@ def stratified_fold_ids(y, folds: int, seed: int = 0) -> np.ndarray:
     return fold_of
 
 
-def cross_val_probas(factory, X, y, folds: int = 10, seed: int = 0) -> np.ndarray:
+def cross_val_probas(learner, X, y, folds: int = 10, seed: int = 0) -> np.ndarray:
     """Out-of-fold probabilities: each sample predicted by the model fitted
-    on the other folds.  factory() must build a fresh unfitted learner,
-    whose fit_folds fits every fold's model in one call."""
+    on the other folds.  learner.fit_folds fits every fold's model in one
+    call, refitting the learner itself as the first fold's."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y).astype(np.int64)
     fold_of = stratified_fold_ids(y, folds, seed)
-    models = factory().fit_folds(
+    models = learner.fit_folds(
         X, y, [np.flatnonzero(fold_of != f) for f in range(folds)]
     )
     out = np.empty(len(y))

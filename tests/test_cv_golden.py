@@ -33,9 +33,7 @@ def corpus():
 
 def cv_digest(name, X, y, folds):
     spec = clf.preset_spec(name, seed=7, trees=6 if name != "adb" else None)
-    probas = metrics.cross_val_probas(
-        lambda: clf.make_classifier(spec), X, y, folds=folds, seed=13
-    )
+    probas = metrics.cross_val_probas(clf.make_classifier(spec), X, y, folds, seed=13)
     return hashlib.sha256(probas.tobytes()).hexdigest()
 
 
@@ -51,9 +49,7 @@ def test_out_of_fold_probas_are_one_row_calls(corpus, name):
     # each fold model scores its test rows with the bits of one-row calls
     X, y = corpus
     spec = clf.preset_spec(name, seed=7, trees=6 if name != "adb" else None)
-    probas = metrics.cross_val_probas(
-        lambda: clf.make_classifier(spec), X, y, folds=3, seed=13
-    )
+    probas = metrics.cross_val_probas(clf.make_classifier(spec), X, y, folds=3, seed=13)
     fold_of = metrics.stratified_fold_ids(y, 3, 13)
     models = clf.make_classifier(spec).fit_folds(
         X, y, [np.flatnonzero(fold_of != f) for f in range(3)]

@@ -24,7 +24,7 @@ GOLDEN = {
     "census": "832597816b201fb57dd3561f877aed413d4953a3efddc14a68a47820d4fa82d7",
     "toxbench": "c9c092c6533f2590b125ce2137f009d042907fe8cb2d79ef9000b6a97ab47639",
     "toxtrain_report": "7138cee4bb589101ff587c5a3ae230de54b9e539375dfd4006d41fb767161584",
-    "toxtrain_trace": "e1d4cd0f7b12a3cfe91f81fb7a33abf5a361df9d1bf2677ddecd3a7998cfb1a1",
+    "toxtrain_trace": "26cc0432ec013045f8354383c6be65735a3f7afa6d71e6b9db47ddd78ccc48dd",
     "toxtrain_model": "98e7e11c637754b052bd94a1bdcb05fd7857a9e7fc10ec8ee048ff34fae7d4ef",
 }
 

@@ -5,7 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from peptaste import corpus, descriptors, similarity, vae
+from peptaste import corpus, descriptors, pipeline, similarity, vae
 from peptaste.sequences import Peptide
 from peptaste.toxicity import classifiers
 
@@ -65,3 +65,21 @@ def test_dedup_hook_binds_its_arguments_by_name(monkeypatch):
     assert tracer.counts["dedup_in"] == 5
     assert tracer.counts["dedup_kept"] == 4
     assert tracer.align_threshold == before
+
+
+def test_toxtrain_hooks_bind_their_arguments_by_name(monkeypatch, tox_corpus_files):
+    # the weight-search wrapper reads `folds` by name, and the selection and
+    # weight-vector wrappers count what forward_select and the search return
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    options = pipeline.ToxTrainOptions(
+        folds=3, selector_trees=4, member_trees=4, universe=("AAC", "GAAC")
+    )
+    restore = spans.install(tracer)
+    try:
+        result = tracer.run_job(lambda: pipeline.run_toxtrain(*tox_corpus_files, None, options))
+    finally:
+        restore()
+    assert tracer.counts["toxicity.ensemble.select_sets"] == len(result.selection.trace)
+    assert tracer.counts["toxicity.ensemble.weight_vectors"] == 1001
+    assert tracer.counts["member_fits"] > 0

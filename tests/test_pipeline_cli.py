@@ -56,6 +56,14 @@ def _member_edited(text, name, edit):
     return json.dumps(doc)
 
 
+def _knn_listed_twice(text):
+    """The JSON document text with knn listed again, at weight 0."""
+    doc = json.loads(text)
+    doc["member_names"].append("knn")
+    doc["weights"].append(0.0)
+    return json.dumps(doc)
+
+
 def _first_split_set(tree, field, value):
     """Set field of the tree state's first split node to value."""
     tree[field][next(i for i, f in enumerate(tree["feature"]) if f >= 0)] = value
@@ -618,13 +626,14 @@ class TestToxTrainPipeline:
         )
         result = run_toxtrain(pos, neg, None, options)
         n_train = 2 * result.counts["train_per_class"]
-        n_test = 2 * result.counts["test_per_class"]
-        # forward selection cross-validates 3 singles, 3 pairs and a greedy
-        # round, but each block is encoded and fitted once
+        n_test = result.counts["test_per_class"]
+        # forward selection cross-validates 3 singles and 3 pairs, but each
+        # block is encoded and fitted once; the held-out report encodes each
+        # class through EnsembleModel.predict
         assert len(result.selection.trace) > len(universe)
         assert encoded == [((did,), n_train) for did in universe] + [
             (result.selection.selected, n_test)
-        ]
+        ] * 2
         assert fitted == [(n_train, 20), (n_train, 5), (n_train, 39)]
 
     def test_toxtrain_deterministic_for_fixed_seed(self, tox_corpus_files, tmp_path):
@@ -903,7 +912,7 @@ class TestCli:
         assert not (tmp_path / "m.json").exists()
 
     def test_toxtrain_rejects_peptide_too_long_for_universe(self, tmp_path, capsys):
-        # max_len 30 keeps length-28 rows, which Binary (pad_len 25) cannot encode
+        # max_len 30 would keep length-28 rows, which no model can score
         rng = np.random.default_rng(9)
         files = {}
         for name, alphabet in (("toxic.txt", "KRCWHLFI"), ("benign.txt", "DESTGANQ")):
@@ -917,14 +926,27 @@ class TestCli:
                 str(files["benign.txt"]), "--folds", "2", "--selector", "knn",
                 "--model-out", str(tmp_path / "m.json"), "--descriptors", "AAC,Binary",
                 "--max-len", "30"]
-        assert main(args) == 3
-        err = capsys.readouterr().err
-        assert str(files["toxic.txt"]) in err and "'" + "K" * 28 + "'" in err
-        assert "Binary requires length <= 25" in err
+        assert main(args) == 2
+        assert "max_len must be <= 25" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
         # at the default max_len the row is dropped by the length filter instead
         args[args.index("--max-len") + 1] = "25"
         assert main(args) == 0
+
+    def test_toxtrain_max_len_above_the_model_frame_is_a_config_error(
+        self, tmp_path, capsys
+    ):
+        # rejected before either file is read (they do not exist)
+        out = tmp_path / "m.json"
+        argv = ["toxtrain", "--pos", str(tmp_path / "no-pos.txt"), "--neg",
+                str(tmp_path / "no-neg.txt"), "--model-out", str(out), "--max-len", "26"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: max_len must be <= 25, the longest peptide a toxicity model "
+            "scores, got 26\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--pos", "--neg"])
     def test_toxtrain_bad_residue_names_its_file(
@@ -1302,6 +1324,13 @@ class TestCli:
              "weights must be non-negative, got (nan, "),
             (lambda text: _member_edited(text, "knn", lambda s: s.update(k=0)),
              "labels and k=0"),
+            (lambda text: _member_edited(text, "knn", lambda s: s.update(k=2.7)),
+             "an integer 1 <= k <= labels, got "),
+            (lambda text: _member_edited(text, "knn", lambda s: s.update(k=True)),
+             "labels and k=True"),
+            (lambda text: _member_edited(text, "knn", lambda s: s.update(k="5")),
+             "labels and k='5'"),
+            (_knn_listed_twice, "not a valid model file: member_names lists a member twice"),
             (lambda text: _member_edited(text, "knn", lambda s: s.update(y=s["y"][:3])),
              " 3 labels and k=5"),
             (lambda text: _member_edited(text, "lr", lambda s: s.update(coef=[0] * 3)),
@@ -1345,7 +1374,8 @@ class TestCli:
         ids=["truncated", "no-member-specs", "no-scaler", "specs-a-list",
              "mcc-a-string", "weights-a-string", "no-member-state",
              "no-descriptor-config", "other-descriptor-config", "unknown-descriptor",
-             "repeated-descriptor", "nan-weight", "knn-k-0", "knn-3-labels",
+             "repeated-descriptor", "nan-weight", "knn-k-0", "knn-k-2.7", "knn-k-true",
+             "knn-k-string", "knn-listed-twice", "knn-3-labels",
              "lr-3-coefficients", "rf-feature-999", "rf-no-trees", "gbt-child-1e6",
              "scaler-mean-nan", "scaler-mean-inf", "scaler-scale-0", "scaler-scale-negative",
              "scaler-scale-inf", "scaler-scale-nan", "lr-coef-nan", "lr-intercept-inf",

@@ -113,7 +113,6 @@ def all_learners_model():
         "dt": clf.ClassifierSpec("dt", depth=6),
     }
     return ens.EnsembleModel(
-        member_names=tuple(specs),
         member_specs=specs,
         members=ens.fit_members(specs, X, y),
         weights=(0.2, 0.1, 0.2, 0.1, 0.2, 0.1, 0.1),

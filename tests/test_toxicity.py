@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peptaste.errors import ConfigError, DataError
+from peptaste.errors import ConfigError, DataError, ValidationError
 from peptaste.sequences import Peptide
 from peptaste import descriptors
 from peptaste.toxicity.classifiers import (
@@ -106,7 +106,7 @@ class TestFolds:
             def predict_proba(self, X):
                 return np.ones(len(X))
 
-        report = metrics_from_probas(y, cross_val_probas(Constant, X, y, folds=4, seed=0))
+        report = metrics_from_probas(y, cross_val_probas(Constant(), X, y, folds=4, seed=0))
         assert report.mcc == 0.0
 
     def test_pooled_equals_per_fold_sum(self):
@@ -114,7 +114,7 @@ class TestFolds:
         folds = 5
         seed = 4
         spec = ClassifierSpec("dt", depth=4)
-        probas = cross_val_probas(lambda: make_classifier(spec), X, y, folds, seed)
+        probas = cross_val_probas(make_classifier(spec), X, y, folds, seed)
         pooled = metrics_from_probas(y, probas)
         fold_of = stratified_fold_ids(y, folds, seed)
         totals = np.zeros(4, dtype=int)
@@ -180,7 +180,7 @@ class TestBaseClassifiers:
     )
     def test_every_learner_separates(self, factory):
         X, y = separable_data(200, 10, margin=1.0, seed=7)
-        report = metrics_from_probas(y, cross_val_probas(factory, X, y, folds=5, seed=8))
+        report = metrics_from_probas(y, cross_val_probas(factory(), X, y, folds=5, seed=8))
         assert report.mcc >= 0.9
 
     def test_single_class_rejected(self):
@@ -340,7 +340,7 @@ def cv_scorer(spec, builder, y, folds=10, seed=0):
     the way toxtrain scores a descriptor tuple."""
 
     def score(ids):
-        probas = cross_val_probas(lambda: make_classifier(spec), builder(ids), y, folds, seed)
+        probas = cross_val_probas(make_classifier(spec), builder(ids), y, folds, seed)
         return metrics_from_probas(y, probas).mcc
 
     return score
@@ -466,6 +466,20 @@ class TestForwardSelect:
         stages = [r.stage for r in result.trace]
         assert stages == ["single"] * 4 + ["pair"] * 6 + ["greedy"] * (2 + 1)
 
+    def test_a_winning_single_runs_no_greedy_round(self):
+        # the first stage scored every pair holding b, and none beat b
+        score = scripted({("b",): 0.5, ("a", "b"): 0.25, ("b", "c"): 0.5})
+        result = forward_select(("a", "b", "c"), score)
+        assert (result.selected, result.mcc) == (("b",), 0.5)
+        assert score.calls == [("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c")]
+
+    def test_infinite_epsilon_runs_no_greedy_round(self):
+        score = scripted({("a", "b"): 0.5, ("a", "b", "c"): 1.0})
+        result = forward_select(("a", "b", "c"), score, epsilon=np.inf)
+        assert (result.selected, result.mcc) == (("a", "b"), 0.5)
+        assert score.calls == [r.ids for r in result.trace]
+        assert [r.stage for r in result.trace] == ["single"] * 3 + ["pair"] * 3
+
 
 class TestEnsembleModel:
     @staticmethod
@@ -493,7 +507,6 @@ class TestEnsembleModel:
             1.0 / len(member_names) for _ in member_names
         )
         model = EnsembleModel(
-            member_names=tuple(member_names),
             member_specs=specs,
             members=members,
             weights=weights,
@@ -506,7 +519,6 @@ class TestEnsembleModel:
     def test_degenerate_single_weight_equals_member(self):
         model, peps, y, X = self.fitted_model(member_names=("rf", "lr"))
         solo = EnsembleModel(
-            member_names=model.member_names,
             member_specs=model.member_specs,
             members=model.members,
             weights=(1.0, 0.0),
@@ -538,7 +550,6 @@ class TestEnsembleModel:
     def test_weighted_sum_matches_recomputation(self):
         model, peps, y, X = self.fitted_model(member_names=("rf", "gbt-l", "knn"))
         model = EnsembleModel(
-            member_names=model.member_names,
             member_specs=model.member_specs,
             members=model.members,
             weights=(0.5, 0.3, 0.2),
@@ -564,8 +575,7 @@ class TestEnsembleModel:
         model, *_ = self.fitted_model()
         with pytest.raises(Exception, match="sum to 1"):
             EnsembleModel(
-                member_names=model.member_names,
-                member_specs=model.member_specs,
+                    member_specs=model.member_specs,
                 members=model.members,
                 weights=(0.5, 0.2),
                 descriptor_ids=model.descriptor_ids,
@@ -573,10 +583,41 @@ class TestEnsembleModel:
                 cv_mcc=1.0,
             )
 
+    def test_member_specs_must_list_the_members_in_order(self):
+        model, *_ = self.fitted_model(member_names=("rf", "lr"))
+        for specs in (
+            dict(reversed(model.member_specs.items())),
+            {"rf": model.member_specs["rf"]},
+        ):
+            with pytest.raises(ValidationError, match="one spec per member"):
+                EnsembleModel(
+                    member_specs=specs,
+                    members=model.members,
+                    weights=model.weights,
+                    descriptor_ids=model.descriptor_ids,
+                    scaler=model.scaler,
+                    cv_mcc=1.0,
+                )
+
+    def test_evaluate_counts_the_calls_of_one_batch(self):
+        # the held-out report toxtrain once built by hand: one encode, scale
+        # and weighted vote over positives then negatives
+        model, peps, y, _ = self.fitted_model(member_names=("rf", "gbt-l", "knn"))
+        positives = [p for p, t in zip(peps, y) if t]
+        negatives = [p for p, t in zip(peps, y) if not t]
+        raw = descriptors.encode_matrix(model.descriptor_ids, positives + negatives)
+        probas = model.predict_proba_features(model.scaler.transform(raw))
+        truth = [1] * len(positives) + [0] * len(negatives)
+        report, excluded = model.evaluate(positives, negatives)
+        assert (report, excluded) == (metrics_from_probas(truth, probas), 0)
+        bad = ["A" * 30, "K"]
+        assert model.evaluate(positives + bad, bad + negatives) == (report, 4)
+        with pytest.raises(DataError, match="all 2 excluded"):
+            model.evaluate(bad[:1], bad[1:])
+
     def test_serialization_round_trip(self, tmp_path):
         model, peps, y, X = self.fitted_model(member_names=("rf", "gbt-l", "knn", "lr", "adb"))
         model = EnsembleModel(
-            member_names=model.member_names,
             member_specs=model.member_specs,
             members=model.members,
             weights=(0.3, 0.1, 0.2, 0.2, 0.2),
@@ -663,7 +704,6 @@ class TestRowwiseScoring:
     def test_row_errors_keep_their_order_of_checks(self):
         model, *_ = TestEnsembleModel.fitted_model()
         tpc = EnsembleModel(
-            member_names=model.member_names,
             member_specs=model.member_specs,
             members=model.members,
             weights=model.weights,

@@ -84,7 +84,6 @@ def test_toxtrain_model_golden_digest(tmp_path):
         ("single", ("AAC",), 0.15891043154093207),
         ("single", ("GAAC",), 0.03296902366978935),
         ("pair", ("AAC", "GAAC"), 0.047836487323493986),
-        ("greedy", ("AAC", "GAAC"), 0.047836487323493986),
     ]
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()
